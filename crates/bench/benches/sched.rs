@@ -26,7 +26,7 @@ fn drain_pool(cfg: &PoolConfig) -> u64 {
         if g.is_empty() {
             // Complete everything held and loop again.
             for (loc, j) in held.drain(..) {
-                pool.complete(loc, j);
+                pool.complete(loc, j).expect("granted to loc");
                 completed += 1;
             }
             continue;

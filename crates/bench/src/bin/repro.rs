@@ -676,7 +676,7 @@ fn print_timeline(net: &NetConstants) {
         println!(
             "{:<6} mean slave utilization {:.1}%",
             c.name,
-            trace.cluster_utilization(ci) * 100.0
+            trace.cluster_utilization(ci as u32) * 100.0
         );
     }
 }

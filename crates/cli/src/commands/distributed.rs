@@ -11,7 +11,7 @@
 //! site 1, and each worker passes the same value (plus `--data2` for the
 //! site-1 directory when it needs a path to it).
 
-use super::CmdError;
+use super::{CmdError, TraceOpts};
 use crate::args::Args;
 use cb_apps::knn::{KnnApp, KnnQuery};
 use cb_apps::selection::{BoxQuery, SelectionApp};
@@ -23,7 +23,6 @@ use cb_storage::store::{DiskStore, ObjectStore};
 use cloudburst_core::api::ReductionObject;
 use cloudburst_core::config::RuntimeConfig;
 use cloudburst_core::deploy::{ClusterSpec, DataFabric};
-use cloudburst_core::obs::{self, RecordingSink, SinkHandle};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::net::{TcpListener, ToSocketAddrs};
@@ -121,14 +120,9 @@ pub fn head(args: &Args) -> Result<String, CmdError> {
     let net = net_config(args)?;
     let fp = fingerprint(&layout, &placement, &tag);
 
-    let trace_out = args.get("trace-out").map(str::to_owned);
-    let timeline: bool = args.get_or("timeline", false)?;
-    let recorder = (trace_out.is_some() || timeline).then(RecordingSink::new);
+    let trace = TraceOpts::from_args(args)?;
     let cfg = RuntimeConfig {
-        sink: match &recorder {
-            Some(rec) => SinkHandle::new(Arc::clone(rec) as _),
-            None => SinkHandle::disabled(),
-        },
+        sink: trace.sink(),
         synthetic_compute_ns_per_unit: args.get_or("compute-ns", 0)?,
         ..RuntimeConfig::default()
     };
@@ -180,20 +174,7 @@ pub fn head(args: &Args) -> Result<String, CmdError> {
         }
     };
     let _ = write!(s, "{}", report.render());
-    if let Some(rec) = recorder {
-        let events = rec.take();
-        if timeline {
-            let _ = write!(
-                s,
-                "{}",
-                obs::Timeline::from_events(&events).render_gantt(100)
-            );
-        }
-        if let Some(path) = trace_out {
-            std::fs::write(&path, obs::encode_jsonl(&events))?;
-            let _ = writeln!(s, "trace: {} events -> {path}", events.len());
-        }
-    }
+    trace.finish(&mut s)?;
     Ok(s)
 }
 
@@ -282,7 +263,7 @@ pub fn worker(args: &Args) -> Result<String, CmdError> {
                 addr,
             )
             .map_err(|e| CmdError::Other(e.to_string()))?;
-            (jobs_of(&out.outcome.stats), out.robj_bytes)
+            (jobs_of(&out.outcome.account.slaves), out.robj_bytes)
         }
         AppKind::Knn { dim, k } => {
             let app = KnnApp::new(dim, k);
@@ -293,7 +274,7 @@ pub fn worker(args: &Args) -> Result<String, CmdError> {
                 &app, &query, &layout, &placement, &fabric, &cluster, &spec, &cfg, &net, addr,
             )
             .map_err(|e| CmdError::Other(e.to_string()))?;
-            (jobs_of(&out.outcome.stats), out.robj_bytes)
+            (jobs_of(&out.outcome.account.slaves), out.robj_bytes)
         }
         AppKind::Selection { dim } => {
             let app = SelectionApp::new(dim);
@@ -302,7 +283,7 @@ pub fn worker(args: &Args) -> Result<String, CmdError> {
                 &app, &query, &layout, &placement, &fabric, &cluster, &spec, &cfg, &net, addr,
             )
             .map_err(|e| CmdError::Other(e.to_string()))?;
-            (jobs_of(&out.outcome.stats), out.robj_bytes)
+            (jobs_of(&out.outcome.account.slaves), out.robj_bytes)
         }
     };
     Ok(format!(
@@ -320,6 +301,6 @@ fn net_config_worker(args: &Args) -> Result<NetConfig, CmdError> {
     Ok(net)
 }
 
-fn jobs_of(stats: &[cloudburst_core::runtime::SlaveStats]) -> u64 {
+fn jobs_of(stats: &[cloudburst_core::SlaveStats]) -> u64 {
     stats.iter().map(|s| s.jobs).sum()
 }

@@ -8,7 +8,7 @@
 //! respective directories (e.g. from two `generate` runs split by hand, or
 //! one directory copied and pruned).
 
-use super::CmdError;
+use super::{CmdError, TraceOpts};
 use crate::args::Args;
 use cb_apps::knn::{KnnApp, KnnQuery};
 use cb_apps::pagerank::{next_ranks, rank_delta, PageRankApp, RankParams};
@@ -21,7 +21,7 @@ use cb_storage::store::{DiskStore, ObjectStore};
 use cloudburst_core::api::{GRApp, ReductionObject};
 use cloudburst_core::config::RuntimeConfig;
 use cloudburst_core::deploy::{ClusterSpec, DataFabric, Deployment};
-use cloudburst_core::obs::{self, EventKind, RecordingSink, SinkHandle};
+use cloudburst_core::obs::EventKind;
 use cloudburst_core::runtime::run as run_gr;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -111,17 +111,8 @@ pub fn run(args: &Args) -> Result<String, CmdError> {
     // Tracing: a recording sink captures the run's event stream, written as
     // JSONL (`--trace-out`) and/or rendered as a live Gantt (`--timeline`).
     // Built before fault wiring so injected faults are observed too.
-    let trace_out = args.get("trace-out").map(str::to_owned);
-    let timeline: bool = args.get_or("timeline", false)?;
-    let recorder = if trace_out.is_some() || timeline {
-        Some(RecordingSink::new())
-    } else {
-        None
-    };
-    let sink = match &recorder {
-        Some(rec) => SinkHandle::new(Arc::clone(rec) as _),
-        None => SinkHandle::disabled(),
-    };
+    let trace = TraceOpts::from_args(args)?;
+    let sink = trace.sink();
 
     // Fault injection: drop a fraction of GETs on every path, so the
     // retry/re-enqueue machinery is exercised against real disk stores.
@@ -288,19 +279,6 @@ pub fn run(args: &Args) -> Result<String, CmdError> {
             )))
         }
     }
-    if let Some(rec) = recorder {
-        let events = rec.take();
-        if timeline {
-            let _ = write!(
-                s,
-                "{}",
-                obs::Timeline::from_events(&events).render_gantt(100)
-            );
-        }
-        if let Some(path) = trace_out {
-            std::fs::write(&path, obs::encode_jsonl(&events))?;
-            let _ = writeln!(s, "trace: {} events -> {path}", events.len());
-        }
-    }
+    trace.finish(&mut s)?;
     Ok(s)
 }

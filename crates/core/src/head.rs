@@ -1,0 +1,351 @@
+//! The head core (paper §III-B, Fig. 2): the one head every real substrate
+//! drives.
+//!
+//! [`Head`] owns the [`JobPool`]. It answers a job request together with
+//! the pool's exhaustion verdict, resolves leases, forfeits a lost
+//! location's work and banks one result slot per cluster.
+//! [`Head::finish`] checks the pool, merges the banked reduction objects in
+//! cluster-index order (the global reduction) and builds the [`RunReport`].
+//!
+//! The in-process runtime puts it behind a mutex as its masters'
+//! [`HeadPort`]: direct calls, no frames. The `cb-net` head drives it from
+//! its event loop and keeps only what is specific to the wire. The banked
+//! payload `B` is what the substrate receives — the reduction object
+//! in-process, its encoding on the wire — and is decoded at `finish`.
+
+use crate::api::ReductionObject;
+use crate::config::RuntimeConfig;
+use crate::deploy::ClusterSpec;
+use crate::report::{ClusterAccount, ClusterBreakdown, RecoveryStats, RunReport};
+use crate::runtime::{HeadPort, Resolution, RunOutcome, RuntimeError};
+use crate::sched::pool::{Grant, JobPool};
+use cb_storage::layout::{DatasetLayout, LocationId, Placement};
+use parking_lot::Mutex;
+use std::io;
+use std::time::Instant;
+
+/// One cluster's result slot.
+enum Slot<B> {
+    /// Still running.
+    Open,
+    /// Reported, with the instant the substrate counts it done at.
+    Banked {
+        robj: Option<B>,
+        account: ClusterAccount,
+        done: Instant,
+    },
+    /// Lost before reporting; its work went back to the pool.
+    Lost,
+}
+
+/// The head: job pool, per-cluster result slots, global reduction, report.
+pub struct Head<B> {
+    pool: JobPool,
+    clusters: Vec<ClusterSpec>,
+    slots: Vec<Slot<B>>,
+    /// First error observed, carried by [`RuntimeError::JobsFailed`].
+    error: Option<String>,
+    t0: Instant,
+}
+
+impl<B> Head<B> {
+    /// Validate the run, then build the job pool from the dataset index;
+    /// `clusters[i]` is report slot `i`. The run's clock starts here.
+    pub fn new(
+        layout: &DatasetLayout,
+        placement: &Placement,
+        cfg: &RuntimeConfig,
+        clusters: Vec<ClusterSpec>,
+    ) -> Result<Self, RuntimeError> {
+        cfg.validate().map_err(RuntimeError::Validation)?;
+        layout
+            .validate()
+            .map_err(|e| RuntimeError::Validation(e.to_string()))?;
+        let locations: Vec<LocationId> = clusters.iter().map(|c| c.location).collect();
+        Ok(Head {
+            pool: JobPool::new(layout, placement, cfg.pool.clone())
+                .with_sink(cfg.sink.clone(), &locations),
+            slots: clusters.iter().map(|_| Slot::Open).collect(),
+            clusters,
+            error: None,
+            t0: Instant::now(),
+        })
+    }
+
+    /// When the run started.
+    pub fn t0(&self) -> Instant {
+        self.t0
+    }
+
+    /// Grant a job batch to the cluster at `loc`, with the exhaustion
+    /// verdict observed atomically with it: once `true`, no job `loc`
+    /// could run will ever become available again.
+    pub fn request(&mut self, loc: LocationId) -> (Grant, bool) {
+        let grant = self.pool.request(loc);
+        let exhausted = grant.is_empty() && self.pool.exhausted_for(loc);
+        (grant, exhausted)
+    }
+
+    /// Resolve one lease; refused, changing nothing, unless `loc` holds it.
+    pub fn resolve(&mut self, loc: LocationId, what: Resolution) -> Result<(), String> {
+        match what {
+            Resolution::Completed(c) => self.pool.complete(loc, c),
+            Resolution::Failed(c) => self.pool.fail(loc, c),
+            Resolution::Released(c) => self.pool.release(loc, c),
+        }
+    }
+
+    /// Bank `cluster`'s result. `done` is when the substrate counts it
+    /// finished; it yields the idle and global-reduction times.
+    pub fn bank(
+        &mut self,
+        cluster: usize,
+        robj: Option<B>,
+        account: ClusterAccount,
+        done: Instant,
+    ) {
+        if let Some(e) = &account.error {
+            self.note_error(e.clone());
+        }
+        self.slots[cluster] = Slot::Banked {
+            robj,
+            account,
+            done,
+        };
+    }
+
+    /// Declare `cluster` lost before it reported: everything its location
+    /// held or completed goes back to the pool ([`JobPool::forfeit`]).
+    /// Returns the number of jobs forfeited.
+    pub fn lose(&mut self, cluster: usize) -> usize {
+        self.slots[cluster] = Slot::Lost;
+        self.pool.forfeit(self.clusters[cluster].location)
+    }
+
+    /// True while `cluster` has neither reported nor been lost.
+    pub fn is_open(&self, cluster: usize) -> bool {
+        matches!(self.slots[cluster], Slot::Open)
+    }
+
+    /// True once `cluster` was declared lost.
+    pub fn is_lost(&self, cluster: usize) -> bool {
+        matches!(self.slots[cluster], Slot::Lost)
+    }
+
+    /// Record `error` unless an earlier one is already recorded.
+    pub fn note_error(&mut self, error: String) {
+        self.error.get_or_insert(error);
+    }
+
+    /// End the run: [`RuntimeError::JobsFailed`] unless every job completed.
+    /// Otherwise `decode` turns each banked payload into a reduction object
+    /// and they merge in cluster-index order. A cluster that never reported
+    /// gets an empty `"<name> (lost)"` row: its work was redone, and is
+    /// accounted, elsewhere.
+    pub fn finish<R: ReductionObject>(
+        self,
+        mut decode: impl FnMut(usize, B) -> Result<R, RuntimeError>,
+    ) -> Result<RunOutcome<R>, RuntimeError> {
+        let Head {
+            pool,
+            clusters,
+            slots,
+            error,
+            t0,
+        } = self;
+        // The run fails only if some chunk could not be processed anywhere;
+        // every fault the scheduler absorbed shows up in `recovery` instead.
+        if !pool.all_done() {
+            return Err(RuntimeError::JobsFailed {
+                dead: pool.dead_jobs(),
+                unfinished: pool.pending() + pool.outstanding(),
+                last_error: error,
+            });
+        }
+        let last_done = slots.iter().filter_map(|s| match s {
+            Slot::Banked { done, .. } => Some(*done),
+            _ => None,
+        });
+        let last_done = last_done.max().unwrap_or(t0);
+        let mut recovery = RecoveryStats {
+            jobs_reenqueued: pool.reenqueued(),
+            ..Default::default()
+        };
+        let mut result: Option<R> = None;
+        let mut rows = Vec::with_capacity(slots.len());
+        for (ci, (slot, c)) in slots.into_iter().zip(clusters).enumerate() {
+            let Slot::Banked {
+                robj,
+                account,
+                done,
+            } = slot
+            else {
+                rows.push(ClusterBreakdown::from_slaves(
+                    format!("{} (lost)", c.name),
+                    c.cores,
+                    &[],
+                    0.0,
+                    0.0,
+                ));
+                continue;
+            };
+            if let Some(payload) = robj {
+                let robj = decode(ci, payload)?;
+                match result.as_mut() {
+                    None => result = Some(robj),
+                    Some(acc) => acc.merge(robj),
+                }
+            }
+            let r = &account.recovery;
+            recovery.fetch_failures += r.fetch_failures;
+            recovery.retries += r.retries;
+            recovery.slaves_retired += r.slaves_retired;
+            recovery.slaves_killed += r.slaves_killed;
+            rows.push(ClusterBreakdown::from_slaves(
+                c.name,
+                c.cores,
+                &account.slaves,
+                account.wall.as_nanos() as f64 / 1e9,
+                last_done.saturating_duration_since(done).as_secs_f64(),
+            ));
+        }
+        let result = result
+            .ok_or_else(|| RuntimeError::Validation("no reduction objects produced".into()))?;
+        let end = Instant::now();
+        let report = RunReport {
+            total_s: end.saturating_duration_since(t0).as_secs_f64(),
+            global_reduction_s: end.saturating_duration_since(last_done).as_secs_f64(),
+            robj_bytes: result.size_bytes() as u64,
+            clusters: rows,
+            recovery,
+            cache_hits: 0,
+            cache_misses: 0,
+            net: Default::default(),
+        };
+        Ok(RunOutcome { result, report })
+    }
+}
+
+/// The in-process head port: direct calls under one lock, so a request and
+/// its exhaustion verdict cannot be split by a concurrent fail-back.
+impl<B: Send> HeadPort for Mutex<Head<B>> {
+    fn request_jobs(&self, loc: LocationId) -> io::Result<(Grant, bool)> {
+        Ok(self.lock().request(loc))
+    }
+
+    fn resolve(&self, loc: LocationId, what: Resolution) -> io::Result<()> {
+        self.lock()
+            .resolve(loc, what)
+            .expect("an in-process master resolves only leases it holds");
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::report::SlaveStats;
+    use cb_storage::organizer::organize_even;
+    use std::time::Duration;
+
+    const LOCAL: LocationId = LocationId(0);
+    const CLOUD: LocationId = LocationId(1);
+
+    /// Remembers the order merges happened in.
+    #[derive(Debug)]
+    struct Order(Vec<usize>);
+
+    impl ReductionObject for Order {
+        fn merge(&mut self, other: Self) {
+            self.0.extend(other.0);
+        }
+        fn size_bytes(&self) -> usize {
+            self.0.len()
+        }
+    }
+
+    /// Two clusters over 2 files × 4 jobs; with `drain`, CLOUD has already
+    /// run every job.
+    fn head(drain: bool) -> Head<usize> {
+        let layout = organize_even(2, 4 * 64, 64, 8).unwrap();
+        let placement = Placement::split_fraction(2, 0.5, LOCAL, CLOUD);
+        let clusters = vec![
+            ClusterSpec::new("local", LOCAL, 2),
+            ClusterSpec::new("cloud", CLOUD, 2),
+        ];
+        let mut head = Head::new(&layout, &placement, &RuntimeConfig::default(), clusters).unwrap();
+        while let (grant, false) = head.request(CLOUD) {
+            if !drain {
+                break;
+            }
+            for c in grant.jobs {
+                head.resolve(CLOUD, Resolution::Completed(c)).unwrap();
+            }
+        }
+        head
+    }
+
+    fn account(jobs: u64, error: Option<&str>) -> ClusterAccount {
+        ClusterAccount {
+            slaves: vec![SlaveStats {
+                jobs,
+                ..Default::default()
+            }],
+            wall: Duration::from_millis(5),
+            error: error.map(String::from),
+            ..Default::default()
+        }
+    }
+
+    fn decode(ci: usize, payload: usize) -> Result<Order, RuntimeError> {
+        assert_eq!(ci, payload, "payload banked in slot {ci}");
+        Ok(Order(vec![payload]))
+    }
+
+    #[test]
+    fn finish_merges_in_cluster_order_whatever_the_bank_order() {
+        let mut h = head(true);
+        h.bank(1, Some(1), account(8, None), Instant::now());
+        h.bank(0, Some(0), account(0, None), Instant::now());
+        let out = h.finish(decode).unwrap();
+        assert_eq!(out.result.0, [0, 1]);
+        assert_eq!(out.report.clusters[0].name, "local");
+        assert_eq!(out.report.total_jobs(), 8);
+    }
+
+    #[test]
+    fn a_lost_slot_reports_an_empty_row() {
+        let mut h = head(true);
+        assert!(h.is_open(0));
+        assert_eq!(h.lose(0), 0, "LOCAL held nothing");
+        assert!(h.is_lost(0) && !h.is_open(0));
+        h.bank(1, Some(1), account(8, None), Instant::now());
+        let out = h.finish(decode).unwrap();
+        let lost = &out.report.clusters[0];
+        assert_eq!((lost.name.as_str(), lost.cores), ("local (lost)", 2));
+        assert_eq!(
+            (lost.wall_s, lost.processing_s, lost.sync_s),
+            (0.0, 0.0, 0.0)
+        );
+        assert_eq!(lost.jobs_processed, 0);
+    }
+
+    #[test]
+    fn an_unfinished_pool_fails_with_the_first_banked_error() {
+        let mut h = head(false);
+        h.bank(1, Some(1), account(0, Some("first")), Instant::now());
+        h.bank(0, Some(0), account(0, Some("second")), Instant::now());
+        match h.finish(decode) {
+            Err(RuntimeError::JobsFailed {
+                dead,
+                unfinished,
+                last_error,
+            }) => {
+                assert!(dead.is_empty());
+                assert_eq!(unfinished, 8);
+                assert_eq!(last_error.as_deref(), Some("first"));
+            }
+            other => panic!("expected JobsFailed, got {other:?}"),
+        }
+    }
+}

@@ -13,6 +13,8 @@
 //!   top-k, keyed sums, ...).
 //! * [`sched`] — the head's job pool with locality-first consecutive grants
 //!   and contention-minimizing work stealing, plus the master-side queue.
+//! * [`head`] — the head core every real substrate drives: job pool,
+//!   per-cluster result slots, global reduction and report.
 //! * [`runtime`] — the real multi-threaded head/master/slave execution
 //!   engine over a [`deploy::Deployment`].
 //! * [`report`] — the measurement schema (processing / retrieval / sync per
@@ -48,6 +50,7 @@ pub mod api;
 pub mod combine;
 pub mod config;
 pub mod deploy;
+pub mod head;
 pub mod iterate;
 pub mod obs;
 pub mod report;
@@ -57,9 +60,10 @@ pub mod sched;
 pub use api::{run_sequential, GRApp, ReductionObject};
 pub use config::RuntimeConfig;
 pub use deploy::{ClusterSpec, DataFabric, Deployment};
+pub use head::Head;
 pub use iterate::{run_iterative, IterativeOutcome, Step};
 pub use obs::{EventKind, EventRecord, EventSink, RecordingSink, SinkHandle};
-pub use report::{ClusterBreakdown, RunReport};
+pub use report::{ClusterAccount, ClusterBreakdown, RunReport, SlaveStats};
 pub use runtime::{
-    run, run_cluster, ClusterOutcome, HeadPort, Resolution, RunOutcome, RuntimeError, SlaveStats,
+    run, run_cluster, ClusterOutcome, HeadPort, Resolution, RunOutcome, RuntimeError,
 };

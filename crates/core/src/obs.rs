@@ -29,8 +29,8 @@
 //! * [`encode_jsonl`] / [`decode_jsonl`] — the versioned JSONL trace
 //!   format written by `cloudburst run --trace-out` (schema documented in
 //!   `docs/OBSERVABILITY.md`).
-//! * [`Timeline`] — the shared Gantt renderer: live runs and simulated
-//!   runs render with the same glyphs ([`GANTT_LEGEND`]).
+//! * [`Timeline`] — the one Gantt renderer: live and simulated runs are
+//!   drawn from their event streams alike ([`GANTT_LEGEND`]).
 //! * [`TraceSummary`] / [`MetricsRegistry`] — counters and histograms
 //!   folded from the stream.
 //!
@@ -312,13 +312,15 @@ impl RecordingSink {
 
 impl EventSink for RecordingSink {
     fn emit(&self, cluster: Option<u32>, slave: Option<u32>, kind: EventKind) {
-        let rec = EventRecord {
+        // Stamp under the lock: a time read before it could land behind a
+        // later stamp pushed by a concurrent emitter.
+        let mut events = self.events.lock();
+        events.push(EventRecord {
             t_ns: self.now_ns(),
             cluster,
             slave,
             kind,
-        };
-        self.events.lock().push(rec);
+        });
     }
 }
 
@@ -640,8 +642,8 @@ pub fn check_invariants(events: &[EventRecord]) -> Result<(), String> {
 // Timeline (the shared Gantt renderer)
 // ---------------------------------------------------------------------------
 
-/// What a slave was doing during a [`TimelineSpan`]. Glyphs are shared
-/// with the simulator's trace ([`GANTT_LEGEND`]).
+/// What a slave was doing during a [`TimelineSpan`] (glyphs:
+/// [`GANTT_LEGEND`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
     Fetch,
@@ -673,7 +675,7 @@ pub struct TimelineSpan {
 }
 
 /// Per-slave activity spans reconstructed from an event stream; renders
-/// the same textual Gantt chart as the simulator's `Trace`.
+/// a textual Gantt chart. Live and simulated runs both draw through it.
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
     pub spans: Vec<TimelineSpan>,
@@ -760,7 +762,7 @@ impl Timeline {
 
     /// Render the textual Gantt chart: one row per (cluster, slave),
     /// `width` columns spanning the run, later spans overwriting earlier
-    /// ones in a cell — identical conventions to the simulator's trace.
+    /// ones in a cell.
     pub fn render_gantt(&self, width: usize) -> String {
         assert!(width > 0);
         let horizon = (self.horizon_ns as f64).max(1.0);
@@ -1333,6 +1335,28 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_emitters_record_in_time_order() {
+        let sink = RecordingSink::new();
+        let (threads, per_thread) = (4u32, 5_000u64);
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let h = SinkHandle::new(sink.clone());
+                scope.spawn(move || {
+                    for chunk in 0..per_thread {
+                        h.emit(Some(t), None, EventKind::FetchStart { chunk });
+                    }
+                });
+            }
+        });
+        let evs = sink.take();
+        assert_eq!(evs.len() as u64, threads as u64 * per_thread);
+        assert!(
+            evs.windows(2).all(|w| w[0].t_ns <= w[1].t_ns),
+            "the stream is in timestamp order"
+        );
+    }
+
+    #[test]
     fn manual_clock_stamps_virtual_time() {
         let clock = Arc::new(AtomicU64::new(42));
         let sink = RecordingSink::with_clock(clock.clone());
@@ -1384,7 +1408,7 @@ mod tests {
 
     #[test]
     fn timeline_builds_spans_and_renders() {
-        let events = vec![
+        let mut events = vec![
             rec(
                 2_000_000_000,
                 0,
@@ -1419,16 +1443,31 @@ mod tests {
                 },
             ),
         ];
+        events.push(rec(
+            10_000_000_000,
+            2,
+            0,
+            EventKind::RobjMerge {
+                bytes: 8,
+                ns: 4_000_000_000,
+            },
+        ));
         let tl = Timeline::from_events(&events);
-        assert_eq!(tl.spans.len(), 3);
+        assert_eq!(tl.spans.len(), 4);
         assert_eq!(tl.horizon_ns, 10_000_000_000);
         assert!((tl.utilization(0, 0) - 0.6).abs() < 1e-12);
+        assert!((tl.cluster_utilization(0) - 0.6).abs() < 1e-12);
         assert!((tl.utilization(1, 0) - 1.0).abs() < 1e-12);
+        assert_eq!(tl.utilization(2, 0), 0.0, "shipping the robj is not busy");
         let g = tl.render_gantt(20);
         assert!(g.contains(GANTT_LEGEND));
-        assert!(g.contains("c0/s0"));
+        let row0 = g.lines().find(|l| l.starts_with("c0/s0")).unwrap();
+        assert!(row0.contains('▒') && row0.contains('█'));
         let row1 = g.lines().find(|l| l.starts_with("c1/s0")).unwrap();
         assert_eq!(row1.matches('█').count(), 20, "fully busy row");
+        let empty = Timeline::default();
+        assert_eq!(empty.utilization(0, 0), 0.0);
+        assert_eq!(empty.cluster_utilization(0), 0.0);
     }
 
     #[test]

@@ -14,6 +14,38 @@
 //! the two presentations agree. See `docs/OBSERVABILITY.md`.
 
 use serde::{Deserialize, Serialize};
+use std::time::Duration;
+
+/// Per-slave accumulated timings and counters.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SlaveStats {
+    pub processing: Duration,
+    pub retrieval: Duration,
+    /// Time the fold loop actually *blocked* waiting for its fetcher to
+    /// deliver chunk data. Without prefetching this equals `retrieval`;
+    /// with it, `retrieval - fetch_stall` is what the pipeline hid.
+    pub fetch_stall: Duration,
+    pub jobs: u64,
+    pub stolen_jobs: u64,
+    pub units: u64,
+    pub bytes_local: u64,
+    pub bytes_remote: u64,
+}
+
+/// One cluster's final accounting as it reaches the head, beside its
+/// reduction object: everything the head needs for the cluster's report row.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ClusterAccount {
+    pub slaves: Vec<SlaveStats>,
+    /// Fetch failures, retries and retired/killed slaves.
+    /// `jobs_reenqueued` stays zero: the head's pool counts re-enqueues.
+    pub recovery: RecoveryStats,
+    /// From the run's start to the cluster's local combination done.
+    pub wall: Duration,
+    /// First failure message observed (diagnostics; non-fatal unless jobs
+    /// die permanently).
+    pub error: Option<String>,
+}
 
 /// Per-cluster execution breakdown.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
@@ -54,6 +86,42 @@ pub struct ClusterBreakdown {
     /// `retrieval_s`; without it, it equals `retrieval_s`.
     #[serde(default)]
     pub fetch_stall_s: f64,
+}
+
+impl ClusterBreakdown {
+    /// One cluster's report row from its slaves' stats. `wall_s` and
+    /// `idle_end_s` are the caller's: each substrate measures them against
+    /// its own clock. Times are per-core means; `sync_s` is what the wall
+    /// leaves after processing and retrieval.
+    pub fn from_slaves(
+        name: String,
+        cores: usize,
+        slaves: &[SlaveStats],
+        wall_s: f64,
+        idle_end_s: f64,
+    ) -> Self {
+        let secs = |d: Duration| d.as_nanos() as f64 / 1e9;
+        let n = slaves.len().max(1) as f64;
+        let mean = |f: &dyn Fn(&SlaveStats) -> f64| slaves.iter().map(f).sum::<f64>() / n;
+        let processing_s = mean(&|s| secs(s.processing));
+        let retrieval_s = mean(&|s| secs(s.retrieval));
+        let sum = |f: fn(&SlaveStats) -> u64| slaves.iter().map(f).sum();
+        ClusterBreakdown {
+            name,
+            cores,
+            processing_s,
+            retrieval_s,
+            sync_s: (wall_s - processing_s - retrieval_s).max(0.0),
+            wall_s,
+            idle_end_s,
+            jobs_processed: sum(|s| s.jobs),
+            jobs_stolen: sum(|s| s.stolen_jobs),
+            bytes_local: sum(|s| s.bytes_local),
+            bytes_remote: sum(|s| s.bytes_remote),
+            overlap_saved_s: mean(&|s| (secs(s.retrieval) - secs(s.fetch_stall)).max(0.0)),
+            fetch_stall_s: mean(&|s| secs(s.fetch_stall)),
+        }
+    }
 }
 
 /// Fault-recovery accounting for one run. All zeros on a failure-free run.
@@ -275,6 +343,35 @@ mod tests {
             cache_misses: 0,
             net: NetStats::default(),
         }
+    }
+
+    #[test]
+    fn from_slaves_takes_per_core_means() {
+        let ms = Duration::from_millis;
+        let slave = |proc, retr, stall, jobs| SlaveStats {
+            processing: ms(proc),
+            retrieval: ms(retr),
+            fetch_stall: ms(stall),
+            jobs,
+            stolen_jobs: 1,
+            bytes_local: 10,
+            bytes_remote: 5,
+            ..Default::default()
+        };
+        // The second slave's stall exceeds its retrieval: nothing hidden.
+        let slaves = [slave(600, 200, 50, 3), slave(200, 100, 300, 2)];
+        let c = ClusterBreakdown::from_slaves("EC2".into(), 2, &slaves, 1.0, 0.25);
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-12;
+        assert!(close(c.processing_s, 0.4) && close(c.retrieval_s, 0.15));
+        assert!(close(c.fetch_stall_s, 0.175));
+        assert!(close(c.overlap_saved_s, 0.075), "(0.15 + 0) / 2");
+        assert!(close(c.sync_s, 0.45));
+        assert_eq!((c.wall_s, c.idle_end_s), (1.0, 0.25));
+        assert_eq!((c.jobs_processed, c.jobs_stolen), (5, 2));
+        assert_eq!((c.bytes_local, c.bytes_remote), (20, 10));
+        // A wall shorter than the busy time clamps sync at zero.
+        let short = ClusterBreakdown::from_slaves("EC2".into(), 2, &slaves, 0.1, 0.0);
+        assert_eq!(short.sync_s, 0.0);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Real threads, real data, real (wall-clock-throttled) I/O. The three node
 //! roles of the paper map onto:
 //!
-//! * **head** — the job pool ([`JobPool`]) behind a mutex plus the global
-//!   reduction performed on the caller's thread once every cluster reports;
+//! * **head** — the shared head core ([`Head`]) behind a mutex: the job pool,
+//!   one result slot per cluster, and the global reduction performed on the
+//!   caller's thread once every cluster has banked its result;
 //! * **master** — one thread per cluster owning a [`MasterPool`]; serves
 //!   slaves over channels, refills from the head on demand, merges its
 //!   slaves' reduction objects (local combination) and ships the result to
@@ -49,10 +50,11 @@
 use crate::api::{GRApp, ReductionObject};
 use crate::config::RuntimeConfig;
 use crate::deploy::{ClusterSpec, DataFabric, Deployment};
+use crate::head::Head;
 use crate::obs::EventKind;
-use crate::report::{ClusterBreakdown, RecoveryStats, RunReport};
+use crate::report::{ClusterAccount, RecoveryStats, RunReport, SlaveStats};
 use crate::sched::master::{MasterJob, MasterPool};
-use crate::sched::pool::{Grant, JobPool};
+use crate::sched::pool::Grant;
 use bytes::Bytes;
 use cb_storage::layout::{ChunkId, DatasetLayout, LocationId, Placement};
 use cb_storage::retrieve::Retriever;
@@ -83,8 +85,6 @@ pub enum RuntimeError {
         unfinished: usize,
         last_error: Option<String>,
     },
-    /// A master thread died without reporting its cluster's result.
-    ClusterLost(String),
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -111,28 +111,11 @@ impl std::fmt::Display for RuntimeError {
                 }
                 Ok(())
             }
-            RuntimeError::ClusterLost(s) => write!(f, "cluster lost: {s}"),
         }
     }
 }
 
 impl std::error::Error for RuntimeError {}
-
-/// Per-slave accumulated timings and counters.
-#[derive(Debug, Clone, Default)]
-pub struct SlaveStats {
-    pub processing: Duration,
-    pub retrieval: Duration,
-    /// Time the fold loop actually *blocked* waiting for its fetcher to
-    /// deliver chunk data. Without prefetching this equals `retrieval`;
-    /// with it, `retrieval - fetch_stall` is what the pipeline hid.
-    pub fetch_stall: Duration,
-    pub jobs: u64,
-    pub stolen_jobs: u64,
-    pub units: u64,
-    pub bytes_local: u64,
-    pub bytes_remote: u64,
-}
 
 /// How a master reports one lease back to the head.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,8 +130,8 @@ pub enum Resolution {
 
 /// The master's view of the head node.
 ///
-/// [`run`] talks to the in-process [`JobPool`] through this trait (the
-/// loopback special case, implemented directly on `Mutex<JobPool>`); the
+/// [`run`] talks to the in-process head core through this trait (the
+/// loopback special case, implemented directly on `Mutex<Head>`); the
 /// `cb-net` crate implements it over a TCP connection so the identical
 /// master/slave machinery drives a remote head. Errors mean "the head is
 /// unreachable" — the master winds its cluster down cleanly and lets the
@@ -164,45 +147,16 @@ pub trait HeadPort: Sync {
     fn resolve(&self, loc: LocationId, what: Resolution) -> io::Result<()>;
 }
 
-/// The loopback head: the pool itself, behind its mutex. The request and
-/// the exhaustion check happen under one lock acquisition, so exhaustion
-/// observed here cannot be invalidated by a concurrent fail-back.
-impl HeadPort for Mutex<JobPool> {
-    fn request_jobs(&self, loc: LocationId) -> io::Result<(Grant, bool)> {
-        let mut h = self.lock();
-        let grant = h.request(loc);
-        let exhausted = grant.jobs.is_empty() && h.exhausted_for(loc);
-        Ok((grant, exhausted))
-    }
-
-    fn resolve(&self, loc: LocationId, what: Resolution) -> io::Result<()> {
-        let mut h = self.lock();
-        match what {
-            Resolution::Completed(c) => h.complete(loc, c),
-            Resolution::Failed(c) => h.fail(loc, c),
-            Resolution::Released(c) => h.release(loc, c),
-        }
-        Ok(())
-    }
-}
-
 /// Everything one cluster produced, as returned by [`run_cluster`]: the
 /// locally-combined reduction object (shipped through the WAN throttle if
-/// one is configured), per-slave stats, and recovery accounting.
+/// one is configured) and the account the head builds its report row from.
 #[derive(Debug)]
 pub struct ClusterOutcome<R> {
     pub robj: Option<Box<R>>,
-    pub stats: Vec<SlaveStats>,
     /// Instant at which all of this cluster's slaves finished and the local
     /// combination completed (before the WAN transfer).
     pub local_done: Instant,
-    /// This cluster's share of the recovery accounting (fetch failures,
-    /// retired/killed slaves). `jobs_reenqueued` and `retries` are filled
-    /// in by the caller, which owns those counters.
-    pub recovery: RecoveryStats,
-    /// First failure message observed (diagnostics; non-fatal unless jobs
-    /// die permanently).
-    pub error: Option<String>,
+    pub account: ClusterAccount,
 }
 
 /// What happened to the last job a slave held.
@@ -214,6 +168,10 @@ enum JobOutcome {
     /// Retrieval failed after the storage layer's retries; the chunk must
     /// go back to the head pool.
     Failed { chunk: ChunkId, error: String },
+    /// A prefetched lease a retiring slave never folded. The head
+    /// re-enqueues it without charging the job's failure budget — nothing
+    /// is wrong with the chunk.
+    Released(ChunkId),
 }
 
 /// Why a slave stopped pulling work before the pool drained.
@@ -228,20 +186,16 @@ enum RetireReason {
 ///
 /// A slave with `prefetch_depth > 0` holds several leases at once, so job
 /// outcomes can no longer always piggyback on the next request: `Resolve`
-/// reports an outcome without asking for more work, and `Reclaim` returns a
-/// prefetched lease that a retiring slave never folded.
+/// reports an outcome without asking for more work.
 enum ToMaster<R> {
     /// "Give me a job"; carries the outcome of a job this slave resolved
     /// since its last message (if any) so the master can report it to the
     /// head.
     Request { slave: usize, outcome: JobOutcome },
     /// Report an outcome *without* requesting another job — a retiring
-    /// slave flushing the results of jobs it already folded (or failed).
+    /// slave flushing the results of jobs it already folded (or failed),
+    /// or returning a prefetched lease un-folded.
     Resolve { outcome: JobOutcome },
-    /// Return an in-flight prefetched lease un-folded (the slave is
-    /// retiring). The head re-enqueues it without charging the job's
-    /// failure budget — nothing is wrong with the chunk.
-    Reclaim { chunk: ChunkId },
     /// Final report: stats plus this slave's reduction object. The partial
     /// reduction object is sent even on retirement — under generalized
     /// reduction it is a valid checkpoint and still merges. All outcomes
@@ -276,12 +230,6 @@ enum Fetched {
     NoMore,
 }
 
-/// Cluster-thread → head-collector message.
-struct ClusterResult<R> {
-    cluster: usize,
-    outcome: ClusterOutcome<R>,
-}
-
 /// Outcome of [`run`]: the final reduction object plus measurements.
 #[derive(Debug)]
 pub struct RunOutcome<R> {
@@ -301,10 +249,7 @@ pub fn run<A: GRApp>(
     deployment: &Deployment,
     cfg: &RuntimeConfig,
 ) -> Result<RunOutcome<A::RObj>, RuntimeError> {
-    cfg.validate().map_err(RuntimeError::Validation)?;
-    layout
-        .validate()
-        .map_err(|e| RuntimeError::Validation(e.to_string()))?;
+    let head = Head::new(layout, placement, cfg, deployment.clusters.clone())?;
     let data_sites: Vec<LocationId> = {
         let mut v: Vec<LocationId> = (0..placement.n_files())
             .map(|i| placement.home(cb_storage::layout::FileId(i as u32)))
@@ -336,29 +281,16 @@ pub fn run<A: GRApp>(
         }
     }
 
-    // Location → cluster index, so head-side scheduling events carry the
-    // cluster id (earliest cluster wins if two share a location).
-    let cluster_of: std::collections::BTreeMap<LocationId, u32> = deployment
-        .clusters
-        .iter()
-        .enumerate()
-        .rev()
-        .map(|(i, c)| (c.location, i as u32))
-        .collect();
-    let head = Mutex::new(
-        JobPool::new(layout, placement, cfg.pool.clone()).with_sink(cfg.sink.clone(), cluster_of),
-    );
-    let retry_counter = Arc::new(AtomicU64::new(0));
-    let (result_tx, result_rx) = unbounded::<ClusterResult<A::RObj>>();
-    let t0 = Instant::now();
+    let t0 = head.t0();
+    let head = Mutex::new(head);
 
+    // Each cluster banks its result as it finishes. The scope re-raises a
+    // cluster thread's panic, so every slot is banked once it closes.
     std::thread::scope(|scope| {
         for (ci, cluster) in deployment.clusters.iter().enumerate() {
-            let result_tx = result_tx.clone();
             let head = &head;
-            let retry_counter = &retry_counter;
             scope.spawn(move || {
-                let outcome = run_cluster(
+                let out = run_cluster(
                     app,
                     params,
                     layout,
@@ -368,162 +300,36 @@ pub fn run<A: GRApp>(
                     ci,
                     cfg,
                     head,
-                    retry_counter,
+                    t0,
                 );
-                let _ = result_tx.send(ClusterResult {
-                    cluster: ci,
-                    outcome,
-                });
+                head.lock().bank(ci, out.robj, out.account, out.local_done);
             });
         }
-        drop(result_tx);
     });
-
-    // Head: collect per-cluster results, perform the global reduction. All
-    // threads have joined (the scope closed), so the channel holds whatever
-    // the masters managed to report.
-    let n_clusters = deployment.clusters.len();
-    let mut results: Vec<Option<ClusterResult<A::RObj>>> = (0..n_clusters).map(|_| None).collect();
-    while let Ok(r) = result_rx.recv() {
-        let idx = r.cluster;
-        results[idx] = Some(r);
-    }
-    if let Some(ci) = results.iter().position(|r| r.is_none()) {
-        return Err(RuntimeError::ClusterLost(format!(
-            "master for cluster {} ({}) died without reporting",
-            ci, deployment.clusters[ci].name
-        )));
-    }
-
-    let mut error: Option<String> = None;
-    let mut recovery = RecoveryStats::default();
-    let mut final_robj: Option<A::RObj> = None;
-    let mut local_dones: Vec<Instant> = Vec::with_capacity(n_clusters);
-    for r in results.iter_mut() {
-        let r = &mut r.as_mut().expect("checked above").outcome;
-        if let Some(e) = r.error.take() {
-            error.get_or_insert(e);
-        }
-        recovery.fetch_failures += r.recovery.fetch_failures;
-        recovery.slaves_retired += r.recovery.slaves_retired;
-        recovery.slaves_killed += r.recovery.slaves_killed;
-        local_dones.push(r.local_done);
-    }
-    recovery.retries = retry_counter.load(Ordering::Relaxed);
-    let last_local_done = local_dones.iter().copied().max().unwrap_or(t0);
-    // Merge in cluster order: the global reduction proper.
-    for r in results.iter_mut() {
-        if let Some(robj) = r.as_mut().and_then(|r| r.outcome.robj.take()) {
-            match final_robj.as_mut() {
-                None => final_robj = Some(*robj),
-                Some(acc) => acc.merge(*robj),
-            }
-        }
-    }
-    let end = Instant::now();
-
-    // The run only fails if some chunk could not be processed anywhere;
-    // every fault the scheduler absorbed shows up in `recovery` instead.
-    {
-        let pool = head.lock();
-        recovery.jobs_reenqueued = pool.reenqueued();
-        if !pool.all_done() {
-            let dead = pool.dead_jobs();
-            let unfinished = pool.pending() + pool.outstanding();
-            return Err(RuntimeError::JobsFailed {
-                dead,
-                unfinished,
-                last_error: error,
-            });
-        }
-    }
-
-    let final_robj = final_robj
-        .ok_or_else(|| RuntimeError::Validation("no reduction objects produced".into()))?;
-
-    // Assemble the report.
-    let global_reduction = end.saturating_duration_since(last_local_done);
-    let mut clusters = Vec::with_capacity(n_clusters);
-    for (ci, r) in results.into_iter().enumerate() {
-        let r = r.expect("checked above").outcome;
-        let spec = &deployment.clusters[ci];
-        let n = r.stats.len().max(1) as f64;
-        let proc_s: f64 = r
-            .stats
-            .iter()
-            .map(|s| s.processing.as_secs_f64())
-            .sum::<f64>()
-            / n;
-        let retr_s: f64 = r
-            .stats
-            .iter()
-            .map(|s| s.retrieval.as_secs_f64())
-            .sum::<f64>()
-            / n;
-        let stall_s: f64 = r
-            .stats
-            .iter()
-            .map(|s| s.fetch_stall.as_secs_f64())
-            .sum::<f64>()
-            / n;
-        let overlap_s: f64 = r
-            .stats
-            .iter()
-            .map(|s| s.retrieval.saturating_sub(s.fetch_stall).as_secs_f64())
-            .sum::<f64>()
-            / n;
-        let wall_s = r.local_done.saturating_duration_since(t0).as_secs_f64();
-        clusters.push(ClusterBreakdown {
-            name: spec.name.clone(),
-            cores: spec.cores,
-            processing_s: proc_s,
-            retrieval_s: retr_s,
-            sync_s: (wall_s - proc_s - retr_s).max(0.0),
-            wall_s,
-            idle_end_s: last_local_done
-                .saturating_duration_since(r.local_done)
-                .as_secs_f64(),
-            jobs_processed: r.stats.iter().map(|s| s.jobs).sum(),
-            jobs_stolen: r.stats.iter().map(|s| s.stolen_jobs).sum(),
-            bytes_local: r.stats.iter().map(|s| s.bytes_local).sum(),
-            bytes_remote: r.stats.iter().map(|s| s.bytes_remote).sum(),
-            overlap_saved_s: overlap_s,
-            fetch_stall_s: stall_s,
-        });
-    }
-    let report = RunReport {
-        total_s: end.saturating_duration_since(t0).as_secs_f64(),
-        global_reduction_s: global_reduction.as_secs_f64(),
-        robj_bytes: final_robj.size_bytes() as u64,
-        clusters,
-        recovery,
-        cache_hits: 0,
-        cache_misses: 0,
-        net: Default::default(),
-    };
-    Ok(RunOutcome {
-        result: final_robj,
-        report,
-    })
+    head.into_inner().finish(|_, robj| Ok(*robj))
 }
 
-/// Report a slave's job outcome to the head. An `Err` means the head is
-/// unreachable (only possible through a networked [`HeadPort`]).
+/// Report a slave's job outcome to the head. An unreachable head (only
+/// possible through a networked [`HeadPort`]) is recorded, not fatal.
 fn note_outcome(
     head: &dyn HeadPort,
     loc: LocationId,
     outcome: JobOutcome,
     recovery: &mut RecoveryStats,
     first_error: &mut Option<String>,
-) -> io::Result<()> {
-    match outcome {
-        JobOutcome::None => Ok(()),
-        JobOutcome::Completed(chunk) => head.resolve(loc, Resolution::Completed(chunk)),
+) {
+    let what = match outcome {
+        JobOutcome::None => return,
+        JobOutcome::Completed(chunk) => Resolution::Completed(chunk),
+        JobOutcome::Released(chunk) => Resolution::Released(chunk),
         JobOutcome::Failed { chunk, error } => {
             recovery.fetch_failures += 1;
             first_error.get_or_insert(error);
-            head.resolve(loc, Resolution::Failed(chunk))
+            Resolution::Failed(chunk)
         }
+    };
+    if let Err(e) = head.resolve(loc, what) {
+        first_error.get_or_insert(format!("head unreachable: {e}"));
     }
 }
 
@@ -531,9 +337,10 @@ fn note_outcome(
 /// slave threads — against a head reached through `head`.
 ///
 /// This is the unit [`run`] composes in-process (one call per cluster, all
-/// sharing a `Mutex<JobPool>` loopback head) and `cb-net` runs standalone
+/// sharing a `Mutex<Head>` loopback head) and `cb-net` runs standalone
 /// in a worker process (with a TCP-backed port). The cluster's reduction
-/// object is shipped through the WAN throttle before returning.
+/// object is shipped through the WAN throttle before returning. The
+/// account's wall time runs from `t0`, the run's start.
 #[allow(clippy::too_many_arguments)]
 pub fn run_cluster<A: GRApp>(
     app: &A,
@@ -545,9 +352,10 @@ pub fn run_cluster<A: GRApp>(
     cluster_idx: usize,
     cfg: &RuntimeConfig,
     head: &dyn HeadPort,
-    retry_counter: &Arc<AtomicU64>,
+    t0: Instant,
 ) -> ClusterOutcome<A::RObj> {
     let loc = cluster.location;
+    let retry_counter = Arc::new(AtomicU64::new(0));
     let n_slaves = cluster.cores;
     let (to_master_tx, rx) = unbounded::<ToMaster<A::RObj>>();
 
@@ -557,6 +365,7 @@ pub fn run_cluster<A: GRApp>(
             let (job_tx, job_rx) = unbounded::<Option<MasterJob>>();
             job_txs.push(job_tx);
             let to_master = to_master_tx.clone();
+            let retry_counter = Arc::clone(&retry_counter);
             scope.spawn(move || {
                 slave_loop(
                     app,
@@ -568,7 +377,7 @@ pub fn run_cluster<A: GRApp>(
                     cluster,
                     cluster_idx,
                     si,
-                    Arc::clone(retry_counter),
+                    retry_counter,
                     to_master,
                     job_rx,
                 )
@@ -616,20 +425,11 @@ pub fn run_cluster<A: GRApp>(
         while finished_slaves < n_slaves {
             match rx.recv_timeout(MASTER_POLL) {
                 Ok(ToMaster::Request { slave, outcome }) => {
-                    if let Err(e) = note_outcome(head, loc, outcome, &mut recovery, &mut error) {
-                        error.get_or_insert(format!("head unreachable: {e}"));
-                    }
+                    note_outcome(head, loc, outcome, &mut recovery, &mut error);
                     parked.push_back(slave);
                 }
                 Ok(ToMaster::Resolve { outcome }) => {
-                    if let Err(e) = note_outcome(head, loc, outcome, &mut recovery, &mut error) {
-                        error.get_or_insert(format!("head unreachable: {e}"));
-                    }
-                }
-                Ok(ToMaster::Reclaim { chunk }) => {
-                    if let Err(e) = head.resolve(loc, Resolution::Released(chunk)) {
-                        error.get_or_insert(format!("head unreachable: {e}"));
-                    }
+                    note_outcome(head, loc, outcome, &mut recovery, &mut error)
                 }
                 Ok(ToMaster::Finished {
                     stats: s,
@@ -697,12 +497,16 @@ pub fn run_cluster<A: GRApp>(
                 },
             );
         }
+        recovery.retries = retry_counter.load(Ordering::Relaxed);
         ClusterOutcome {
             robj: robj_acc,
-            stats,
             local_done,
-            recovery,
-            error,
+            account: ClusterAccount {
+                slaves: stats,
+                recovery,
+                wall: local_done.saturating_duration_since(t0),
+                error,
+            },
         }
     })
 }
@@ -1037,7 +841,8 @@ fn slave_loop<A: GRApp>(
                             },
                         );
                     }
-                    let _ = to_master.send(ToMaster::Reclaim { chunk: job.chunk });
+                    let outcome = JobOutcome::Released(job.chunk);
+                    let _ = to_master.send(ToMaster::Resolve { outcome });
                 }
             }
         }

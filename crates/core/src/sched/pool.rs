@@ -198,11 +198,14 @@ impl JobPool {
 
     /// Emit scheduling events ([`EventKind::JobAssigned`],
     /// [`EventKind::Steal`], [`EventKind::LeaseReleased`]) to `sink`.
-    /// `cluster_of` maps each grantee location to its cluster index so the
-    /// events carry cluster ids (the pool itself only sees locations).
-    pub fn with_sink(mut self, sink: SinkHandle, cluster_of: BTreeMap<LocationId, u32>) -> Self {
+    /// `locations[i]` is cluster `i`'s site, so the events carry cluster ids
+    /// (the pool itself only sees locations); the earliest cluster wins if
+    /// two share a site.
+    pub fn with_sink(mut self, sink: SinkHandle, locations: &[LocationId]) -> Self {
         self.sink = sink;
-        self.cluster_of = cluster_of;
+        for (i, &loc) in locations.iter().enumerate() {
+            self.cluster_of.entry(loc).or_insert(i as u32);
+        }
         self
     }
 
@@ -228,12 +231,12 @@ impl JobPool {
 
     /// Jobs that exceeded `max_job_failures` and were abandoned.
     pub fn dead_jobs(&self) -> Vec<ChunkId> {
-        self.state
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s == JobState::Dead)
-            .map(|(i, _)| ChunkId(i as u32))
-            .collect()
+        self.jobs_in(JobState::Dead)
+    }
+
+    fn jobs_in(&self, state: JobState) -> Vec<ChunkId> {
+        let jobs = self.state.iter().enumerate().filter(|(_, s)| **s == state);
+        jobs.map(|(i, _)| ChunkId(i as u32)).collect()
     }
 
     /// Total re-enqueue events (failed and reclaimed leases) so far.
@@ -319,23 +322,13 @@ impl JobPool {
         Grant::empty()
     }
 
-    /// Mark `job` completed by `loc`.
-    pub fn complete(&mut self, loc: LocationId, job: ChunkId) {
-        let idx = job.0 as usize;
-        match self.state[idx] {
-            JobState::Assigned(holder) => {
-                assert_eq!(
-                    holder, loc,
-                    "{job} completed by {loc} but was assigned to {holder}"
-                );
-            }
-            s => panic!("{job} completed while in state {s:?}"),
-        }
+    /// Mark `job` completed by `loc`. Refused, with nothing changed,
+    /// unless `loc` holds the job.
+    pub fn complete(&mut self, loc: LocationId, job: ChunkId) -> Result<(), String> {
+        let idx = self.end_lease(loc, job, "completed")?;
         self.state[idx] = JobState::Done(loc);
-        let f = self.chunk_file[idx].0 as usize;
-        self.readers[f] -= 1;
-        self.n_outstanding -= 1;
         self.counters.entry(loc).or_default().completed += 1;
+        Ok(())
     }
 
     /// Return `job` — assigned to `loc` but not finished — to the pool.
@@ -345,8 +338,8 @@ impl JobPool {
     /// sequential-read property the consecutive-grant policy relies on.
     /// After `max_job_failures` such returns the job is declared dead
     /// instead (see [`JobPool::dead_jobs`]).
-    pub fn fail(&mut self, loc: LocationId, job: ChunkId) {
-        self.return_lease(loc, job, true, "failed");
+    pub fn fail(&mut self, loc: LocationId, job: ChunkId) -> Result<(), String> {
+        self.return_lease(loc, job, true, "failed")
     }
 
     /// Return `job` — leased by `loc` but never *attempted* — to the pool
@@ -356,77 +349,60 @@ impl JobPool {
     /// slave: nothing is wrong with the chunk, so an innocent job must not
     /// inch toward [`JobPool::dead_jobs`] just because its holders kept
     /// dying. Still counts as a re-enqueue event.
-    pub fn release(&mut self, loc: LocationId, job: ChunkId) {
-        self.return_lease(loc, job, false, "released");
+    pub fn release(&mut self, loc: LocationId, job: ChunkId) -> Result<(), String> {
+        self.return_lease(loc, job, false, "released")
     }
 
-    /// True iff `job` is in range and currently assigned to `loc`.
-    ///
-    /// The panicking [`complete`](JobPool::complete)/[`fail`](JobPool::fail)/
-    /// [`release`](JobPool::release) encode *in-process* invariants: a thread
-    /// resolving a job it does not hold is a bug in this binary. A networked
-    /// head, however, is driven by frames from other processes — a peer
-    /// declared lost (its leases forfeited, possibly re-granted elsewhere)
-    /// may still deliver late or bogus resolutions, and those must not be
-    /// able to crash or corrupt the run. The `try_` variants below validate
-    /// with this predicate and report rejection instead of panicking.
-    pub fn holds(&self, loc: LocationId, job: ChunkId) -> bool {
-        self.state.get(job.0 as usize) == Some(&JobState::Assigned(loc))
-    }
-
-    /// Tolerant [`complete`](JobPool::complete) for untrusted remote input:
-    /// returns `false` (and changes nothing) unless [`holds`](JobPool::holds).
-    pub fn try_complete(&mut self, loc: LocationId, job: ChunkId) -> bool {
-        self.holds(loc, job) && {
-            self.complete(loc, job);
-            true
-        }
-    }
-
-    /// Tolerant [`fail`](JobPool::fail); see [`try_complete`](JobPool::try_complete).
-    pub fn try_fail(&mut self, loc: LocationId, job: ChunkId) -> bool {
-        self.holds(loc, job) && {
-            self.fail(loc, job);
-            true
-        }
-    }
-
-    /// Tolerant [`release`](JobPool::release); see [`try_complete`](JobPool::try_complete).
-    pub fn try_release(&mut self, loc: LocationId, job: ChunkId) -> bool {
-        self.holds(loc, job) && {
-            self.release(loc, job);
-            true
-        }
-    }
-
-    fn return_lease(&mut self, loc: LocationId, job: ChunkId, charge_budget: bool, verb: &str) {
+    /// End `loc`'s lease on `job`, returning the job's index. A resolution
+    /// by anyone but the holder is refused rather than trusted: a networked
+    /// head is driven by frames from other processes, and a peer declared
+    /// lost (its leases forfeited, possibly re-granted elsewhere) may still
+    /// deliver late or bogus resolutions.
+    fn end_lease(&mut self, loc: LocationId, job: ChunkId, verb: &str) -> Result<usize, String> {
         let idx = job.0 as usize;
-        match self.state[idx] {
-            JobState::Assigned(holder) => {
-                assert_eq!(
-                    holder, loc,
+        match self.state.get(idx) {
+            Some(JobState::Assigned(holder)) if *holder == loc => {}
+            Some(JobState::Assigned(holder)) => {
+                return Err(format!(
                     "{job} {verb} by {loc} but was assigned to {holder}"
-                );
+                ))
             }
-            s => panic!("{job} {verb} while in state {s:?}"),
+            Some(s) => return Err(format!("{job} {verb} while in state {s:?}")),
+            None => return Err(format!("{job} {verb} but is not in the pool")),
         }
-        let f = self.chunk_file[idx].0 as usize;
-        self.readers[f] -= 1;
+        self.readers[self.chunk_file[idx].0 as usize] -= 1;
         self.n_outstanding -= 1;
+        Ok(idx)
+    }
+
+    fn return_lease(
+        &mut self,
+        loc: LocationId,
+        job: ChunkId,
+        charge_budget: bool,
+        verb: &str,
+    ) -> Result<(), String> {
+        let idx = self.end_lease(loc, job, verb)?;
         self.counters.entry(loc).or_default().failed += 1;
         if charge_budget {
             self.failures[idx] += 1;
             if self.failures[idx] > self.cfg.max_job_failures {
                 self.state[idx] = JobState::Dead;
                 self.n_dead += 1;
-                return;
+                return Ok(());
             }
         }
+        self.requeue(loc, job, charge_budget);
+        Ok(())
+    }
+
+    /// Put `job` back into its file's pending queue, at its sorted place:
+    /// requeued jobs are the lowest ids of their file still pending (they
+    /// were granted from the front), so the scan stays consecutive.
+    fn requeue(&mut self, loc: LocationId, job: ChunkId, charged: bool) {
+        let idx = job.0 as usize;
         self.state[idx] = JobState::Pending;
-        // Front-insert, keeping the queue sorted: failed jobs are the
-        // lowest ids of their file still pending (they were granted from
-        // the front), so pushing in front keeps consecutive order.
-        let q = &mut self.pending[f];
+        let q = &mut self.pending[self.chunk_file[idx].0 as usize];
         let pos = q.partition_point(|c| c.0 < job.0);
         q.insert(pos, job);
         self.n_pending += 1;
@@ -439,7 +415,7 @@ impl JobPool {
             None,
             EventKind::LeaseReleased {
                 chunk: job.0 as u64,
-                charged: charge_budget,
+                charged,
             },
         );
     }
@@ -448,16 +424,11 @@ impl JobPool {
     /// master) is gone. Returns the jobs that went back to the pool; jobs
     /// that exceeded their failure budget die instead and are not listed.
     pub fn reclaim(&mut self, loc: LocationId) -> Vec<ChunkId> {
-        let held: Vec<ChunkId> = self
-            .state
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s == JobState::Assigned(loc))
-            .map(|(i, _)| ChunkId(i as u32))
-            .collect();
+        let held = self.jobs_in(JobState::Assigned(loc));
         let mut returned = Vec::with_capacity(held.len());
         for job in held {
-            self.fail(loc, job);
+            self.fail(loc, job)
+                .expect("`loc` holds every job in `held`");
             if self.state[job.0 as usize] == JobState::Pending {
                 returned.push(job);
             }
@@ -474,33 +445,12 @@ impl JobPool {
     /// number of jobs returned to the pending queues.
     pub fn forfeit(&mut self, loc: LocationId) -> usize {
         let reclaimed = self.reclaim(loc).len();
-        let done: Vec<ChunkId> = self
-            .state
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s == JobState::Done(loc))
-            .map(|(i, _)| ChunkId(i as u32))
-            .collect();
+        let done = self.jobs_in(JobState::Done(loc));
         for &job in &done {
-            let idx = job.0 as usize;
-            self.state[idx] = JobState::Pending;
-            let f = self.chunk_file[idx].0 as usize;
-            let q = &mut self.pending[f];
-            let pos = q.partition_point(|c| c.0 < job.0);
-            q.insert(pos, job);
-            self.n_pending += 1;
-            self.n_reenqueued += 1;
+            self.requeue(loc, job, false);
             // The completion is un-banked: the counter no longer reflects a
             // result the run will ever see.
             self.counters.entry(loc).or_default().completed -= 1;
-            self.sink.emit(
-                self.cluster_id(loc),
-                None,
-                EventKind::LeaseReleased {
-                    chunk: job.0 as u64,
-                    charged: false,
-                },
-            );
         }
         reclaimed + done.len()
     }
@@ -660,7 +610,7 @@ mod tests {
             granted.extend(g.jobs);
         }
         for j in &granted {
-            p.complete(LOCAL, *j);
+            p.complete(LOCAL, *j).unwrap();
         }
         let c = p.counters(LOCAL);
         assert_eq!(c.granted_local, 8);
@@ -691,20 +641,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "completed by")]
-    fn completion_by_wrong_cluster_panics() {
+    fn completion_by_wrong_cluster_is_refused() {
         let mut p = pool(PoolConfig::default());
         let g = p.request(LOCAL);
-        p.complete(CLOUD, g.jobs[0]);
+        let err = p.complete(CLOUD, g.jobs[0]).unwrap_err();
+        assert!(err.contains("completed by"), "{err}");
+        assert_eq!(p.outstanding(), g.jobs.len(), "nothing changed");
     }
 
     #[test]
-    #[should_panic(expected = "state")]
-    fn double_completion_panics() {
+    fn double_completion_is_refused() {
         let mut p = pool(PoolConfig::default());
         let g = p.request(LOCAL);
-        p.complete(LOCAL, g.jobs[0]);
-        p.complete(LOCAL, g.jobs[0]);
+        p.complete(LOCAL, g.jobs[0]).unwrap();
+        let err = p.complete(LOCAL, g.jobs[0]).unwrap_err();
+        assert!(err.contains("state"), "{err}");
+        assert_eq!(p.counters(LOCAL).completed, 1);
     }
 
     #[test]
@@ -717,9 +669,9 @@ mod tests {
         assert_eq!(g.jobs.iter().map(|c| c.0).collect::<Vec<_>>(), [0, 1, 2]);
         // Chunk 1 fails; the next grant of this file must restart at 1
         // before continuing to 3, keeping the scan sequential.
-        p.complete(LOCAL, ChunkId(0));
-        p.fail(LOCAL, ChunkId(1));
-        p.complete(LOCAL, ChunkId(2));
+        p.complete(LOCAL, ChunkId(0)).unwrap();
+        p.fail(LOCAL, ChunkId(1)).unwrap();
+        p.complete(LOCAL, ChunkId(2)).unwrap();
         let g2 = p.request(LOCAL);
         assert_eq!(g2.jobs.iter().map(|c| c.0).collect::<Vec<_>>(), [1, 3]);
         assert_eq!(p.reenqueued(), 1);
@@ -735,7 +687,7 @@ mod tests {
         });
         let g = p.request(LOCAL);
         for j in &g.jobs {
-            p.fail(LOCAL, *j);
+            p.fail(LOCAL, *j).unwrap();
         }
         // The cloud cluster steals the returned jobs and finishes them.
         loop {
@@ -744,7 +696,7 @@ mod tests {
                 break;
             }
             for j in g.jobs {
-                p.complete(CLOUD, j);
+                p.complete(CLOUD, j).unwrap();
             }
         }
         assert!(p.all_done());
@@ -758,7 +710,7 @@ mod tests {
         });
         let g1 = p.request(LOCAL);
         let g2 = p.request(CLOUD);
-        p.complete(LOCAL, g1.jobs[0]);
+        p.complete(LOCAL, g1.jobs[0]).unwrap();
         let returned = p.reclaim(LOCAL);
         assert_eq!(returned.len(), g1.jobs.len() - 1);
         assert_eq!(p.outstanding(), g2.jobs.len(), "cloud leases untouched");
@@ -779,13 +731,13 @@ mod tests {
         for _ in 0..10 {
             let g = p.request(LOCAL);
             assert_eq!(g.jobs[0], ChunkId(0));
-            p.release(LOCAL, g.jobs[0]);
+            p.release(LOCAL, g.jobs[0]).unwrap();
         }
         assert!(p.dead_jobs().is_empty(), "released jobs never die");
         assert_eq!(p.reenqueued(), 10);
         let g = p.request(LOCAL);
         assert_eq!(g.jobs[0], ChunkId(0), "released job grantable again");
-        p.complete(LOCAL, g.jobs[0]);
+        p.complete(LOCAL, g.jobs[0]).unwrap();
     }
 
     #[test]
@@ -798,7 +750,7 @@ mod tests {
         for _ in 0..3 {
             let g = p.request(LOCAL);
             assert_eq!(g.jobs[0], ChunkId(0));
-            p.fail(LOCAL, g.jobs[0]);
+            p.fail(LOCAL, g.jobs[0]).unwrap();
         }
         assert_eq!(p.dead_jobs(), vec![ChunkId(0)]);
         // The dead job is never granted again and blocks completion.
@@ -813,7 +765,7 @@ mod tests {
             remaining.extend(g.jobs);
         }
         for j in remaining {
-            p.complete(LOCAL, j);
+            p.complete(LOCAL, j).unwrap();
         }
         assert!(!p.all_done(), "a dead job keeps the pool incomplete");
         assert!(p.exhausted_for(LOCAL), "but no further grants will come");
@@ -841,10 +793,10 @@ mod tests {
         );
         let lost: Vec<ChunkId> = local_jobs.drain(8..).collect();
         for j in local_jobs {
-            p.complete(LOCAL, j);
+            p.complete(LOCAL, j).unwrap();
         }
         for j in lost {
-            p.fail(LOCAL, j);
+            p.fail(LOCAL, j).unwrap();
         }
         assert!(!p.exhausted_for(CLOUD), "failed jobs are pending again");
         loop {
@@ -853,7 +805,7 @@ mod tests {
                 break;
             }
             for j in g.jobs {
-                p.complete(CLOUD, j);
+                p.complete(CLOUD, j).unwrap();
             }
         }
         assert!(p.exhausted_for(CLOUD));
@@ -867,8 +819,8 @@ mod tests {
             ..Default::default()
         });
         let g = p.request(LOCAL);
-        p.complete(LOCAL, g.jobs[0]);
-        p.complete(LOCAL, g.jobs[1]);
+        p.complete(LOCAL, g.jobs[0]).unwrap();
+        p.complete(LOCAL, g.jobs[1]).unwrap();
         // LOCAL dies before shipping: its 2 leases AND its 2 completions
         // all go back to pending.
         let returned = p.forfeit(LOCAL);
@@ -893,7 +845,7 @@ mod tests {
                 break;
             }
             for j in g.jobs {
-                p.complete(LOCAL, j);
+                p.complete(LOCAL, j).unwrap();
             }
         }
         assert!(p.all_done());
@@ -906,7 +858,7 @@ mod tests {
                 break;
             }
             for j in g.jobs {
-                p.complete(CLOUD, j);
+                p.complete(CLOUD, j).unwrap();
             }
         }
         assert!(p.all_done());
@@ -927,29 +879,31 @@ mod tests {
         let mut p = pool(PoolConfig::default());
         let g = p.request(LOCAL);
         let job = g.jobs[0];
-        // Wrong holder, out-of-range id, un-granted job: all rejected, no
+        // Wrong holder, out-of-range id, un-granted job: all refused, no
         // state change — the inputs a networked head gets from a lost or
         // hostile peer.
-        assert!(!p.try_complete(CLOUD, job));
-        assert!(!p.try_fail(CLOUD, job));
-        assert!(!p.try_release(CLOUD, job));
-        assert!(!p.try_complete(LOCAL, ChunkId(u32::MAX)));
-        assert!(!p.try_complete(LOCAL, ChunkId(15)), "pending, not assigned");
+        assert!(p.complete(CLOUD, job).is_err());
+        assert!(p.fail(CLOUD, job).is_err());
+        assert!(p.release(CLOUD, job).is_err());
+        assert!(p.complete(LOCAL, ChunkId(u32::MAX)).is_err());
+        let err = p.complete(LOCAL, ChunkId(15)).unwrap_err();
+        assert!(err.contains("Pending"), "pending, not assigned: {err}");
         assert_eq!(p.counters(CLOUD).completed, 0);
         assert_eq!(p.counters(CLOUD).failed, 0);
         assert_eq!(p.outstanding(), g.jobs.len());
         // The real holder still resolves normally — exactly once.
-        assert!(p.try_complete(LOCAL, job));
-        assert!(!p.try_complete(LOCAL, job), "double resolve rejected");
+        assert!(p.complete(LOCAL, job).is_ok());
+        assert!(p.complete(LOCAL, job).is_err(), "double resolve rejected");
         assert_eq!(p.counters(LOCAL).completed, 1);
     }
 
     #[test]
-    #[should_panic(expected = "failed by")]
-    fn fail_by_wrong_cluster_panics() {
+    fn fail_by_wrong_cluster_is_refused() {
         let mut p = pool(PoolConfig::default());
         let g = p.request(LOCAL);
-        p.fail(CLOUD, g.jobs[0]);
+        let err = p.fail(CLOUD, g.jobs[0]).unwrap_err();
+        assert!(err.contains("failed by"), "{err}");
+        assert_eq!(p.reenqueued(), 0, "nothing changed");
     }
 
     #[test]
@@ -983,7 +937,7 @@ mod tests {
         assert!(p.request(CLOUD).is_empty());
         assert!(!p.all_done(), "outstanding jobs not yet completed");
         for j in all {
-            p.complete(LOCAL, j);
+            p.complete(LOCAL, j).unwrap();
         }
         assert!(p.all_done());
     }

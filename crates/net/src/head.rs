@@ -1,9 +1,15 @@
-//! The head process: global job pool, peer tracking, global reduction.
+//! The head process: the wire around the shared head core.
 //!
 //! [`serve_head`] accepts the expected complement of workers (handshake:
 //! version, app tag, fingerprint, distinct cluster/location) and then hands
 //! the connected peers to [`run_head`], which is transport-agnostic — the
 //! integration tests drive it with loopback endpoints, the CLI with TCP.
+//!
+//! The job pool, the per-cluster result slots, the global reduction and
+//! the report are `cloudburst_core::Head`'s, exactly as in the in-process
+//! runtime. This module adds only what the wire needs: reader threads,
+//! heartbeats and loss detection, frame counting, and decoding the banked
+//! robjs (after the event loop, so decoding never stalls request serving).
 //!
 //! # Failure semantics
 //!
@@ -13,7 +19,7 @@
 //! or whose connection drops, is declared **lost** — unless it already
 //! shipped its reduction object, in which case its work is banked and its
 //! death is free. Losing an unshipped peer forfeits everything it held
-//! via [`JobPool::forfeit`]: its outstanding leases *and* its completions
+//! via `Head::lose`: its outstanding leases *and* its completions
 //! return to the pending queues (the completions were folded into a
 //! reduction object that will now never arrive), so surviving workers
 //! re-process them and the run still produces the exact result.
@@ -27,16 +33,14 @@
 
 use crate::robj::RobjCodec;
 use crate::transport::{split_tcp, LinkRx, LinkTx, NetConfig};
-use crate::wire::{Disposition, Message, WireClusterReport, PROTOCOL_VERSION};
-use cb_storage::layout::{ChunkId, DatasetLayout, LocationId, Placement};
+use crate::wire::{Message, PROTOCOL_VERSION};
+use cb_storage::layout::{DatasetLayout, LocationId, Placement};
 use cloudburst_core::api::ReductionObject;
 use cloudburst_core::config::RuntimeConfig;
 use cloudburst_core::obs::EventKind;
-use cloudburst_core::report::{ClusterBreakdown, NetStats, RecoveryStats, RunReport};
-use cloudburst_core::sched::pool::JobPool;
-use cloudburst_core::{RunOutcome, RuntimeError};
+use cloudburst_core::report::NetStats;
+use cloudburst_core::{ClusterSpec, Head, RunOutcome, RuntimeError};
 use crossbeam::channel::{unbounded, RecvTimeoutError};
-use std::collections::BTreeMap;
 use std::io;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -73,15 +77,12 @@ enum FromPeer {
     Gone { peer: usize, error: String },
 }
 
-/// Head-side record of one peer's progress.
-struct PeerState {
+/// The head's end of one peer's connection. Whether the peer shipped or
+/// was lost is its result slot's state in the head core.
+struct Link {
     spec: PeerSpec,
+    tx: LinkTx,
     last_seen: Instant,
-    /// Banked result: encoded robj + final report + arrival instant.
-    shipped: Option<(Vec<u8>, WireClusterReport, Instant)>,
-    /// Sent `Goodbye` (its reader exiting is then expected, not a loss).
-    said_goodbye: bool,
-    lost: bool,
 }
 
 /// Accept and handshake exactly `expected` workers, then run the job-pool
@@ -140,11 +141,7 @@ pub fn accept_workers(
                         Ok(halves) => halves,
                         Err(_) => return,
                     };
-                    let hello = match rx.recv(net.io_timeout) {
-                        Ok(Some((msg, _bytes))) => Ok(msg),
-                        Ok(None) => Err("no Hello before timeout".to_string()),
-                        Err(e) => Err(format!("reading Hello: {e}")),
-                    };
+                    let hello = read_hello(&mut rx, &net);
                     // The accept loop may be gone (deadline, or complement
                     // already full) — then the send fails and the dialer's
                     // socket just drops.
@@ -215,12 +212,17 @@ pub fn handshake_one(
     // Handshake traffic is deliberately not counted into net stats/events:
     // the report's net counters cover the post-handshake protocol, so the
     // recorded trace and the RunReport reconcile exactly.
-    let hello = match rx.recv(net.io_timeout) {
-        Ok(Some((msg, _bytes))) => msg,
-        Ok(None) => return Err("no Hello before timeout".into()),
-        Err(e) => return Err(format!("reading Hello: {e}")),
-    };
+    let hello = read_hello(&mut rx, net)?;
     admit_hello(tx, rx, hello, accepted, net, fingerprint, app_tag)
+}
+
+/// A dialer's first frame, waited for up to `io_timeout`.
+fn read_hello(rx: &mut LinkRx, net: &NetConfig) -> Result<Message, String> {
+    match rx.recv(net.io_timeout) {
+        Ok(Some((msg, _bytes))) => Ok(msg),
+        Ok(None) => Err("no Hello before timeout".into()),
+        Err(e) => Err(format!("reading Hello: {e}")),
+    }
 }
 
 /// Validate a received `Hello` against the already-accepted peers; answer
@@ -304,150 +306,105 @@ fn admit_hello(
 /// global reduction. Transport-agnostic: peers may sit on TCP sockets or
 /// loopback channels.
 pub fn run_head<R: ReductionObject + RobjCodec>(
-    peers: Vec<HeadPeer>,
+    mut peers: Vec<HeadPeer>,
     layout: &DatasetLayout,
     placement: &Placement,
     cfg: &RuntimeConfig,
     net: &NetConfig,
 ) -> Result<RunOutcome<R>, RuntimeError> {
-    cfg.validate().map_err(RuntimeError::Validation)?;
-    layout
-        .validate()
-        .map_err(|e| RuntimeError::Validation(e.to_string()))?;
     if peers.is_empty() {
         return Err(RuntimeError::Validation("no workers".into()));
     }
-    {
-        let mut slots: Vec<u32> = peers.iter().map(|p| p.spec.cluster).collect();
-        slots.sort_unstable();
-        if slots != (0..peers.len() as u32).collect::<Vec<_>>() {
-            return Err(RuntimeError::Validation(format!(
-                "peer cluster slots {slots:?} are not exactly 0..{}",
-                peers.len()
-            )));
-        }
+    // From here on, peer `i` is cluster slot `i`.
+    peers.sort_by_key(|p| p.spec.cluster);
+    let slots: Vec<u32> = peers.iter().map(|p| p.spec.cluster).collect();
+    if slots.iter().enumerate().any(|(i, &c)| c != i as u32) {
+        return Err(RuntimeError::Validation(format!(
+            "peer cluster slots {slots:?} are not exactly 0..{}",
+            peers.len()
+        )));
     }
-
-    let cluster_of: BTreeMap<LocationId, u32> = peers
-        .iter()
-        .map(|p| (p.spec.location, p.spec.cluster))
-        .collect();
-    let mut pool =
-        JobPool::new(layout, placement, cfg.pool.clone()).with_sink(cfg.sink.clone(), cluster_of);
-    let mut net_stats = NetStats {
-        peers_joined: peers.len() as u64,
-        ..Default::default()
+    let clusters = peers.iter().map(|p| &p.spec);
+    let clusters = clusters.map(|s| ClusterSpec::new(&s.name, s.location, s.cores as usize));
+    let mut wire = WireHead {
+        head: Head::new(layout, placement, cfg, clusters.collect())?,
+        cfg,
+        stats: NetStats {
+            peers_joined: peers.len() as u64,
+            ..Default::default()
+        },
     };
 
-    let t0 = Instant::now();
     let deadline_grace = net.heartbeat * net.heartbeat_misses.max(1);
     let (event_tx, event_rx) = unbounded::<FromPeer>();
     let done = AtomicBool::new(false);
+    let mut links: Vec<Link> = Vec::with_capacity(peers.len());
 
-    let mut txs: Vec<LinkTx> = Vec::with_capacity(peers.len());
-    let mut states: Vec<PeerState> = Vec::with_capacity(peers.len());
-    let mut rxs: Vec<(usize, LinkRx)> = Vec::with_capacity(peers.len());
-    for (i, p) in peers.into_iter().enumerate() {
-        txs.push(p.tx);
-        states.push(PeerState {
-            spec: p.spec,
-            last_seen: Instant::now(),
-            shipped: None,
-            said_goodbye: false,
-            lost: false,
-        });
-        rxs.push((i, p.rx));
-    }
-
-    let run_error: Option<String> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         // --- Per-peer readers: frames → central channel. ---
-        for (peer, mut rx) in rxs {
+        for (peer, HeadPeer { spec, tx, mut rx }) in peers.into_iter().enumerate() {
+            let last_seen = Instant::now();
+            links.push(Link {
+                spec,
+                tx,
+                last_seen,
+            });
             let event_tx = event_tx.clone();
             let done = &done;
-            scope.spawn(move || loop {
-                if done.load(Ordering::Relaxed) {
-                    return;
-                }
-                match rx.recv(Duration::from_millis(100)) {
-                    Ok(None) => {}
-                    Ok(Some((msg, bytes))) => {
-                        let goodbye = matches!(msg, Message::Goodbye);
-                        let _ = event_tx.send(FromPeer::Frame { peer, msg, bytes });
-                        if goodbye {
-                            return;
-                        }
-                    }
-                    Err(e) => {
-                        let _ = event_tx.send(FromPeer::Gone {
-                            peer,
-                            error: e.to_string(),
-                        });
-                        return;
-                    }
+            scope.spawn(move || {
+                let pumped = rx.pump(done, |msg, bytes| {
+                    let goodbye = matches!(msg, Message::Goodbye);
+                    let _ = event_tx.send(FromPeer::Frame { peer, msg, bytes });
+                    !goodbye
+                });
+                if let Err(e) = pumped {
+                    let error = e.to_string();
+                    let _ = event_tx.send(FromPeer::Gone { peer, error });
                 }
             });
         }
         drop(event_tx);
 
         // --- Head loop: serve the pool until every peer shipped or lost. ---
-        let mut first_error: Option<String> = None;
         let poll = (net.heartbeat / 2).clamp(Duration::from_millis(10), Duration::from_millis(250));
-        loop {
-            if states.iter().all(|s| s.shipped.is_some() || s.lost) {
-                break;
-            }
+        while (0..links.len()).any(|peer| wire.head.is_open(peer)) {
             match event_rx.recv_timeout(poll) {
                 Ok(FromPeer::Frame { peer, msg, bytes }) => {
-                    let cluster = states[peer].spec.cluster;
-                    net_stats.frames_recv += 1;
-                    net_stats.bytes_recv += bytes as u64;
-                    cfg.sink.emit(
-                        Some(cluster),
-                        None,
-                        EventKind::NetRecv {
-                            bytes: bytes as u64,
-                        },
-                    );
+                    let bytes = bytes as u64;
+                    wire.stats.frames_recv += 1;
+                    wire.stats.bytes_recv += bytes;
+                    cfg.sink
+                        .emit(Some(peer as u32), None, EventKind::NetRecv { bytes });
                     // Forfeiture is final. A lost-but-alive peer's leases
                     // and completions were re-enqueued at loss and may
                     // already be re-granted or re-done by survivors:
                     // banking its late robj would count that work twice,
                     // and resolving its late leases would corrupt the
                     // pool. Count the bytes, drop the frame.
-                    if states[peer].lost {
+                    if wire.head.is_lost(peer) {
                         match msg {
                             Message::Goodbye | Message::Heartbeat { .. } => {}
                             dropped => eprintln!(
                                 "head: dropping late {} from lost worker {}",
                                 frame_name(&dropped),
-                                states[peer].spec.name
+                                links[peer].spec.name
                             ),
                         }
                         // Fall through to the heartbeat sweep so a frame
                         // flood from a lost peer cannot delay detecting
                         // *other* peers' losses.
                     } else {
-                        states[peer].last_seen = Instant::now();
-                        handle_frame(
-                            peer,
-                            msg,
-                            &mut states,
-                            &mut txs,
-                            &mut pool,
-                            cfg,
-                            &mut net_stats,
-                            &mut first_error,
-                        );
+                        links[peer].last_seen = Instant::now();
+                        wire.handle(peer, &mut links[peer], msg);
                     }
                 }
                 Ok(FromPeer::Gone { peer, error }) => {
-                    let s = &mut states[peer];
-                    if s.shipped.is_none() && !s.lost {
-                        first_error.get_or_insert(format!(
-                            "worker {} disconnected before shipping: {error}",
-                            s.spec.name
-                        ));
-                        declare_lost(peer, &mut states, &mut pool, cfg, &mut net_stats);
+                    if wire.head.is_open(peer) {
+                        let name = &links[peer].spec.name;
+                        wire.lose(
+                            peer,
+                            format!("worker {name} disconnected before shipping: {error}"),
+                        );
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => {}
@@ -456,206 +413,105 @@ pub fn run_head<R: ReductionObject + RobjCodec>(
 
             // Heartbeat sweep: silence beyond the grace window is loss.
             let now = Instant::now();
-            for peer in 0..states.len() {
-                let s = &states[peer];
-                if s.shipped.is_none()
-                    && !s.lost
-                    && now.saturating_duration_since(s.last_seen) > deadline_grace
+            for (peer, link) in links.iter().enumerate() {
+                if wire.head.is_open(peer)
+                    && now.saturating_duration_since(link.last_seen) > deadline_grace
                 {
-                    first_error.get_or_insert(format!(
-                        "worker {} missed {} heartbeat(s)",
-                        s.spec.name, net.heartbeat_misses
-                    ));
-                    declare_lost(peer, &mut states, &mut pool, cfg, &mut net_stats);
+                    let (name, misses) = (&link.spec.name, net.heartbeat_misses);
+                    wire.lose(peer, format!("worker {name} missed {misses} heartbeat(s)"));
                 }
             }
         }
         done.store(true, Ordering::Relaxed);
-        first_error
         // Scope joins the readers: ≤100 ms after the done flag.
     });
 
-    // The run fails only if some chunk could not complete anywhere.
-    if !pool.all_done() {
-        return Err(RuntimeError::JobsFailed {
-            dead: pool.dead_jobs(),
-            unfinished: pool.pending() + pool.outstanding(),
-            last_error: run_error,
-        });
-    }
-
-    // --- Global reduction: decode and merge in cluster-index order (the
-    // same canonical order the in-process runtime uses). ---
-    let mut by_cluster: Vec<&PeerState> = states.iter().collect();
-    by_cluster.sort_by_key(|s| s.spec.cluster);
-    let mut final_robj: Option<R> = None;
-    let mut last_ship: Option<Instant> = None;
-    for s in &by_cluster {
-        let Some((bytes, _, at)) = &s.shipped else {
-            continue;
-        };
-        let robj = R::decode_robj(bytes)
-            .map_err(|e| RuntimeError::Io(format!("decoding robj from {}: {e}", s.spec.name)))?;
+    // --- Global reduction: decode the banked robjs and merge them in
+    // cluster-index order (the same canonical order as in-process). ---
+    let WireHead { head, stats, .. } = wire;
+    let mut out = head.finish(|peer, robj: Vec<u8>| {
+        let name = &links[peer].spec.name;
+        let decoded = R::decode_robj(&robj)
+            .map_err(|e| RuntimeError::Io(format!("decoding robj from {name}: {e}")))?;
+        let bytes = robj.len() as u64;
         cfg.sink.emit(
-            Some(s.spec.cluster),
+            Some(peer as u32),
             None,
-            EventKind::RobjMerge {
-                bytes: bytes.len() as u64,
-                ns: 0,
-            },
+            EventKind::RobjMerge { bytes, ns: 0 },
         );
-        match final_robj.as_mut() {
-            None => final_robj = Some(robj),
-            Some(acc) => acc.merge(robj),
-        }
-        last_ship = Some(last_ship.map_or(*at, |l| l.max(*at)));
-    }
-    let final_robj = final_robj
-        .ok_or_else(|| RuntimeError::Validation("no reduction objects produced".into()))?;
-    let end = Instant::now();
-
-    // --- Assemble the report from the shipped per-cluster accounts. ---
-    let mut recovery = RecoveryStats {
-        jobs_reenqueued: pool.reenqueued(),
-        ..Default::default()
-    };
-    let mut clusters = Vec::with_capacity(by_cluster.len());
-    for s in &by_cluster {
-        let Some((_, rep, at)) = &s.shipped else {
-            // A lost peer contributes an empty breakdown: its completed work
-            // was re-processed elsewhere and is accounted there.
-            clusters.push(ClusterBreakdown {
-                name: format!("{} (lost)", s.spec.name),
-                cores: s.spec.cores as usize,
-                processing_s: 0.0,
-                retrieval_s: 0.0,
-                sync_s: 0.0,
-                wall_s: 0.0,
-                idle_end_s: 0.0,
-                jobs_processed: 0,
-                jobs_stolen: 0,
-                bytes_local: 0,
-                bytes_remote: 0,
-                overlap_saved_s: 0.0,
-                fetch_stall_s: 0.0,
-            });
-            continue;
-        };
-        recovery.fetch_failures += rep.fetch_failures;
-        recovery.retries += rep.retries;
-        recovery.slaves_retired += rep.slaves_retired;
-        recovery.slaves_killed += rep.slaves_killed;
-        let n = rep.slaves.len().max(1) as f64;
-        let ns = |f: fn(&crate::wire::WireSlaveStats) -> u64| -> f64 {
-            rep.slaves.iter().map(|sl| f(sl) as f64 / 1e9).sum::<f64>() / n
-        };
-        let proc_s = ns(|sl| sl.processing_ns);
-        let retr_s = ns(|sl| sl.retrieval_ns);
-        let stall_s = ns(|sl| sl.fetch_stall_ns);
-        let overlap_s = rep
-            .slaves
-            .iter()
-            .map(|sl| sl.retrieval_ns.saturating_sub(sl.fetch_stall_ns) as f64 / 1e9)
-            .sum::<f64>()
-            / n;
-        let wall_s = rep.wall_ns as f64 / 1e9;
-        clusters.push(ClusterBreakdown {
-            name: s.spec.name.clone(),
-            cores: s.spec.cores as usize,
-            processing_s: proc_s,
-            retrieval_s: retr_s,
-            sync_s: (wall_s - proc_s - retr_s).max(0.0),
-            wall_s,
-            idle_end_s: last_ship
-                .map(|l| l.saturating_duration_since(*at).as_secs_f64())
-                .unwrap_or(0.0),
-            jobs_processed: rep.slaves.iter().map(|sl| sl.jobs).sum(),
-            jobs_stolen: rep.slaves.iter().map(|sl| sl.stolen_jobs).sum(),
-            bytes_local: rep.slaves.iter().map(|sl| sl.bytes_local).sum(),
-            bytes_remote: rep.slaves.iter().map(|sl| sl.bytes_remote).sum(),
-            overlap_saved_s: overlap_s,
-            fetch_stall_s: stall_s,
-        });
-    }
-
-    let report = RunReport {
-        total_s: end.saturating_duration_since(t0).as_secs_f64(),
-        global_reduction_s: last_ship
-            .map(|l| end.saturating_duration_since(l).as_secs_f64())
-            .unwrap_or(0.0),
-        robj_bytes: final_robj.size_bytes() as u64,
-        clusters,
-        recovery,
-        cache_hits: 0,
-        cache_misses: 0,
-        net: net_stats,
-    };
-    Ok(RunOutcome {
-        result: final_robj,
-        report,
-    })
+        Ok(decoded)
+    })?;
+    out.report.net = stats;
+    Ok(out)
 }
 
-/// One protocol frame from a live (non-lost) peer against the pool.
-#[allow(clippy::too_many_arguments)]
-fn handle_frame(
-    peer: usize,
-    msg: Message,
-    states: &mut [PeerState],
-    txs: &mut [LinkTx],
-    pool: &mut JobPool,
-    cfg: &RuntimeConfig,
-    net_stats: &mut NetStats,
-    first_error: &mut Option<String>,
-) {
-    let cluster = states[peer].spec.cluster;
-    let loc = states[peer].spec.location;
-    match msg {
-        Message::JobRequest { seq } => {
-            let grant = pool.request(loc);
-            let exhausted = grant.is_empty() && pool.exhausted_for(loc);
-            let reply = Message::JobGrant {
-                seq,
-                jobs: grant.jobs.iter().map(|c| c.0).collect(),
-                stolen: grant.stolen,
-                exhausted,
-            };
-            send_counted(&mut txs[peer], &reply, cluster, cfg, net_stats);
-        }
-        Message::Resolve { chunk, disposition } => {
-            // Tolerant resolution: this input crosses a process boundary,
-            // so a violated invariant is the *peer's* bug — record it,
-            // don't panic the run.
-            let chunk = ChunkId(chunk);
-            let ok = match disposition {
-                Disposition::Completed => pool.try_complete(loc, chunk),
-                Disposition::Failed => pool.try_fail(loc, chunk),
-                Disposition::Released => pool.try_release(loc, chunk),
-            };
-            if !ok {
-                first_error.get_or_insert(format!(
-                    "peer {} resolved {chunk} it does not hold",
-                    states[peer].spec.name
-                ));
+/// The head core plus the wire's accounting of its traffic.
+struct WireHead<'a> {
+    head: Head<Vec<u8>>,
+    cfg: &'a RuntimeConfig,
+    stats: NetStats,
+}
+
+impl WireHead<'_> {
+    /// One protocol frame from live (non-lost) peer `peer`.
+    fn handle(&mut self, peer: usize, link: &mut Link, msg: Message) {
+        match msg {
+            Message::JobRequest { seq } => {
+                let (grant, exhausted) = self.head.request(link.spec.location);
+                let reply = Message::JobGrant {
+                    seq,
+                    jobs: grant.jobs.iter().map(|c| c.0).collect(),
+                    stolen: grant.stolen,
+                    exhausted,
+                };
+                self.send(peer, link, &reply);
+            }
+            Message::Resolve(what) => {
+                // This input crosses a process boundary, so a violated
+                // invariant is the *peer's* bug — record it, don't panic.
+                if let Err(e) = self.head.resolve(link.spec.location, what) {
+                    let name = &link.spec.name;
+                    self.head.note_error(format!(
+                        "peer {name} resolved a lease it does not hold: {e}"
+                    ));
+                }
+            }
+            Message::Heartbeat { .. } | Message::Goodbye => {}
+            Message::RobjShip { robj, report } => {
+                self.head.bank(peer, Some(robj), report, Instant::now());
+                self.send(peer, link, &Message::ShipAck);
+            }
+            other => {
+                let name = &link.spec.name;
+                self.head
+                    .note_error(format!("peer {name} sent unexpected {other:?}"));
             }
         }
-        Message::Heartbeat { .. } => {}
-        Message::RobjShip { robj, report } => {
-            if let Some(e) = &report.error {
-                first_error.get_or_insert_with(|| e.clone());
-            }
-            states[peer].shipped = Some((robj, report, Instant::now()));
-            send_counted(&mut txs[peer], &Message::ShipAck, cluster, cfg, net_stats);
+    }
+
+    /// Send a frame to a peer, counting it into obs + report. A send failure
+    /// is not handled here: the peer's reader will surface `Gone` and the
+    /// loss path takes over.
+    fn send(&mut self, peer: usize, link: &mut Link, msg: &Message) {
+        if let Ok(bytes) = link.tx.send(msg) {
+            let bytes = bytes as u64;
+            self.stats.frames_sent += 1;
+            self.stats.bytes_sent += bytes;
+            self.cfg
+                .sink
+                .emit(Some(peer as u32), None, EventKind::NetSent { bytes });
         }
-        Message::Goodbye => {
-            states[peer].said_goodbye = true;
-        }
-        other => {
-            first_error.get_or_insert(format!(
-                "peer {} sent unexpected {other:?}",
-                states[peer].spec.name
-            ));
-        }
+    }
+
+    /// Forfeit everything an unshipped peer held and mark it lost, noting
+    /// `why` as a run error.
+    fn lose(&mut self, peer: usize, why: String) {
+        self.head.note_error(why);
+        let jobs = self.head.lose(peer) as u64;
+        self.stats.peers_lost += 1;
+        self.cfg
+            .sink
+            .emit(Some(peer as u32), None, EventKind::PeerLost { jobs });
     }
 }
 
@@ -674,46 +530,4 @@ fn frame_name(msg: &Message) -> &'static str {
         Message::ShipAck => "ShipAck",
         Message::Goodbye => "Goodbye",
     }
-}
-
-/// Send a frame to a peer, counting it into obs + report. A send failure
-/// is not handled here: the peer's reader will surface `Gone` and the loss
-/// path takes over.
-fn send_counted(
-    tx: &mut LinkTx,
-    msg: &Message,
-    cluster: u32,
-    cfg: &RuntimeConfig,
-    net_stats: &mut NetStats,
-) {
-    if let Ok(bytes) = tx.send(msg) {
-        net_stats.frames_sent += 1;
-        net_stats.bytes_sent += bytes as u64;
-        cfg.sink.emit(
-            Some(cluster),
-            None,
-            EventKind::NetSent {
-                bytes: bytes as u64,
-            },
-        );
-    }
-}
-
-/// Forfeit everything an unshipped peer held and mark it lost.
-fn declare_lost(
-    peer: usize,
-    states: &mut [PeerState],
-    pool: &mut JobPool,
-    cfg: &RuntimeConfig,
-    net_stats: &mut NetStats,
-) {
-    let s = &mut states[peer];
-    s.lost = true;
-    let forfeited = pool.forfeit(s.spec.location) as u64;
-    net_stats.peers_lost += 1;
-    cfg.sink.emit(
-        Some(s.spec.cluster),
-        None,
-        EventKind::PeerLost { jobs: forfeited },
-    );
 }

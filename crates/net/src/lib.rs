@@ -12,17 +12,17 @@
 //!   distributed run reproduces the single-process result *byte for byte*;
 //! * [`transport`] — framed links over TCP or in-process channels
 //!   (loopback), with deadlines and capped+jittered reconnect;
-//! * [`head`] — the head process: accepts workers, owns the global
-//!   `JobPool`, performs the global reduction over robjs received off the
-//!   wire, detects peer loss by heartbeat and forfeits a dead worker's
-//!   leases back into the pool;
+//! * [`head`] — the head process: accepts workers and drives the shared
+//!   head core ([`cloudburst_core::Head`]: job pool, result slots, global
+//!   reduction, report) from frames received off the wire; detects peer
+//!   loss by heartbeat and forfeits a dead worker's work back into the pool;
 //! * [`worker`] — the worker process: one cluster (master + slaves) driven
 //!   by `cloudburst_core::run_cluster`, reaching the head through a
 //!   TCP-backed [`cloudburst_core::HeadPort`].
 //!
 //! The in-process runtime is the loopback special case: `run_cluster`
-//! cannot tell a `Mutex<JobPool>` from a socket — both are just a
-//! [`cloudburst_core::HeadPort`].
+//! cannot tell a `Mutex<Head>` from a socket — both are just a
+//! [`cloudburst_core::HeadPort`] in front of the same head core.
 
 pub mod head;
 pub mod robj;

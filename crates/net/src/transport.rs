@@ -18,6 +18,7 @@ use cb_storage::retrieve::backoff_schedule;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for the networked runtime. The defaults suit localhost
@@ -102,6 +103,24 @@ impl LinkTx {
 }
 
 impl LinkRx {
+    /// Hand each received frame and its size to `on_frame` until `stop` is
+    /// raised (checked every 100 ms), `on_frame` returns `false`, or the
+    /// link fails.
+    pub(crate) fn pump(
+        &mut self,
+        stop: &AtomicBool,
+        mut on_frame: impl FnMut(Message, usize) -> bool,
+    ) -> io::Result<()> {
+        while !stop.load(Ordering::Relaxed) {
+            if let Some((msg, bytes)) = self.recv(Duration::from_millis(100))? {
+                if !on_frame(msg, bytes) {
+                    break;
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Receive one message, waiting up to `timeout`.
     ///
     /// `Ok(None)` means the timeout elapsed with no *complete* frame (any
@@ -239,15 +258,13 @@ pub fn connect_with_backoff(addr: SocketAddr, cfg: &NetConfig, seed: u64) -> io:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::Disposition;
+    use cb_storage::layout::ChunkId;
+    use cloudburst_core::Resolution;
 
     #[test]
     fn loopback_round_trips_messages() {
         let (mut a, mut b) = loopback_pair();
-        let msg = Message::Resolve {
-            chunk: 17,
-            disposition: Disposition::Completed,
-        };
+        let msg = Message::Resolve(Resolution::Completed(ChunkId(17)));
         let sent = a.tx.send(&msg).unwrap();
         let (got, recvd) = b.rx.recv(Duration::from_secs(1)).unwrap().unwrap();
         assert_eq!(got, msg);
@@ -259,7 +276,7 @@ mod tests {
         let (mut a, _b) = loopback_pair();
         let msg = Message::RobjShip {
             robj: vec![0u8; MAX_FRAME_BYTES],
-            report: crate::wire::WireClusterReport::default(),
+            report: cloudburst_core::ClusterAccount::default(),
         };
         let err = a.tx.send(&msg).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);

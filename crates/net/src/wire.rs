@@ -13,6 +13,11 @@
 //! match and `Reject { reason }` otherwise, so mixed-version deployments
 //! fail loudly at connect time instead of corrupting a run.
 
+use cb_storage::layout::ChunkId;
+use cloudburst_core::report::{ClusterAccount, RecoveryStats, SlaveStats};
+use cloudburst_core::Resolution;
+use std::time::Duration;
+
 /// First bytes of a `Hello` payload after the tag — weeds out strangers
 /// (an HTTP client, an old build with a different layout) before any field
 /// is interpreted.
@@ -61,44 +66,6 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// How a worker resolves one lease (mirrors
-/// `cloudburst_core::runtime::Resolution` on the wire).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Disposition {
-    Completed,
-    Failed,
-    Released,
-}
-
-/// Per-slave timings and counters as shipped in the worker's final report.
-/// Durations travel as integer nanoseconds so encoding is exact.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WireSlaveStats {
-    pub processing_ns: u64,
-    pub retrieval_ns: u64,
-    pub fetch_stall_ns: u64,
-    pub jobs: u64,
-    pub stolen_jobs: u64,
-    pub units: u64,
-    pub bytes_local: u64,
-    pub bytes_remote: u64,
-}
-
-/// A worker cluster's final accounting, shipped alongside its reduction
-/// object. The head combines these into the run's `RunReport` exactly as
-/// the in-process runtime combines `ClusterOutcome`s.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WireClusterReport {
-    pub slaves: Vec<WireSlaveStats>,
-    pub fetch_failures: u64,
-    pub retries: u64,
-    pub slaves_retired: u64,
-    pub slaves_killed: u64,
-    /// Worker-side wall time from its run start to local combination done.
-    pub wall_ns: u64,
-    pub error: Option<String>,
-}
-
 /// Every message of the head↔worker control plane.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
@@ -139,19 +106,17 @@ pub enum Message {
         stolen: bool,
         exhausted: bool,
     },
-    /// Worker → head: one lease resolved (fire-and-forget).
-    Resolve {
-        chunk: u32,
-        disposition: Disposition,
-    },
+    /// Worker → head: one lease resolved (fire-and-forget). On the wire:
+    /// the chunk id, then 0 completed / 1 failed / 2 released.
+    Resolve(Resolution),
     /// Worker → head, periodic liveness beacon.
     Heartbeat { seq: u64 },
     /// Worker → head: the cluster finished; encoded reduction object plus
-    /// final report. After the head acks, the worker's completions are
+    /// final account. After the head acks, the worker's completions are
     /// durable and its death no longer costs anything.
     RobjShip {
         robj: Vec<u8>,
-        report: WireClusterReport,
+        report: ClusterAccount,
     },
     /// Head → worker: `RobjShip` received and banked.
     ShipAck,
@@ -291,23 +256,27 @@ impl<'a> WireReader<'a> {
     }
 }
 
-fn put_report(w: &mut WireWriter, r: &WireClusterReport) {
+/// A cluster account on the wire. Durations travel as integer
+/// nanoseconds so encoding is exact; the head's `jobs_reenqueued` does not
+/// travel.
+fn put_report(w: &mut WireWriter, r: &ClusterAccount) {
+    let ns = |d: Duration| d.as_nanos() as u64;
     w.put_u32(r.slaves.len() as u32);
     for s in &r.slaves {
-        w.put_u64(s.processing_ns);
-        w.put_u64(s.retrieval_ns);
-        w.put_u64(s.fetch_stall_ns);
+        w.put_u64(ns(s.processing));
+        w.put_u64(ns(s.retrieval));
+        w.put_u64(ns(s.fetch_stall));
         w.put_u64(s.jobs);
         w.put_u64(s.stolen_jobs);
         w.put_u64(s.units);
         w.put_u64(s.bytes_local);
         w.put_u64(s.bytes_remote);
     }
-    w.put_u64(r.fetch_failures);
-    w.put_u64(r.retries);
-    w.put_u64(r.slaves_retired);
-    w.put_u64(r.slaves_killed);
-    w.put_u64(r.wall_ns);
+    w.put_u64(r.recovery.fetch_failures);
+    w.put_u64(r.recovery.retries);
+    w.put_u64(r.recovery.slaves_retired);
+    w.put_u64(r.recovery.slaves_killed);
+    w.put_u64(ns(r.wall));
     match &r.error {
         Some(e) => {
             w.put_bool(true);
@@ -317,16 +286,16 @@ fn put_report(w: &mut WireWriter, r: &WireClusterReport) {
     }
 }
 
-fn get_report(r: &mut WireReader<'_>) -> Result<WireClusterReport, WireError> {
+fn get_report(r: &mut WireReader<'_>) -> Result<ClusterAccount, WireError> {
     let n = r.u32()? as usize;
     // Cap preallocation by what the frame could possibly hold (8 u64s per
     // slave), so a lying count cannot OOM.
     let mut slaves = Vec::with_capacity(n.min(MAX_FRAME_BYTES / 64));
     for _ in 0..n {
-        slaves.push(WireSlaveStats {
-            processing_ns: r.u64()?,
-            retrieval_ns: r.u64()?,
-            fetch_stall_ns: r.u64()?,
+        slaves.push(SlaveStats {
+            processing: Duration::from_nanos(r.u64()?),
+            retrieval: Duration::from_nanos(r.u64()?),
+            fetch_stall: Duration::from_nanos(r.u64()?),
             jobs: r.u64()?,
             stolen_jobs: r.u64()?,
             units: r.u64()?,
@@ -334,23 +303,23 @@ fn get_report(r: &mut WireReader<'_>) -> Result<WireClusterReport, WireError> {
             bytes_remote: r.u64()?,
         });
     }
-    let fetch_failures = r.u64()?;
-    let retries = r.u64()?;
-    let slaves_retired = r.u64()?;
-    let slaves_killed = r.u64()?;
-    let wall_ns = r.u64()?;
+    let recovery = RecoveryStats {
+        fetch_failures: r.u64()?,
+        retries: r.u64()?,
+        slaves_retired: r.u64()?,
+        slaves_killed: r.u64()?,
+        jobs_reenqueued: 0,
+    };
+    let wall = Duration::from_nanos(r.u64()?);
     let error = if r.bool()? {
         Some(r.str()?.to_owned())
     } else {
         None
     };
-    Ok(WireClusterReport {
+    Ok(ClusterAccount {
         slaves,
-        fetch_failures,
-        retries,
-        slaves_retired,
-        slaves_killed,
-        wall_ns,
+        recovery,
+        wall,
         error,
     })
 }
@@ -412,14 +381,15 @@ impl Message {
                 w.put_bool(*stolen);
                 w.put_bool(*exhausted);
             }
-            Message::Resolve { chunk, disposition } => {
+            Message::Resolve(what) => {
+                let (chunk, disposition) = match *what {
+                    Resolution::Completed(c) => (c, 0),
+                    Resolution::Failed(c) => (c, 1),
+                    Resolution::Released(c) => (c, 2),
+                };
                 w.put_u8(TAG_RESOLVE);
-                w.put_u32(*chunk);
-                w.put_u8(match disposition {
-                    Disposition::Completed => 0,
-                    Disposition::Failed => 1,
-                    Disposition::Released => 2,
-                });
+                w.put_u32(chunk.0);
+                w.put_u8(disposition);
             }
             Message::Heartbeat { seq } => {
                 w.put_u8(TAG_HEARTBEAT);
@@ -479,15 +449,15 @@ impl Message {
                     exhausted: r.bool()?,
                 }
             }
-            TAG_RESOLVE => Message::Resolve {
-                chunk: r.u32()?,
-                disposition: match r.u8()? {
-                    0 => Disposition::Completed,
-                    1 => Disposition::Failed,
-                    2 => Disposition::Released,
+            TAG_RESOLVE => {
+                let chunk = ChunkId(r.u32()?);
+                Message::Resolve(match r.u8()? {
+                    0 => Resolution::Completed(chunk),
+                    1 => Resolution::Failed(chunk),
+                    2 => Resolution::Released(chunk),
                     t => return Err(WireError::BadTag(t)),
-                },
-            },
+                })
+            }
             TAG_HEARTBEAT => Message::Heartbeat { seq: r.u64()? },
             TAG_ROBJ_SHIP => Message::RobjShip {
                 robj: r.bytes()?.to_vec(),
@@ -575,7 +545,7 @@ mod tests {
     fn oversized_payload_rejected_at_encode() {
         let m = Message::RobjShip {
             robj: vec![0u8; MAX_FRAME_BYTES],
-            report: WireClusterReport::default(),
+            report: ClusterAccount::default(),
         };
         match m.encode_frame() {
             Err(WireError::FrameTooLarge(n)) => assert!(n > MAX_FRAME_BYTES),

@@ -13,7 +13,7 @@
 
 use crate::robj::RobjCodec;
 use crate::transport::{connect_with_backoff, split_tcp, LinkRx, LinkTx, NetConfig};
-use crate::wire::{Disposition, Message, WireClusterReport, WireSlaveStats, PROTOCOL_VERSION};
+use crate::wire::{Message, PROTOCOL_VERSION};
 use cb_storage::layout::{ChunkId, DatasetLayout, LocationId, Placement};
 use cloudburst_core::api::GRApp;
 use cloudburst_core::config::RuntimeConfig;
@@ -163,15 +163,7 @@ impl HeadPort for NetHeadPort {
     }
 
     fn resolve(&self, _loc: LocationId, what: Resolution) -> io::Result<()> {
-        let (chunk, disposition) = match what {
-            Resolution::Completed(c) => (c, Disposition::Completed),
-            Resolution::Failed(c) => (c, Disposition::Failed),
-            Resolution::Released(c) => (c, Disposition::Released),
-        };
-        self.send(&Message::Resolve {
-            chunk: chunk.0,
-            disposition,
-        })
+        self.send(&Message::Resolve(what))
     }
 }
 
@@ -263,7 +255,6 @@ where
         poisoned: Arc::clone(&poisoned),
     };
     let t0 = Instant::now();
-    let retry_counter = Arc::new(AtomicU64::new(0));
 
     let (outcome, shipped_bytes) = std::thread::scope(|scope| {
         // --- Reader: route frames to whoever waits on them. ---
@@ -271,47 +262,32 @@ where
         let sink = cfg.sink.clone();
         let cluster_idx = spec.cluster;
         scope.spawn(move || {
+            // EOF or a link error ends the pump: pending recvs then see
+            // Disconnected.
             let mut rx = rx;
-            loop {
-                if done_ref.load(Ordering::Relaxed) {
-                    return;
-                }
-                match rx.recv(Duration::from_millis(100)) {
-                    Ok(None) => {}
-                    Ok(Some((msg, bytes))) => {
-                        sink.emit(
-                            Some(cluster_idx),
-                            None,
-                            EventKind::NetRecv {
-                                bytes: bytes as u64,
-                            },
-                        );
-                        match msg {
-                            Message::JobGrant {
-                                seq,
-                                jobs,
-                                stolen,
-                                exhausted,
-                            } => {
-                                let grant = Grant {
-                                    jobs: jobs.into_iter().map(ChunkId).collect(),
-                                    stolen,
-                                };
-                                if grant_tx.send((seq, grant, exhausted)).is_err() {
-                                    return;
-                                }
-                            }
-                            Message::ShipAck => {
-                                let _ = ack_tx.send(());
-                            }
-                            // Anything else mid-run is noise; the head never
-                            // initiates other traffic after Welcome.
-                            _ => {}
-                        }
+            let _ = rx.pump(done_ref, |msg, bytes| {
+                let bytes = bytes as u64;
+                sink.emit(Some(cluster_idx), None, EventKind::NetRecv { bytes });
+                match msg {
+                    Message::JobGrant {
+                        seq,
+                        jobs,
+                        stolen,
+                        exhausted,
+                    } => {
+                        let jobs = jobs.into_iter().map(ChunkId).collect();
+                        let grant = Grant { jobs, stolen };
+                        grant_tx.send((seq, grant, exhausted)).is_ok()
                     }
-                    Err(_) => return, // EOF or link error: pending recvs see Disconnected
+                    Message::ShipAck => {
+                        let _ = ack_tx.send(());
+                        true
+                    }
+                    // Anything else mid-run is noise; the head never
+                    // initiates other traffic after Welcome.
+                    _ => true,
                 }
-            }
+            });
         });
 
         // --- Heartbeats at half the announced cadence. A poisoned link
@@ -346,11 +322,11 @@ where
             spec.cluster as usize,
             cfg,
             &port,
-            &retry_counter,
+            t0,
         );
 
         // --- Ship the result, then let the background threads go. ---
-        let shipped = ship(&outcome, t0, &retry_counter, &port, &ack_rx, net);
+        let shipped = ship(&outcome, &port, &ack_rx, net);
         done.store(true, Ordering::Relaxed);
         (outcome, shipped)
     });
@@ -367,8 +343,6 @@ where
 /// Encode + ship the cluster outcome; wait for the head's ack.
 fn ship<R: RobjCodec>(
     outcome: &ClusterOutcome<R>,
-    t0: Instant,
-    retry_counter: &AtomicU64,
     port: &NetHeadPort,
     ack_rx: &Receiver<()>,
     net: &NetConfig,
@@ -392,31 +366,9 @@ fn ship<R: RobjCodec>(
         .ok_or_else(|| NetError::Protocol("cluster produced no reduction object".into()))?;
     let encoded = robj.encode_robj();
     let robj_bytes = encoded.len();
-    let report = WireClusterReport {
-        slaves: outcome
-            .stats
-            .iter()
-            .map(|s| WireSlaveStats {
-                processing_ns: s.processing.as_nanos() as u64,
-                retrieval_ns: s.retrieval.as_nanos() as u64,
-                fetch_stall_ns: s.fetch_stall.as_nanos() as u64,
-                jobs: s.jobs,
-                stolen_jobs: s.stolen_jobs,
-                units: s.units,
-                bytes_local: s.bytes_local,
-                bytes_remote: s.bytes_remote,
-            })
-            .collect(),
-        fetch_failures: outcome.recovery.fetch_failures,
-        retries: retry_counter.load(Ordering::Relaxed),
-        slaves_retired: outcome.recovery.slaves_retired,
-        slaves_killed: outcome.recovery.slaves_killed,
-        wall_ns: outcome.local_done.saturating_duration_since(t0).as_nanos() as u64,
-        error: outcome.error.clone(),
-    };
     port.send(&Message::RobjShip {
         robj: encoded,
-        report,
+        report: outcome.account.clone(),
     })?;
     match ack_rx.recv_timeout(net.io_timeout) {
         Ok(()) => Ok(robj_bytes),

@@ -2,17 +2,19 @@
 //! rejection of truncated and corrupted frames, and the version-mismatch
 //! handshake path.
 
-use cb_net::wire::{
-    decode_framed, Disposition, Message, WireClusterReport, WireError, WireSlaveStats,
-    MAX_FRAME_BYTES, PROTOCOL_VERSION,
-};
+use cb_net::wire::{decode_framed, Message, WireError, MAX_FRAME_BYTES, PROTOCOL_VERSION};
+use cb_storage::layout::ChunkId;
+use cloudburst_core::report::{ClusterAccount, RecoveryStats, SlaveStats};
+use cloudburst_core::Resolution;
 use proptest::prelude::*;
+use std::time::Duration;
 
-fn arb_disposition(tag: u8) -> Disposition {
+fn arb_resolution(tag: u8, chunk: u32) -> Resolution {
+    let chunk = ChunkId(chunk);
     match tag % 3 {
-        0 => Disposition::Completed,
-        1 => Disposition::Failed,
-        _ => Disposition::Released,
+        0 => Resolution::Completed(chunk),
+        1 => Resolution::Failed(chunk),
+        _ => Resolution::Released(chunk),
     }
 }
 
@@ -20,14 +22,14 @@ fn arb_report(
     slaves: Vec<(u64, u64, u64, u64)>,
     tail: (u64, u64, u64, u64, u64),
     error: Option<String>,
-) -> WireClusterReport {
-    WireClusterReport {
+) -> ClusterAccount {
+    ClusterAccount {
         slaves: slaves
             .into_iter()
-            .map(|(a, b, c, d)| WireSlaveStats {
-                processing_ns: a,
-                retrieval_ns: b,
-                fetch_stall_ns: c,
+            .map(|(a, b, c, d)| SlaveStats {
+                processing: Duration::from_nanos(a),
+                retrieval: Duration::from_nanos(b),
+                fetch_stall: Duration::from_nanos(c),
                 jobs: d,
                 stolen_jobs: a ^ b,
                 units: b ^ c,
@@ -35,11 +37,14 @@ fn arb_report(
                 bytes_remote: d ^ a,
             })
             .collect(),
-        fetch_failures: tail.0,
-        retries: tail.1,
-        slaves_retired: tail.2,
-        slaves_killed: tail.3,
-        wall_ns: tail.4,
+        recovery: RecoveryStats {
+            fetch_failures: tail.0,
+            retries: tail.1,
+            slaves_retired: tail.2,
+            slaves_killed: tail.3,
+            jobs_reenqueued: 0,
+        },
+        wall: Duration::from_nanos(tail.4),
         error,
     }
 }
@@ -99,7 +104,7 @@ proptest! {
     }
 
     fn resolve_round_trips(chunk in any::<u32>(), tag in any::<u8>()) {
-        round_trip(Message::Resolve { chunk, disposition: arb_disposition(tag) });
+        round_trip(Message::Resolve(arb_resolution(tag, chunk)));
     }
 
     fn heartbeat_round_trips(seq in any::<u64>()) {
@@ -159,7 +164,7 @@ proptest! {
 fn oversized_robj_rejected_at_encode() {
     let msg = Message::RobjShip {
         robj: vec![0u8; MAX_FRAME_BYTES],
-        report: WireClusterReport::default(),
+        report: ClusterAccount::default(),
     };
     assert!(matches!(
         msg.encode_frame(),

@@ -6,14 +6,16 @@
 use cb_apps::gen::WordsSpec;
 use cb_apps::scenario::{build_hybrid, HybridEnv, HybridOpts};
 use cb_apps::wordcount::WordCountApp;
-use cb_net::wire::{Disposition, Message, WireClusterReport, PROTOCOL_VERSION};
+use cb_net::wire::{Message, PROTOCOL_VERSION};
 use cb_net::{
     connect_with_backoff, fingerprint, handshake_one, loopback_pair, run_head, run_worker,
     run_worker_on_links, serve_head, split_tcp, NetConfig, RobjCodec, WorkerSpec,
 };
+use cb_storage::layout::ChunkId;
 use cloudburst_core::combine::KeyedSum;
 use cloudburst_core::config::RuntimeConfig;
 use cloudburst_core::runtime::run;
+use cloudburst_core::Resolution;
 use proptest::prelude::*;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -280,11 +282,8 @@ fn silent_worker_is_lost_and_its_work_recovered() {
                 };
                 assert!(!jobs.is_empty(), "ghost should get a real batch");
                 for chunk in &jobs {
-                    tx.send(&Message::Resolve {
-                        chunk: *chunk,
-                        disposition: Disposition::Completed,
-                    })
-                    .unwrap();
+                    tx.send(&Message::Resolve(Resolution::Completed(ChunkId(*chunk))))
+                        .unwrap();
                 }
                 // Silence. Hold the socket open until the run is over.
                 while !done.load(Ordering::Relaxed) {
@@ -412,24 +411,18 @@ fn lost_peer_late_frames_are_dropped() {
                 };
                 assert!(!jobs.is_empty(), "zombie should get a real batch");
                 for chunk in &jobs {
-                    tx.send(&Message::Resolve {
-                        chunk: *chunk,
-                        disposition: Disposition::Completed,
-                    })
-                    .unwrap();
+                    tx.send(&Message::Resolve(Resolution::Completed(ChunkId(*chunk))))
+                        .unwrap();
                 }
                 // Silence well past the grace window: declared lost.
                 std::thread::sleep(Duration::from_millis(500));
                 // Wake up and replay everything — all of it must be dropped.
                 for chunk in &jobs {
-                    let _ = tx.send(&Message::Resolve {
-                        chunk: *chunk,
-                        disposition: Disposition::Completed,
-                    });
+                    let _ = tx.send(&Message::Resolve(Resolution::Completed(ChunkId(*chunk))));
                 }
                 let _ = tx.send(&Message::RobjShip {
                     robj: vec![0xDE, 0xAD, 0xBE, 0xEF],
-                    report: WireClusterReport::default(),
+                    report: cloudburst_core::ClusterAccount::default(),
                 });
                 while !done.load(Ordering::Relaxed) {
                     std::thread::sleep(Duration::from_millis(20));

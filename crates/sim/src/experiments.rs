@@ -5,8 +5,8 @@
 //! virtual time — a full figure is milliseconds of wall clock.
 
 use crate::calib::{self, App, NetConstants};
-use crate::model::{simulate, simulate_traced};
-use crate::trace::Trace;
+use crate::model::{simulate, simulate_observed};
+use cloudburst_core::obs::Timeline;
 use cloudburst_core::report::RunReport;
 use serde::Serialize;
 
@@ -672,12 +672,13 @@ pub fn sweep_robj(net: &NetConstants, seed: u64) -> Vec<RobjSweepRow> {
         .collect()
 }
 
-/// A traced run of one hybrid environment, for timeline rendering: returns
-/// the report, the trace, and per-cluster utilizations.
-pub fn run_timeline(app: App, net: &NetConstants, seed: u64) -> (RunReport, Trace) {
+/// An observed run of one hybrid environment, for timeline rendering:
+/// returns the report and the per-slave timeline drawn from its events.
+pub fn run_timeline(app: App, net: &NetConstants, seed: u64) -> (RunReport, Timeline) {
     let env = &calib::fig3_envs(app)[3]; // env-33/67: both stealing and idle
     let params = calib::build_params(app, env, net, seed);
-    simulate_traced(params).expect("traced simulation failed")
+    let (report, events) = simulate_observed(params).expect("observed simulation failed");
+    (report, Timeline::from_events(&events))
 }
 
 #[cfg(test)]
@@ -837,7 +838,7 @@ mod extension_tests {
         assert!(!trace.spans.is_empty());
         // Pool balancing keeps every cluster quite busy.
         for (ci, c) in report.clusters.iter().enumerate() {
-            let u = trace.cluster_utilization(ci);
+            let u = trace.cluster_utilization(ci as u32);
             assert!(u > 0.7, "cluster {} utilization only {u:.2}", c.name);
         }
         let gantt = trace.render_gantt(80);

@@ -21,19 +21,27 @@
 //! event sequence (and every RNG draw) is identical to the serial model.
 
 use crate::params::SimParams;
-use crate::trace::{SpanKind, Trace};
 use cb_simnet::engine::{Ctx, Engine, World};
 use cb_simnet::link::FairShareLink;
 use cb_simnet::rng::DetRng;
 use cb_simnet::time::{SimDur, SimTime};
 use cb_storage::layout::ChunkId;
 use cloudburst_core::obs::{EventKind, EventRecord, RecordingSink, SinkHandle};
-use cloudburst_core::report::{ClusterBreakdown, RecoveryStats, RunReport};
+use cloudburst_core::report::{ClusterBreakdown, RecoveryStats, RunReport, SlaveStats};
 use cloudburst_core::sched::master::MasterPool;
 use cloudburst_core::sched::pool::JobPool;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
+
+/// The model resolves only leases it granted and still tracks.
+const HELD: &str = "the model resolves only leases it holds";
+
+/// A virtual duration as the report's wall-clock type (exact: both are ns).
+fn real(d: SimDur) -> Duration {
+    Duration::from_nanos(d.as_nanos())
+}
 
 /// Events of the simulation.
 #[derive(Debug, Clone, Copy)]
@@ -97,15 +105,10 @@ struct ReadyJob {
 
 #[derive(Debug, Clone, Default)]
 struct SlaveState {
-    busy_fetch: SimDur,
-    busy_proc: SimDur,
-    /// Time the compute side sat waiting on an in-flight fetch (the
-    /// runtime's `fetch_stall`). At depth 0 this equals `busy_fetch`.
-    stall: SimDur,
-    jobs: u64,
-    stolen_jobs: u64,
-    bytes_local: u64,
-    bytes_remote: u64,
+    /// The runtime's per-slave accounting, in virtual time. `fetch_stall` is
+    /// the time the compute side sat waiting on an in-flight fetch; at
+    /// depth 0 it equals `retrieval`.
+    stats: SlaveStats,
     consecutive_failures: u32,
     /// Leases currently held: queued + in-flight fetch + ready + processing.
     leases: usize,
@@ -157,8 +160,6 @@ struct SimWorld {
     last_local_done: SimTime,
     /// Injected-failure accounting, mirroring the runtime's report.
     recovery: RecoveryStats,
-    /// Activity spans, when tracing is enabled.
-    trace: Option<Trace>,
     /// Observability sink; disabled unless [`simulate_observed`] is used.
     /// Emits the same event kinds as the real runtime, stamped with
     /// *virtual* time via `clock`.
@@ -171,7 +172,7 @@ struct SimWorld {
 }
 
 impl SimWorld {
-    fn new(params: SimParams, with_trace: bool, observe: bool) -> Self {
+    fn new(params: SimParams, observe: bool) -> Self {
         let (sink, clock, recorder) = if observe {
             let clock = Arc::new(AtomicU64::new(0));
             let rec = RecordingSink::with_clock(Arc::clone(&clock));
@@ -183,17 +184,9 @@ impl SimWorld {
         } else {
             (SinkHandle::disabled(), None, None)
         };
-        // Location → cluster index for head-side event tagging (earliest
-        // cluster wins if two share a location), as in the runtime.
-        let cluster_of: std::collections::BTreeMap<_, _> = params
-            .clusters
-            .iter()
-            .enumerate()
-            .rev()
-            .map(|(i, c)| (c.location, i as u32))
-            .collect();
+        let locations: Vec<_> = params.clusters.iter().map(|c| c.location).collect();
         let pool = JobPool::new(&params.layout, &params.placement, params.pool.clone())
-            .with_sink(sink.clone(), cluster_of);
+            .with_sink(sink.clone(), &locations);
         let links = params
             .links
             .iter()
@@ -232,7 +225,6 @@ impl SimWorld {
             final_done: None,
             last_local_done: SimTime::ZERO,
             recovery: RecoveryStats::default(),
-            trace: with_trace.then(Trace::default),
             sink,
             clock,
             recorder,
@@ -270,7 +262,7 @@ impl SimWorld {
     /// surviving slave starts its next ready job (if any) and parks for
     /// more leases; [`SimWorld::settle`] hands out jobs.
     fn job_boundary(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, s: usize) {
-        let jobs_done = self.clusters[c].slaves[s].jobs;
+        let jobs_done = self.clusters[c].slaves[s].stats.jobs;
         let killed = self
             .params
             .faults
@@ -321,7 +313,7 @@ impl SimWorld {
             qf
         };
         // The fetcher picks up the lease *now*; request latency and the
-        // transfer both count into the fetch, exactly as `busy_fetch` does.
+        // transfer both count into the fetch, exactly as `retrieval` does.
         self.sink.emit(
             Some(c as u32),
             Some(s as u32),
@@ -379,8 +371,8 @@ impl SimWorld {
             st.proc_busy = true;
             let idle = st.idle_since.take().unwrap_or(SimTime::ZERO);
             let stalled = now.saturating_since(idle.max(ready.started));
-            st.stall += stalled;
-            st.busy_proc += proc;
+            st.stats.fetch_stall += real(stalled);
+            st.stats.processing += real(proc);
             st.cur_proc_ns = proc.as_nanos();
             stalled
         };
@@ -398,12 +390,6 @@ impl SimWorld {
                 chunk: ready.job.0 as u64,
             },
         );
-        if let Some(tr) = self.trace.as_mut() {
-            if !stalled.is_zero() {
-                tr.record(c, s, SpanKind::Stall, now - stalled, now);
-            }
-            tr.record(c, s, SpanKind::Process, now, now + proc);
-        }
         ctx.schedule_after(
             proc,
             Ev::ProcessDone {
@@ -441,7 +427,7 @@ impl SimWorld {
         };
         for job in reclaimed {
             self.clusters[c].slaves[s].leases -= 1;
-            self.pool.release(loc, job);
+            self.pool.release(loc, job).expect(HELD);
         }
         self.maybe_finish_retiring(ctx, c, s);
     }
@@ -474,7 +460,7 @@ impl SimWorld {
         let leases = self.clusters[c].mp.drain();
         let loc = self.params.clusters[c].location;
         for job in leases {
-            self.pool.fail(loc, job.chunk);
+            self.pool.fail(loc, job.chunk).expect(HELD);
         }
         // Local combination: (cores-1) pairwise merges of the robj.
         let merges = (self.clusters[c].slaves.len() as f64 - 1.0).max(0.0);
@@ -501,12 +487,26 @@ impl SimWorld {
         }
     }
 
+    /// Grant cluster `c`'s master its next batch; true if it got jobs. An
+    /// empty grant is only the end if the pool is truly out of work for
+    /// the site; otherwise jobs leased elsewhere may still fail back, so
+    /// parked slaves just wait.
+    fn refill(&mut self, c: usize) -> bool {
+        let loc = self.params.clusters[c].location;
+        let grant = self.pool.request(loc);
+        let granted = !grant.jobs.is_empty();
+        self.clusters[c].mp.on_grant(grant.jobs, grant.stolen);
+        if !granted && self.pool.exhausted_for(loc) {
+            self.clusters[c].mp.mark_exhausted();
+        }
+        granted
+    }
+
     /// Hand queued jobs to waiting slaves; refill / finish as appropriate.
     fn dispatch(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
         if self.clusters[c].local_done.is_some() {
             return; // cluster already wound down (possibly by losing all slaves)
         }
-        let loc = self.params.clusters[c].location;
         let rtt = self.params.clusters[c].rtt_to_head;
 
         loop {
@@ -537,18 +537,10 @@ impl SimWorld {
             if self.clusters[c].mp.should_request() {
                 self.clusters[c].mp.mark_requested();
                 if rtt.is_zero() {
-                    // Colocated master: decide immediately.
-                    let grant = self.pool.request(loc);
-                    let granted = !grant.jobs.is_empty();
-                    self.clusters[c].mp.on_grant(grant.jobs, grant.stolen);
-                    if granted {
-                        continue; // loop to serve newly arrived jobs
-                    }
-                    // Empty grant: only the end if the pool is truly out of
-                    // work for this site. Otherwise jobs leased elsewhere may
-                    // still fail back, so the parked slaves just wait.
-                    if self.pool.exhausted_for(loc) {
-                        self.clusters[c].mp.mark_exhausted();
+                    // Colocated master: decide immediately, and serve the
+                    // newly arrived jobs.
+                    if self.refill(c) {
+                        continue;
                     }
                 } else {
                     ctx.schedule_after(rtt, Ev::GrantArrive { c });
@@ -575,9 +567,6 @@ impl SimWorld {
 
     fn handle_robj_arrive(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
         assert!(!self.clusters[c].robj_arrived, "robj delivered twice");
-        if let (Some(tr), Some(sent)) = (self.trace.as_mut(), self.clusters[c].robj_sent_at) {
-            tr.record(c, 0, SpanKind::RobjTransfer, sent, ctx.now());
-        }
         let ship_ns = self.clusters[c]
             .robj_sent_at
             .map(|sent| ctx.now().saturating_since(sent).as_nanos())
@@ -626,13 +615,7 @@ impl World for SimWorld {
                 // A cluster that died while the request was in flight must
                 // not take a lease it can never serve.
                 if self.clusters[c].finished_slaves < self.clusters[c].slaves.len() {
-                    let loc = self.params.clusters[c].location;
-                    let grant = self.pool.request(loc);
-                    let granted = !grant.jobs.is_empty();
-                    self.clusters[c].mp.on_grant(grant.jobs, grant.stolen);
-                    if !granted && self.pool.exhausted_for(loc) {
-                        self.clusters[c].mp.mark_exhausted();
-                    }
+                    self.refill(c);
                 }
             }
             Ev::FetchBegin {
@@ -713,7 +696,7 @@ impl World for SimWorld {
                                     },
                                 );
                                 self.clusters[c].slaves[s].leases -= 1;
-                                self.pool.release(loc, job);
+                                self.pool.release(loc, job).expect(HELD);
                                 self.maybe_finish_retiring(ctx, c, s);
                                 continue;
                             }
@@ -727,10 +710,7 @@ impl World for SimWorld {
                             let failed = prob > 0.0 && self.clusters[c].rngs[s].chance(prob);
                             let fetch_ns = ctx.now().saturating_since(started).as_nanos();
                             let st = &mut self.clusters[c].slaves[s];
-                            st.busy_fetch += ctx.now() - started;
-                            if let Some(tr) = self.trace.as_mut() {
-                                tr.record(c, s, SpanKind::Fetch, started, ctx.now());
-                            }
+                            st.stats.retrieval += real(ctx.now() - started);
                             if failed {
                                 self.recovery.fetch_failures += 1;
                                 // The injected fault and its terminal
@@ -759,7 +739,7 @@ impl World for SimWorld {
                                     // stall, as in the runtime.
                                     let idle = st.idle_since.take().unwrap_or(SimTime::ZERO);
                                     let stalled = now.saturating_since(idle.max(started));
-                                    st.stall += stalled;
+                                    st.stats.fetch_stall += real(stalled);
                                     st.idle_since = Some(now);
                                     self.sink.emit(
                                         Some(c as u32),
@@ -768,15 +748,10 @@ impl World for SimWorld {
                                             ns: stalled.as_nanos(),
                                         },
                                     );
-                                    if let Some(tr) = self.trace.as_mut() {
-                                        if !stalled.is_zero() {
-                                            tr.record(c, s, SpanKind::Stall, now - stalled, now);
-                                        }
-                                    }
                                 }
                                 let retire = self.clusters[c].slaves[s].consecutive_failures
                                     >= self.params.faults.slave_failure_threshold;
-                                self.pool.fail(loc, job);
+                                self.pool.fail(loc, job).expect(HELD);
                                 if retire {
                                     self.recovery.slaves_retired += 1;
                                     self.sink.emit(
@@ -804,9 +779,9 @@ impl World for SimWorld {
                             let st = &mut self.clusters[c].slaves[s];
                             st.consecutive_failures = 0;
                             if stolen {
-                                st.bytes_remote += chunk.len;
+                                st.stats.bytes_remote += chunk.len;
                             } else {
-                                st.bytes_local += chunk.len;
+                                st.stats.bytes_local += chunk.len;
                             }
                             st.ready.push_back(ReadyJob { job, started });
                             self.maybe_start_fetch(ctx, c, s);
@@ -822,12 +797,12 @@ impl World for SimWorld {
             Ev::ProcessDone { c, s, job } => {
                 {
                     let st = &mut self.clusters[c].slaves[s];
-                    st.jobs += 1;
+                    st.stats.jobs += 1;
                     let chunk = self.params.layout.chunk(job);
                     let home = self.params.placement.home(chunk.file);
                     let stolen = home != self.params.clusters[c].location;
                     if stolen {
-                        st.stolen_jobs += 1;
+                        st.stats.stolen_jobs += 1;
                     }
                     st.proc_busy = false;
                     st.leases -= 1;
@@ -844,7 +819,7 @@ impl World for SimWorld {
                     );
                 }
                 let loc = self.params.clusters[c].location;
-                self.pool.complete(loc, job);
+                self.pool.complete(loc, job).expect(HELD);
                 if self.clusters[c].slaves[s].retiring {
                     // Retired mid-compute (failure-threshold retire while
                     // this job was in flight): the completed work still
@@ -879,33 +854,24 @@ impl World for SimWorld {
 /// Run the simulation to completion and produce the same report schema as
 /// the real runtime.
 pub fn simulate(params: SimParams) -> Result<RunReport, String> {
-    simulate_inner(params, false, false).map(|(r, _, _)| r)
+    simulate_inner(params, false).map(|(r, _)| r)
 }
 
-/// Like [`simulate`], but also record an activity [`Trace`] (per-slave
-/// fetch/process/robj spans) for timeline rendering and utilization checks.
-pub fn simulate_traced(params: SimParams) -> Result<(RunReport, Trace), String> {
-    simulate_inner(params, true, false).map(|(r, t, _)| (r, t.expect("tracing was enabled")))
-}
-
-/// Like [`simulate_traced`], but additionally record the full structured
-/// event stream — the same [`EventKind`]s the real runtime emits, stamped
-/// with *virtual* nanoseconds — so simulated and real traces can be diffed
-/// event by event (and written to the same JSONL schema by
-/// `simulate --trace-out`).
-pub fn simulate_observed(
-    params: SimParams,
-) -> Result<(RunReport, Trace, Vec<EventRecord>), String> {
-    simulate_inner(params, true, true).map(|(r, t, e)| (r, t.expect("tracing was enabled"), e))
+/// Like [`simulate`], but also record the full structured event stream —
+/// the same [`EventKind`]s the real runtime emits, stamped with *virtual*
+/// nanoseconds — so simulated and real traces can be diffed event by event,
+/// written to the same JSONL schema by `simulate --trace-out`, and drawn by
+/// the same [`Timeline`](cloudburst_core::obs::Timeline).
+pub fn simulate_observed(params: SimParams) -> Result<(RunReport, Vec<EventRecord>), String> {
+    simulate_inner(params, true)
 }
 
 fn simulate_inner(
     params: SimParams,
-    with_trace: bool,
     observe: bool,
-) -> Result<(RunReport, Option<Trace>, Vec<EventRecord>), String> {
+) -> Result<(RunReport, Vec<EventRecord>), String> {
     params.validate()?;
-    let mut engine = Engine::new(SimWorld::new(params, with_trace, observe));
+    let mut engine = Engine::new(SimWorld::new(params, observe));
     engine.schedule(SimTime::ZERO, Ev::Boot);
     // 960 jobs × ~5 events plus link wakeups: 10M is a generous livelock
     // guard, not a tuning knob.
@@ -936,43 +902,15 @@ fn simulate_inner(
     let mut clusters = Vec::with_capacity(world.clusters.len());
     for (ci, c) in world.clusters.iter().enumerate() {
         let spec = &world.params.clusters[ci];
-        let n = c.slaves.len().max(1) as f64;
-        let proc_s: f64 = c
-            .slaves
-            .iter()
-            .map(|s| s.busy_proc.as_secs_f64())
-            .sum::<f64>()
-            / n;
-        let fetch_s: f64 = c
-            .slaves
-            .iter()
-            .map(|s| s.busy_fetch.as_secs_f64())
-            .sum::<f64>()
-            / n;
-        let stall_s: f64 = c.slaves.iter().map(|s| s.stall.as_secs_f64()).sum::<f64>() / n;
-        let overlap_s: f64 = c
-            .slaves
-            .iter()
-            .map(|s| (s.busy_fetch.as_secs_f64() - s.stall.as_secs_f64()).max(0.0))
-            .sum::<f64>()
-            / n;
+        let slaves: Vec<SlaveStats> = c.slaves.iter().map(|s| s.stats.clone()).collect();
         let local_done = c.local_done.unwrap_or(world.final_done.unwrap_or(end));
-        let wall_s = local_done.as_secs_f64();
-        clusters.push(ClusterBreakdown {
-            name: spec.name.clone(),
-            cores: spec.cores,
-            processing_s: proc_s,
-            retrieval_s: fetch_s,
-            sync_s: (wall_s - proc_s - fetch_s).max(0.0),
-            wall_s,
-            idle_end_s: last_local.saturating_since(local_done).as_secs_f64(),
-            jobs_processed: c.slaves.iter().map(|s| s.jobs).sum(),
-            jobs_stolen: c.slaves.iter().map(|s| s.stolen_jobs).sum(),
-            bytes_local: c.slaves.iter().map(|s| s.bytes_local).sum(),
-            bytes_remote: c.slaves.iter().map(|s| s.bytes_remote).sum(),
-            overlap_saved_s: overlap_s,
-            fetch_stall_s: stall_s,
-        });
+        clusters.push(ClusterBreakdown::from_slaves(
+            spec.name.clone(),
+            spec.cores,
+            &slaves,
+            local_done.as_secs_f64(),
+            last_local.saturating_since(local_done).as_secs_f64(),
+        ));
     }
     let report = RunReport {
         total_s: total.as_secs_f64(),
@@ -992,7 +930,7 @@ fn simulate_inner(
         net: Default::default(),
     };
     let events = world.recorder.map(|r| r.take()).unwrap_or_default();
-    Ok((report, world.trace, events))
+    Ok((report, events))
 }
 
 #[cfg(test)]

@@ -91,7 +91,12 @@ fn main() {
                     "worker {} shipped {} robj bytes ({} jobs)",
                     cluster.name,
                     out.robj_bytes,
-                    out.outcome.stats.iter().map(|s| s.jobs).sum::<u64>()
+                    out.outcome
+                        .account
+                        .slaves
+                        .iter()
+                        .map(|s| s.jobs)
+                        .sum::<u64>()
                 );
             });
         }

@@ -40,7 +40,7 @@ fn drive_pool(
         };
         // Complete one held job, if any; otherwise request more.
         if let Some(job) = q.pop() {
-            pool.complete(loc, job);
+            pool.complete(loc, job).expect("granted to loc");
         } else {
             let grant = pool.request(loc);
             for j in grant.jobs {
@@ -54,7 +54,7 @@ fn drive_pool(
             // Drain whatever is held and stop.
             for (i, loc) in [(0usize, L), (1usize, C)] {
                 while let Some(j) = queues[i].pop() {
-                    pool.complete(loc, j);
+                    pool.complete(loc, j).expect("granted to loc");
                 }
             }
             break;
@@ -141,7 +141,7 @@ proptest! {
                 }
                 prop_assert!(!g.stolen);
                 for j in g.jobs {
-                    pool.complete(loc, j);
+                    pool.complete(loc, j).expect("granted to loc");
                 }
             }
         }
