@@ -62,10 +62,6 @@ impl BottomKSample {
         self.prune();
         self.entries.into_iter().map(|(_, p)| p).collect()
     }
-
-    pub fn len_bound(&self) -> usize {
-        self.entries.len().min(self.k)
-    }
 }
 
 impl ReductionObject for BottomKSample {

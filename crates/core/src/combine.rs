@@ -48,10 +48,6 @@ impl VecSum {
         &self.values
     }
 
-    pub fn into_values(self) -> Vec<f64> {
-        self.values
-    }
-
     pub fn len(&self) -> usize {
         self.values.len()
     }

@@ -7,8 +7,8 @@ use crate::sched::pool::PoolConfig;
 ///
 /// The kill is taken at a job boundary (the generalized-reduction model's
 /// natural checkpoint): the slave's accumulated reduction object survives —
-/// it is handed to the master exactly as at normal shutdown — while any job
-/// the head still considers leased to it is failed back to the pool. This
+/// it merges into the cluster result exactly as at normal shutdown — while
+/// every lease it still holds goes back to the pool uncharged. This
 /// models the paper's observation that GR needs only the tiny reduction
 /// object plus the set of unprocessed chunks to recover, rather than
 /// MapReduce-style re-execution.
@@ -32,10 +32,6 @@ pub struct RuntimeConfig {
     /// Parallel connections each slave uses for *remote* chunk retrieval
     /// (the paper's "multiple retrieval threads").
     pub retrieval_threads: usize,
-    /// Data units folded per local-reduction group. The paper sizes unit
-    /// groups to the processor cache; functionally it only affects batching
-    /// granularity, and it is the hook for the synthetic compute weight.
-    pub cache_group_units: usize,
     /// Extra attempts per ranged GET after the first (transient remote
     /// failures happen against real object services).
     pub retrieval_retries: u32,
@@ -53,9 +49,9 @@ pub struct RuntimeConfig {
     /// `None` disables the deadline.
     pub retrieval_deadline: Option<std::time::Duration>,
     /// A slave that fails this many *consecutive* jobs retires gracefully:
-    /// it reports its partial reduction object to the master (which still
-    /// merges into the cluster result) and stops pulling work, leaving the
-    /// remaining jobs to healthier slaves and clusters. Must be >= 1.
+    /// its partial reduction object still merges into the cluster result,
+    /// and it stops pulling work, leaving the remaining jobs to healthier
+    /// slaves and clusters. Must be >= 1.
     pub slave_failure_threshold: u32,
     /// Deterministic fault-injection hook: scheduled slave fail-stops.
     pub kill_schedule: Vec<SlaveKill>,
@@ -85,7 +81,6 @@ impl Default for RuntimeConfig {
             retrieval_threads: 4,
             retrieval_retries: 2,
             retrieval_backoff: std::time::Duration::from_millis(5),
-            cache_group_units: 4096,
             synthetic_compute_ns_per_unit: 0,
             retrieval_deadline: None,
             slave_failure_threshold: 3,
@@ -109,9 +104,6 @@ impl RuntimeConfig {
         }
         if self.retrieval_threads == 0 {
             return Err("retrieval_threads must be >= 1".into());
-        }
-        if self.cache_group_units == 0 {
-            return Err("cache_group_units must be >= 1".into());
         }
         if self.slave_failure_threshold == 0 {
             return Err("slave_failure_threshold must be >= 1".into());
@@ -138,12 +130,6 @@ mod tests {
     fn zero_knobs_rejected() {
         let c = RuntimeConfig {
             retrieval_threads: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = RuntimeConfig {
-            cache_group_units: 0,
             ..Default::default()
         };
         assert!(c.validate().is_err());

@@ -347,7 +347,7 @@ mod tests {
     fn runtime_errors_propagate() {
         let (layout, placement, deployment) = env();
         let cfg = RuntimeConfig {
-            cache_group_units: 0, // invalid
+            retrieval_threads: 0, // invalid
             ..Default::default()
         };
         let err = run_iterative(

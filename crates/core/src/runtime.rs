@@ -6,10 +6,13 @@
 //! * **head** — the shared head core ([`Head`]) behind a mutex: the job pool,
 //!   one result slot per cluster, and the global reduction performed on the
 //!   caller's thread once every cluster has banked its result;
-//! * **master** — one thread per cluster owning a [`MasterPool`]; serves
-//!   slaves over channels, refills from the head on demand, merges its
-//!   slaves' reduction objects (local combination) and ships the result to
-//!   the head through the cluster's WAN throttle;
+//! * **master** — not a thread but the cluster's job queue
+//!   ([`MasterPool`]), shared by its slaves behind a lock: a slave takes its
+//!   next lease directly, and the one whose take drops the queue to low water
+//!   sends the cluster's single refill request to the head. Once the slaves
+//!   finish, the calling thread merges their reduction objects in slave-index
+//!   order (local combination) and ships the result to the head through the
+//!   cluster's WAN throttle;
 //! * **slave** — `cores` threads per cluster; each holds up to
 //!   `1 + prefetch_depth` leases, retrieving the next chunk on a background
 //!   fetcher thread (through the data fabric; multi-threaded ranged GETs
@@ -39,8 +42,8 @@
 //!   healthier slaves;
 //! * a slave fail-stopped by the injected kill schedule behaves like a
 //!   graceful retirement at a job boundary (the model's natural checkpoint);
-//! * a master whose slaves have all died drains its undispatched leases back
-//!   to the head, so surviving clusters can steal them — losing every node
+//! * a cluster whose slaves have all died drains its undispatched leases
+//!   back to the head, so surviving clusters can steal them — losing every node
 //!   at one location degrades the run instead of hanging or panicking;
 //! * the run errors only when a chunk has failed permanently everywhere
 //!   (its failure budget, [`crate::sched::pool::PoolConfig::max_job_failures`],
@@ -57,18 +60,24 @@ use crate::sched::master::{MasterJob, MasterPool};
 use crate::sched::pool::Grant;
 use bytes::Bytes;
 use cb_storage::layout::{ChunkId, DatasetLayout, LocationId, Placement};
-use cb_storage::retrieve::Retriever;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use cb_storage::retrieve::{Retriever, RetryHook};
+use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
-/// How long a master blocks on its slave channel before re-checking whether
-/// parked slaves can be fed (e.g. by jobs another cluster failed back).
+/// After the head answers "nothing right now" (an empty grant that is not
+/// exhausted: a job leased elsewhere may still fail back), a cluster asks
+/// again at most this often.
 const MASTER_POLL: Duration = Duration::from_millis(2);
+
+/// Data units folded per local-reduction group. The paper sizes unit groups
+/// to the processor cache; functionally it only sets the batching
+/// granularity of the synthetic compute weight.
+const CACHE_GROUP_UNITS: usize = 4096;
 
 /// Errors surfaced by a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,7 +144,9 @@ pub enum Resolution {
 /// `cb-net` crate implements it over a TCP connection so the identical
 /// master/slave machinery drives a remote head. Errors mean "the head is
 /// unreachable" — the master winds its cluster down cleanly and lets the
-/// head's own peer-loss handling reclaim the leases.
+/// head's own peer-loss handling reclaim the leases. A cluster's slaves
+/// call it from their own threads: `resolve` concurrently, `request_jobs`
+/// at most one at a time per cluster.
 pub trait HeadPort: Sync {
     /// Request a job batch for the cluster at `loc`. The boolean is the
     /// head's exhaustion verdict, observed atomically with the (possibly
@@ -159,75 +170,27 @@ pub struct ClusterOutcome<R> {
     pub account: ClusterAccount,
 }
 
-/// What happened to the last job a slave held.
-enum JobOutcome {
-    /// No job held (first request).
-    None,
-    /// Processed and folded into the slave's reduction object.
-    Completed(ChunkId),
-    /// Retrieval failed after the storage layer's retries; the chunk must
-    /// go back to the head pool.
-    Failed { chunk: ChunkId, error: String },
-    /// A prefetched lease a retiring slave never folded. The head
-    /// re-enqueues it without charging the job's failure budget — nothing
-    /// is wrong with the chunk.
-    Released(ChunkId),
-}
-
-/// Why a slave stopped pulling work before the pool drained.
-enum RetireReason {
-    /// Fail-stopped by the injected kill schedule.
-    Killed,
-    /// Too many consecutive job failures.
-    TooManyFailures,
-}
-
-/// Slave → master messages.
-///
-/// A slave with `prefetch_depth > 0` holds several leases at once, so job
-/// outcomes can no longer always piggyback on the next request: `Resolve`
-/// reports an outcome without asking for more work.
-enum ToMaster<R> {
-    /// "Give me a job"; carries the outcome of a job this slave resolved
-    /// since its last message (if any) so the master can report it to the
-    /// head.
-    Request { slave: usize, outcome: JobOutcome },
-    /// Report an outcome *without* requesting another job — a retiring
-    /// slave flushing the results of jobs it already folded (or failed),
-    /// or returning a prefetched lease un-folded.
-    Resolve { outcome: JobOutcome },
-    /// Final report: stats plus this slave's reduction object. The partial
-    /// reduction object is sent even on retirement — under generalized
-    /// reduction it is a valid checkpoint and still merges. All outcomes
-    /// and leases have been resolved/reclaimed by this point.
-    Finished {
-        stats: SlaveStats,
-        robj: Box<R>,
-        retired: Option<RetireReason>,
-    },
-}
-
 /// Fetcher → fold-loop messages (the slave-side prefetch pipeline).
 enum Fetched {
-    /// The fetcher picked up a lease and is about to retrieve it. A recv
-    /// that unblocks on this was waiting on the *master*, not on data, so
-    /// it counts as sync time rather than fetch stall.
+    /// The fetcher took a lease and is about to retrieve it. A recv that
+    /// unblocks on this was waiting on the *master*, not on data, so it
+    /// counts as sync time rather than fetch stall.
     Started,
-    /// A retrieval finished (either way). `fetch_time` is the wall time
-    /// the fetcher spent retrieving; `remote` is whether the chunk's home
-    /// is another site.
-    Data {
-        job: MasterJob,
-        result: io::Result<Bytes>,
-        fetch_time: Duration,
-        remote: bool,
-        /// Whether a retrieval was actually begun (a `FetchStart` was
-        /// emitted). Shutdown-synthesized replies carry `false`, so the
-        /// drain loop knows not to emit a `FetchDiscarded` terminal.
-        started: bool,
-    },
-    /// The master answered "no more jobs" to one of our requests.
+    /// A retrieval finished (either way).
+    Data(Fetch),
+    /// No lease for this credit: the cluster has no more jobs, or this
+    /// slave is shutting down.
     NoMore,
+}
+
+struct Fetch {
+    job: MasterJob,
+    /// The chunk's bytes, or the failure already worded for the report.
+    result: Result<Bytes, String>,
+    /// Wall time the fetcher spent retrieving.
+    took: Duration,
+    /// Whether the chunk's home is another site.
+    remote: bool,
 }
 
 /// Outcome of [`run`]: the final reduction object plus measurements.
@@ -309,32 +272,107 @@ pub fn run<A: GRApp>(
     head.into_inner().finish(|_, robj| Ok(*robj))
 }
 
-/// Report a slave's job outcome to the head. An unreachable head (only
-/// possible through a networked [`HeadPort`]) is recorded, not fatal.
-fn note_outcome(
-    head: &dyn HeadPort,
-    loc: LocationId,
-    outcome: JobOutcome,
-    recovery: &mut RecoveryStats,
-    first_error: &mut Option<String>,
-) {
-    let what = match outcome {
-        JobOutcome::None => return,
-        JobOutcome::Completed(chunk) => Resolution::Completed(chunk),
-        JobOutcome::Released(chunk) => Resolution::Released(chunk),
-        JobOutcome::Failed { chunk, error } => {
-            recovery.fetch_failures += 1;
-            first_error.get_or_insert(error);
-            Resolution::Failed(chunk)
+/// A cluster's master (paper §III-B): the job queue its slaves share.
+///
+/// There is at most one head request in flight per cluster — the
+/// [`MasterPool`]'s `request_in_flight` rule — and the slave that marks it
+/// sends it, outside the lock; the others keep taking queued jobs or wait
+/// on `ready` while the queue is empty.
+struct Master<'a> {
+    queue: std::sync::Mutex<Queue>,
+    /// Signalled whenever a head reply lands in the queue.
+    ready: Condvar,
+    head: &'a dyn HeadPort,
+    cluster: &'a ClusterSpec,
+    /// The cluster's index in the deployment.
+    idx: usize,
+    cfg: &'a RuntimeConfig,
+    /// Fetch failures, retries and retired/killed slaves; the slaves'
+    /// storage retry hooks hold clones.
+    recovery: Arc<Mutex<RecoveryStats>>,
+    /// First failure observed in this cluster (diagnostics).
+    error: Mutex<Option<String>>,
+}
+
+struct Queue {
+    pool: MasterPool,
+    /// When the head last answered "nothing right now".
+    empty_at: Option<Instant>,
+}
+
+impl Master<'_> {
+    /// The next lease for a slave, or `None` once the head has confirmed
+    /// that this cluster will never receive another job.
+    fn take(&self) -> Option<MasterJob> {
+        let mut q = self.queue.lock().unwrap();
+        loop {
+            let job = q.pool.take();
+            if job.is_none() && q.pool.finished() {
+                return None;
+            }
+            let since_empty = q.empty_at.map_or(MASTER_POLL, |t| t.elapsed());
+            let not_before = MASTER_POLL.saturating_sub(since_empty);
+            if q.pool.should_request() && not_before.is_zero() {
+                q.pool.mark_requested();
+                drop(q);
+                self.refill();
+                if job.is_some() {
+                    return job;
+                }
+                q = self.queue.lock().unwrap();
+            } else if job.is_some() {
+                return job;
+            } else if q.pool.request_in_flight() {
+                q = self.ready.wait(q).unwrap();
+            } else {
+                q = self.ready.wait_timeout(q, not_before).unwrap().0;
+            }
         }
-    };
-    if let Err(e) = head.resolve(loc, what) {
-        first_error.get_or_insert(format!("head unreachable: {e}"));
+    }
+
+    /// Send the request the caller marked, and queue the head's reply.
+    fn refill(&self) {
+        // The request/grant exchange crosses the master↔head network.
+        if !self.cluster.head_rtt.is_zero() {
+            std::thread::sleep(self.cluster.head_rtt);
+        }
+        let reply = self.head.request_jobs(self.cluster.location);
+        let mut q = self.queue.lock().unwrap();
+        match reply {
+            Ok((grant, exhausted)) => {
+                q.empty_at = (grant.is_empty() && !exhausted).then(Instant::now);
+                q.pool.on_grant(grant.jobs, grant.stolen);
+                if exhausted {
+                    q.pool.mark_exhausted();
+                }
+            }
+            Err(e) => {
+                // The head is gone; there will be no more work. Wind the
+                // cluster down so slaves drain and finish.
+                let name = &self.cluster.name;
+                self.note_error(format!("cluster {name}: head unreachable: {e}"));
+                q.pool.mark_exhausted();
+            }
+        }
+        drop(q);
+        self.ready.notify_all();
+    }
+
+    /// Report one lease to the head. An unreachable head (only possible
+    /// through a networked [`HeadPort`]) is recorded, not fatal.
+    fn resolve(&self, what: Resolution) {
+        if let Err(e) = self.head.resolve(self.cluster.location, what) {
+            self.note_error(format!("head unreachable: {e}"));
+        }
+    }
+
+    fn note_error(&self, error: String) {
+        self.error.lock().get_or_insert(error);
     }
 }
 
-/// Run one cluster — the master loop on the calling thread plus `cores`
-/// slave threads — against a head reached through `head`.
+/// Run one cluster — `cores` slave threads sharing one master queue —
+/// against a head reached through `head`.
 ///
 /// This is the unit [`run`] composes in-process (one call per cluster, all
 /// sharing a `Mutex<Head>` loopback head) and `cb-net` runs standalone
@@ -354,210 +392,109 @@ pub fn run_cluster<A: GRApp>(
     head: &dyn HeadPort,
     t0: Instant,
 ) -> ClusterOutcome<A::RObj> {
-    let loc = cluster.location;
-    let retry_counter = Arc::new(AtomicU64::new(0));
-    let n_slaves = cluster.cores;
-    let (to_master_tx, rx) = unbounded::<ToMaster<A::RObj>>();
+    let pool =
+        MasterPool::new(cfg.master_low_water).with_sink(cfg.sink.clone(), cluster_idx as u32);
+    let queue = Queue {
+        pool,
+        empty_at: None,
+    };
+    let master = Master {
+        queue: std::sync::Mutex::new(queue),
+        ready: Condvar::new(),
+        head,
+        cluster,
+        idx: cluster_idx,
+        cfg,
+        recovery: Arc::default(),
+        error: Mutex::default(),
+    };
+    let slave = |si| slave_loop(app, params, layout, placement, fabric, &master, si);
+    let slaves: Vec<(SlaveStats, Box<A::RObj>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..cluster.cores)
+            .map(|si| scope.spawn(move || slave(si)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
+            .collect()
+    });
 
-    std::thread::scope(|scope| {
-        let mut job_txs: Vec<Sender<Option<MasterJob>>> = Vec::with_capacity(n_slaves);
-        for si in 0..n_slaves {
-            let (job_tx, job_rx) = unbounded::<Option<MasterJob>>();
-            job_txs.push(job_tx);
-            let to_master = to_master_tx.clone();
-            let retry_counter = Arc::clone(&retry_counter);
-            scope.spawn(move || {
-                slave_loop(
-                    app,
-                    params,
-                    layout,
-                    placement,
-                    fabric,
-                    cfg,
-                    cluster,
-                    cluster_idx,
-                    si,
-                    retry_counter,
-                    to_master,
-                    job_rx,
-                )
-            });
+    // A cluster whose slaves all died returns its undispatched leases so
+    // surviving clusters can steal them (all-slaves-lost is survivable).
+    for job in master.queue.into_inner().unwrap().pool.drain() {
+        let _ = head.resolve(cluster.location, Resolution::Failed(job.chunk));
+    }
+
+    // Local combination, in slave-index order.
+    let (stats, robjs): (Vec<SlaveStats>, Vec<_>) = slaves.into_iter().unzip();
+    let robj = robjs.into_iter().reduce(|mut acc, r| {
+        acc.merge(*r);
+        acc
+    });
+    let local_done = Instant::now();
+    // Ship the cluster's reduction object to the head through the WAN.
+    if let Some(robj) = &robj {
+        let t_ship = Instant::now();
+        if let Some(wan) = &cluster.wan_to_head {
+            wan.acquire(robj.size_bytes() as u64);
         }
-        drop(to_master_tx);
-
-        // --- Master loop (this thread): serve slaves, refill from the
-        // head, merge the slaves' reduction objects. ---
-        let mut pool =
-            MasterPool::new(cfg.master_low_water).with_sink(cfg.sink.clone(), cluster_idx as u32);
-        let mut stats: Vec<SlaveStats> = Vec::with_capacity(n_slaves);
-        let mut robj_acc: Option<Box<A::RObj>> = None;
-        let mut recovery = RecoveryStats::default();
-        let mut error: Option<String> = None;
-        let mut finished_slaves = 0usize;
-        // Slaves that asked for a job the pool could not supply yet. An
-        // empty head grant means "nothing right now", not "never": a job
-        // leased to another cluster may still fail back, so parked slaves
-        // wait until the head confirms exhaustion.
-        let mut parked: VecDeque<usize> = VecDeque::new();
-
-        let refill = |pool: &mut MasterPool, error: &mut Option<String>| {
-            pool.mark_requested();
-            // The request/grant exchange crosses the master↔head network.
-            if !cluster.head_rtt.is_zero() {
-                std::thread::sleep(cluster.head_rtt);
-            }
-            match head.request_jobs(loc) {
-                Ok((grant, exhausted)) => {
-                    pool.on_grant(grant.jobs, grant.stolen);
-                    if exhausted {
-                        pool.mark_exhausted();
-                    }
-                }
-                Err(e) => {
-                    // The head is gone; there will be no more work. Wind
-                    // the cluster down so slaves drain and finish.
-                    error.get_or_insert(format!("cluster {}: head unreachable: {e}", cluster.name));
-                    pool.mark_exhausted();
-                }
-            }
-        };
-
-        while finished_slaves < n_slaves {
-            match rx.recv_timeout(MASTER_POLL) {
-                Ok(ToMaster::Request { slave, outcome }) => {
-                    note_outcome(head, loc, outcome, &mut recovery, &mut error);
-                    parked.push_back(slave);
-                }
-                Ok(ToMaster::Resolve { outcome }) => {
-                    note_outcome(head, loc, outcome, &mut recovery, &mut error)
-                }
-                Ok(ToMaster::Finished {
-                    stats: s,
-                    robj,
-                    retired,
-                }) => {
-                    match retired {
-                        Some(RetireReason::Killed) => recovery.slaves_killed += 1,
-                        Some(RetireReason::TooManyFailures) => recovery.slaves_retired += 1,
-                        None => {}
-                    }
-                    finished_slaves += 1;
-                    stats.push(s);
-                    match robj_acc.as_mut() {
-                        None => robj_acc = Some(robj),
-                        Some(acc) => acc.merge(*robj),
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-
-            // Feed parked slaves, refilling from the head as needed.
-            while let Some(&slave) = parked.front() {
-                if let Some(job) = pool.take() {
-                    parked.pop_front();
-                    let _ = job_txs[slave].send(Some(job));
-                } else if pool.finished() {
-                    parked.pop_front();
-                    let _ = job_txs[slave].send(None);
-                } else {
-                    refill(&mut pool, &mut error);
-                    if pool.is_empty() && !pool.finished() {
-                        // Nothing available right now; re-poll after MASTER_POLL.
-                        break;
-                    }
-                }
-            }
-            // Prefetch below the low-water mark so slaves rarely block on a
-            // head round-trip.
-            if finished_slaves < n_slaves && pool.should_request() {
-                refill(&mut pool, &mut error);
-            }
-        }
-
-        // A dying master returns its undispatched leases so surviving
-        // clusters can steal them (all-slaves-lost is survivable).
-        for job in pool.drain() {
-            let _ = head.resolve(loc, Resolution::Failed(job.chunk));
-        }
-
-        let local_done = Instant::now();
-        // Ship the cluster's reduction object to the head through the WAN.
-        if let Some(robj) = &robj_acc {
-            let t_ship = Instant::now();
-            if let Some(wan) = &cluster.wan_to_head {
-                wan.acquire(robj.size_bytes() as u64);
-            }
-            cfg.sink.emit(
-                Some(cluster_idx as u32),
-                None,
-                EventKind::RobjMerge {
-                    bytes: robj.size_bytes() as u64,
-                    ns: t_ship.elapsed().as_nanos() as u64,
-                },
-            );
-        }
-        recovery.retries = retry_counter.load(Ordering::Relaxed);
-        ClusterOutcome {
-            robj: robj_acc,
-            local_done,
-            account: ClusterAccount {
-                slaves: stats,
-                recovery,
-                wall: local_done.saturating_duration_since(t0),
-                error,
+        cfg.sink.emit(
+            Some(cluster_idx as u32),
+            None,
+            EventKind::RobjMerge {
+                bytes: robj.size_bytes() as u64,
+                ns: t_ship.elapsed().as_nanos() as u64,
             },
-        }
-    })
+        );
+    }
+    let recovery = master.recovery.lock().clone();
+    ClusterOutcome {
+        robj,
+        local_done,
+        account: ClusterAccount {
+            slaves: stats,
+            recovery,
+            wall: local_done.saturating_duration_since(t0),
+            error: master.error.into_inner(),
+        },
+    }
 }
 
-/// One slave thread: pull jobs, retrieve, fold — and survive failures.
-#[allow(clippy::too_many_arguments)]
+/// One slave thread: take jobs, retrieve, fold, resolve — and survive
+/// failures. Returns its stats and its (possibly partial) reduction object.
 fn slave_loop<A: GRApp>(
     app: &A,
     params: &A::Params,
     layout: &DatasetLayout,
     placement: &Placement,
     fabric: &DataFabric,
-    cfg: &RuntimeConfig,
-    cluster: &ClusterSpec,
-    cluster_idx: usize,
+    master: &Master<'_>,
     slave: usize,
-    retry_counter: Arc<AtomicU64>,
-    to_master: Sender<ToMaster<A::RObj>>,
-    job_rx: Receiver<Option<MasterJob>>,
-) {
+) -> (SlaveStats, Box<A::RObj>) {
+    let (cluster, cluster_idx, cfg) = (master.cluster, master.idx, master.cfg);
     let my_loc = cluster.location;
     let (ci, si) = (cluster_idx as u32, slave as u32);
+    let emit = |kind| cfg.sink.emit(Some(ci), Some(si), kind);
+    // The one retry observer: it fires where the storage layer retries, so
+    // `retry` events match `RecoveryStats::retries`.
+    let retry_hook: RetryHook = {
+        let (recovery, sink) = (Arc::clone(&master.recovery), cfg.sink.clone());
+        Arc::new(move |attempt: u32| {
+            recovery.lock().retries += 1;
+            let attempt = attempt as u64;
+            sink.emit(Some(ci), Some(si), EventKind::Retry { attempt });
+        })
+    };
     // Jitter-decorrelate retries across slaves while staying deterministic.
     let jitter_seed = ((cluster_idx as u64) << 32) ^ (slave as u64 + 1);
-    let mut remote_retriever = Retriever::new(cfg.retrieval_threads)
-        .with_retries(cfg.retrieval_retries, cfg.retrieval_backoff)
-        .with_deadline(cfg.retrieval_deadline)
-        .with_jitter_seed(jitter_seed)
-        .with_retry_counter(Arc::clone(&retry_counter));
-    let mut local_retriever = Retriever::sequential()
-        .with_retries(cfg.retrieval_retries, cfg.retrieval_backoff)
-        .with_deadline(cfg.retrieval_deadline)
-        .with_jitter_seed(jitter_seed)
-        .with_retry_counter(Arc::clone(&retry_counter));
-    if cfg.sink.is_enabled() {
-        // The hook fires where the storage layer's retry counter
-        // increments, so `retry` events match `RecoveryStats::retries`.
-        let retry_hook = |sink: crate::obs::SinkHandle| -> cb_storage::retrieve::RetryHook {
-            Arc::new(move |attempt: u32| {
-                sink.emit(
-                    Some(ci),
-                    Some(si),
-                    EventKind::Retry {
-                        attempt: attempt as u64,
-                    },
-                )
-            })
-        };
-        remote_retriever = remote_retriever.with_retry_hook(retry_hook(cfg.sink.clone()));
-        local_retriever = local_retriever.with_retry_hook(retry_hook(cfg.sink.clone()));
-    }
+    let retriever = |threads: usize| {
+        Retriever::new(threads)
+            .with_retries(cfg.retrieval_retries, cfg.retrieval_backoff)
+            .with_deadline(cfg.retrieval_deadline)
+            .with_jitter_seed(jitter_seed)
+            .with_retry_hook(Arc::clone(&retry_hook))
+    };
+    let (local_retriever, remote_retriever) = (retriever(1), retriever(cfg.retrieval_threads));
     let compute_ns = cluster
         .compute_ns_per_unit
         .unwrap_or(cfg.synthetic_compute_ns_per_unit);
@@ -569,7 +506,8 @@ fn slave_loop<A: GRApp>(
 
     let mut robj = app.init(params);
     let mut stats = SlaveStats::default();
-    let mut retired: Option<RetireReason> = None;
+    // `Some(killed)` once this slave stops before the cluster drains.
+    let mut retired: Option<bool> = None;
     let mut consecutive_failures = 0u32;
 
     // The prefetch pipeline: this slave holds up to `1 + prefetch_depth`
@@ -577,295 +515,191 @@ fn slave_loop<A: GRApp>(
     // fetcher thread is retrieving — so retrieval overlaps computation.
     // Depth 0 degenerates to the strictly serial fetch-then-fold loop.
     let capacity = 1 + cfg.prefetch_depth;
-    // Raised when this slave stops folding (kill, retirement, or drain):
-    // the fetcher skips further retrievals and hands leases straight back
-    // so they can be reclaimed.
+    // Raised when this slave retires (kill or too many failures): the
+    // fetcher takes no further leases.
     let shutting_down = AtomicBool::new(false);
-    let (fetch_tx, fetch_rx) = unbounded::<Fetched>();
 
     std::thread::scope(|fs| {
-        // --- Background fetcher: owns the master->slave job channel. ---
+        // One credit per free lease slot; the fetcher answers each with
+        // `Data` or `NoMore`.
+        let (credit_tx, credits) = unbounded::<()>();
+        let (fetch_tx, fetch_rx) = unbounded::<Fetched>();
         let shutting_down = &shutting_down;
-        let local_retriever = &local_retriever;
-        let remote_retriever = &remote_retriever;
+        let (local_retriever, remote_retriever) = (&local_retriever, &remote_retriever);
+
+        // --- Background fetcher: takes leases from the master. ---
         fs.spawn(move || {
-            while let Ok(msg) = job_rx.recv() {
-                let Some(job) = msg else {
+            while credits.recv().is_ok() {
+                let stopping = || shutting_down.load(Ordering::Relaxed);
+                let job = if stopping() { None } else { master.take() };
+                let job = match job {
+                    // Don't start work the fold loop will discard.
+                    Some(job) if stopping() => {
+                        master.resolve(Resolution::Released(job.chunk));
+                        None
+                    }
+                    job => job,
+                };
+                let Some(job) = job else {
                     let _ = fetch_tx.send(Fetched::NoMore);
                     continue;
                 };
-                if shutting_down.load(Ordering::Relaxed) {
-                    // Don't start work the fold loop will discard; hand the
-                    // lease back immediately for reclaim.
-                    let _ = fetch_tx.send(Fetched::Data {
-                        job,
-                        result: Err(io::Error::new(
-                            io::ErrorKind::Interrupted,
-                            "slave shutting down",
-                        )),
-                        fetch_time: Duration::ZERO,
-                        remote: false,
-                        started: false,
-                    });
-                    continue;
-                }
                 let _ = fetch_tx.send(Fetched::Started);
-                cfg.sink.emit(
-                    Some(ci),
-                    Some(si),
-                    EventKind::FetchStart {
-                        chunk: job.chunk.0 as u64,
-                    },
-                );
+                emit(EventKind::FetchStart {
+                    chunk: job.chunk.0 as u64,
+                });
                 let chunk = layout.chunk(job.chunk);
-                let file = layout.file(chunk.file);
+                let (file, off, len) = (&layout.file(chunk.file).name, chunk.offset, chunk.len);
                 let home = placement.home(chunk.file);
                 let store = fabric
                     .store_for(my_loc, home)
                     .expect("deployment validated");
-                let retriever = if home == my_loc {
-                    local_retriever
-                } else {
+                let remote = home != my_loc;
+                let retriever = if remote {
                     remote_retriever
+                } else {
+                    local_retriever
                 };
                 let t_r = Instant::now();
-                let result = retriever.fetch(store.as_ref(), &file.name, chunk.offset, chunk.len);
-                let send = fetch_tx.send(Fetched::Data {
+                let result = retriever
+                    .fetch(store.as_ref(), file, off, len)
+                    .map_err(|e| {
+                        let (name, store) = (&cluster.name, store.name());
+                        format!(
+                            "slave {slave}@{name}: fetching {file} [{off}+{len}] from {store}: {e}"
+                        )
+                    });
+                let took = t_r.elapsed();
+                let _ = fetch_tx.send(Fetched::Data(Fetch {
                     job,
                     result,
-                    fetch_time: t_r.elapsed(),
-                    remote: home != my_loc,
-                    started: true,
-                });
-                if send.is_err() {
-                    break;
-                }
+                    took,
+                    remote,
+                }));
             }
         });
 
         // --- Fold loop (this thread). ---
-        // Requests sent to the master whose reply has not yet surfaced
-        // from the fetcher (as Data or NoMore).
+        // Credits given whose reply (`Data` or `NoMore`) has not surfaced.
         let mut outstanding = 0usize;
         let mut no_more = false;
-        // Outcomes of resolved jobs waiting to piggyback on the next
-        // request (or be flushed as Resolve at shutdown).
-        let mut pending: VecDeque<JobOutcome> = VecDeque::new();
-
         loop {
             // Kill and retirement checks happen at job boundaries — the
             // generalized-reduction model's natural checkpoint — so the
-            // accumulated reduction object survives the "crash".
-            if let Some(n) = kill_after {
-                if stats.jobs >= n {
-                    retired = Some(RetireReason::Killed);
-                    break;
-                }
+            // accumulated reduction object survives the "crash". A retired
+            // slave gives no more credits and hands back every lease its
+            // fetcher took.
+            let killed = kill_after.is_some_and(|n| stats.jobs >= n);
+            let failing = consecutive_failures >= cfg.slave_failure_threshold;
+            if retired.is_none() && (killed || failing) {
+                retired = Some(killed);
+                shutting_down.store(true, Ordering::Relaxed);
             }
-            if consecutive_failures >= cfg.slave_failure_threshold {
-                retired = Some(RetireReason::TooManyFailures);
-                break;
-            }
-
-            // Keep the pipeline primed: one request per free lease slot,
-            // each carrying one resolved outcome if available.
-            let mut master_gone = false;
-            while !no_more && outstanding < capacity {
-                let request = ToMaster::Request {
-                    slave,
-                    outcome: pending.pop_front().unwrap_or(JobOutcome::None),
-                };
-                if to_master.send(request).is_err() {
-                    master_gone = true;
-                    break;
-                }
+            let open = retired.is_none() && !no_more;
+            while open && outstanding < capacity && credit_tx.send(()).is_ok() {
                 outstanding += 1;
             }
-            // Once the master said "no more", leftover outcomes cannot
-            // piggyback: flush them so the head can observe exhaustion.
-            while let Some(outcome) = pending.pop_front() {
-                if to_master.send(ToMaster::Resolve { outcome }).is_err() {
-                    master_gone = true;
-                    break;
-                }
-            }
-            if master_gone || outstanding == 0 {
-                break; // drained (or master gone)
+            if outstanding == 0 {
+                break; // drained
             }
 
             let t_wait = Instant::now();
             let Ok(msg) = fetch_rx.recv() else { break };
-            match msg {
-                Fetched::Started => {} // master wait, not a fetch stall
+            let f = match msg {
+                Fetched::Started => continue, // master wait, not a fetch stall
                 Fetched::NoMore => {
                     no_more = true;
                     outstanding -= 1;
+                    continue;
                 }
-                Fetched::Data {
-                    job,
-                    result,
-                    fetch_time,
-                    remote,
-                    ..
-                } => {
-                    // Only waits that end in data count as fetch stall:
-                    // `Started` precedes `Data` in channel order, so this
-                    // block was spent waiting on the retrieval itself.
-                    let waited = t_wait.elapsed();
-                    stats.fetch_stall += waited;
-                    cfg.sink.emit(
-                        Some(ci),
-                        Some(si),
-                        EventKind::Stall {
-                            ns: waited.as_nanos() as u64,
-                        },
-                    );
-                    outstanding -= 1;
-                    stats.retrieval += fetch_time;
-                    let chunk = layout.chunk(job.chunk);
-                    match result {
-                        Ok(bytes) => {
-                            consecutive_failures = 0;
-                            if remote {
-                                stats.bytes_remote += chunk.len;
-                            } else {
-                                stats.bytes_local += chunk.len;
-                            }
-                            cfg.sink.emit(
-                                Some(ci),
-                                Some(si),
-                                EventKind::FetchEnd {
-                                    chunk: job.chunk.0 as u64,
-                                    bytes: chunk.len,
-                                    remote,
-                                    ns: fetch_time.as_nanos() as u64,
-                                },
-                            );
-                            cfg.sink.emit(
-                                Some(ci),
-                                Some(si),
-                                EventKind::ProcessStart {
-                                    chunk: job.chunk.0 as u64,
-                                },
-                            );
-                            // Process: decode, then fold in cache-sized
-                            // unit groups.
-                            let t_p = Instant::now();
-                            let units = app.decode_chunk(chunk, &bytes);
-                            for group in units.chunks(cfg.cache_group_units) {
-                                for u in group {
-                                    app.local_reduce(params, &mut robj, u);
-                                }
-                                if compute_ns > 0 {
-                                    burn(Duration::from_nanos(compute_ns * group.len() as u64));
-                                }
-                            }
-                            let took = t_p.elapsed();
-                            stats.processing += took;
-                            stats.jobs += 1;
-                            stats.units += units.len() as u64;
-                            if job.stolen {
-                                stats.stolen_jobs += 1;
-                            }
-                            cfg.sink.emit(
-                                Some(ci),
-                                Some(si),
-                                EventKind::ProcessEnd {
-                                    chunk: job.chunk.0 as u64,
-                                    units: units.len() as u64,
-                                    ns: took.as_nanos() as u64,
-                                    stolen: job.stolen,
-                                },
-                            );
-                            pending.push_back(JobOutcome::Completed(job.chunk));
-                        }
-                        Err(e) => {
-                            // The job is NOT complete: report it failed so
-                            // the head re-enqueues it, and keep pulling.
-                            cfg.sink.emit(
-                                Some(ci),
-                                Some(si),
-                                EventKind::FetchFailed {
-                                    chunk: job.chunk.0 as u64,
-                                    ns: fetch_time.as_nanos() as u64,
-                                },
-                            );
-                            let file = layout.file(chunk.file);
-                            let home = placement.home(chunk.file);
-                            let store = fabric
-                                .store_for(my_loc, home)
-                                .expect("deployment validated");
-                            pending.push_back(JobOutcome::Failed {
-                                chunk: job.chunk,
-                                error: format!(
-                                    "slave {slave}@{}: fetching {} [{}+{}] from {}: {e}",
-                                    cluster.name,
-                                    file.name,
-                                    chunk.offset,
-                                    chunk.len,
-                                    store.name()
-                                ),
-                            });
-                            consecutive_failures += 1;
-                        }
-                    }
+                Fetched::Data(f) => f,
+            };
+            outstanding -= 1;
+            if retired.is_some() {
+                // Close the fetch_start pairing for a retrieval whose
+                // result is being thrown away.
+                let chunk = f.job.chunk.0 as u64;
+                emit(EventKind::FetchDiscarded { chunk });
+                master.resolve(Resolution::Released(f.job.chunk));
+                continue;
+            }
+            // Only waits that end in data count as fetch stall: `Started`
+            // precedes `Data` in channel order, so this block was spent
+            // waiting on the retrieval itself.
+            let waited = t_wait.elapsed();
+            stats.fetch_stall += waited;
+            emit(EventKind::Stall {
+                ns: waited.as_nanos() as u64,
+            });
+            stats.retrieval += f.took;
+            let chunk = layout.chunk(f.job.chunk);
+            let (c, ns) = (f.job.chunk.0 as u64, f.took.as_nanos() as u64);
+            let bytes = match f.result {
+                Ok(bytes) => bytes,
+                Err(error) => {
+                    // The job is NOT complete: report it failed so the
+                    // head re-enqueues it, and keep pulling.
+                    emit(EventKind::FetchFailed { chunk: c, ns });
+                    master.recovery.lock().fetch_failures += 1;
+                    master.note_error(error);
+                    master.resolve(Resolution::Failed(f.job.chunk));
+                    consecutive_failures += 1;
+                    continue;
+                }
+            };
+            consecutive_failures = 0;
+            if f.remote {
+                stats.bytes_remote += chunk.len;
+            } else {
+                stats.bytes_local += chunk.len;
+            }
+            emit(EventKind::FetchEnd {
+                chunk: c,
+                bytes: chunk.len,
+                remote: f.remote,
+                ns,
+            });
+            emit(EventKind::ProcessStart { chunk: c });
+            // Process: decode, then fold in cache-sized unit groups.
+            let t_p = Instant::now();
+            let units = app.decode_chunk(chunk, &bytes);
+            for group in units.chunks(CACHE_GROUP_UNITS) {
+                for u in group {
+                    app.local_reduce(params, &mut robj, u);
+                }
+                if compute_ns > 0 {
+                    burn(Duration::from_nanos(compute_ns * group.len() as u64));
                 }
             }
+            let took = t_p.elapsed();
+            stats.processing += took;
+            stats.jobs += 1;
+            stats.units += units.len() as u64;
+            stats.stolen_jobs += f.job.stolen as u64;
+            emit(EventKind::ProcessEnd {
+                chunk: c,
+                units: units.len() as u64,
+                ns: took.as_nanos() as u64,
+                stolen: f.job.stolen,
+            });
+            master.resolve(Resolution::Completed(f.job.chunk));
         }
 
-        // --- Shutdown: resolve what was folded, reclaim what was not. ---
-        // Ordering matters for liveness: outcomes flush *before* draining
-        // replies, because a held completion blocks pool exhaustion, which
-        // blocks the master's replies to our own outstanding requests.
-        shutting_down.store(true, Ordering::Relaxed);
-        for outcome in pending.drain(..) {
-            let _ = to_master.send(ToMaster::Resolve { outcome });
-        }
-        while outstanding > 0 {
-            let Ok(msg) = fetch_rx.recv() else { break };
-            match msg {
-                Fetched::Started => {}
-                Fetched::NoMore => outstanding -= 1,
-                Fetched::Data { job, started, .. } => {
-                    // Fetched or not, the job was never folded: reclaim it
-                    // immediately so another slave can process it.
-                    outstanding -= 1;
-                    if started {
-                        // Close the fetch_start pairing for a retrieval
-                        // whose result is being thrown away.
-                        cfg.sink.emit(
-                            Some(ci),
-                            Some(si),
-                            EventKind::FetchDiscarded {
-                                chunk: job.chunk.0 as u64,
-                            },
-                        );
-                    }
-                    let outcome = JobOutcome::Released(job.chunk);
-                    let _ = to_master.send(ToMaster::Resolve { outcome });
-                }
-            }
-        }
-
-        if let Some(r) = &retired {
-            cfg.sink.emit(
-                Some(ci),
-                Some(si),
-                EventKind::SlaveRetired {
-                    killed: matches!(r, RetireReason::Killed),
-                },
-            );
-        }
-        // Even a retiring slave's partial reduction object merges: under
-        // GR it is a valid checkpoint of the work it did complete.
-        let _ = to_master.send(ToMaster::Finished {
-            stats,
-            robj: Box::new(robj),
-            retired,
-        });
-        // The scope now joins the fetcher: it exits once the master hangs
-        // up the job channel (after every slave has finished).
+        // The fetcher exits once `credit_tx` drops with this closure.
     });
+
+    if let Some(killed) = retired {
+        emit(EventKind::SlaveRetired { killed });
+        let mut recovery = master.recovery.lock();
+        if killed {
+            recovery.slaves_killed += 1;
+        } else {
+            recovery.slaves_retired += 1;
+        }
+    }
+    // Even a retiring slave's partial reduction object merges: under GR it
+    // is a valid checkpoint of the work it did complete.
+    (stats, Box::new(robj))
 }
 
 /// Spin (short) or sleep (long) for `d` — synthetic compute weight.

@@ -1,15 +1,22 @@
-//! End-to-end smoke tests of the threaded runtime on a toy sum application.
+//! End-to-end smoke tests of the threaded runtime on a toy sum application,
+//! and of one cluster's shared master against a scripted head.
 
 use cb_storage::builder::{materialize, StoreMap};
-use cb_storage::layout::{ChunkMeta, LocationId, Placement};
+use cb_storage::layout::{ChunkId, ChunkMeta, LocationId, Placement};
 use cb_storage::organizer::organize_even;
 use cb_storage::store::{MemStore, ObjectStore};
 use cloudburst_core::api::{GRApp, ReductionObject};
 use cloudburst_core::config::RuntimeConfig;
 use cloudburst_core::deploy::{ClusterSpec, DataFabric, Deployment};
-use cloudburst_core::runtime::{run, RuntimeError};
+use cloudburst_core::runtime::{
+    run, run_cluster, ClusterOutcome, HeadPort, Resolution, RuntimeError,
+};
+use cloudburst_core::sched::pool::Grant;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::io;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 const LOCAL: LocationId = LocationId(0);
 const CLOUD: LocationId = LocationId(1);
@@ -344,4 +351,140 @@ fn synthetic_compute_slows_processing() {
         slow_p > fast_p * 2.0,
         "synthetic compute should dominate: fast={fast_p} slow={slow_p}"
     );
+}
+
+// --- The shared master: `run_cluster` against a scripted head. ---
+
+/// A head for one cluster that grants `todo` two chunks at a time after
+/// staying "empty, not exhausted" until `quiet_until`, and records how the
+/// cluster drives it.
+#[derive(Default)]
+struct FakeHead {
+    todo: Mutex<Vec<ChunkId>>,
+    quiet_until: Option<Instant>,
+    in_request: AtomicBool,
+    overlapped: AtomicBool,
+    requests: AtomicUsize,
+    granted: Mutex<Vec<ChunkId>>,
+    resolved: Mutex<Vec<Resolution>>,
+}
+
+impl FakeHead {
+    fn new(todo: Vec<ChunkId>, quiet: Duration) -> Self {
+        let (todo, quiet_until) = (Mutex::new(todo), Some(Instant::now() + quiet));
+        FakeHead {
+            todo,
+            quiet_until,
+            ..Default::default()
+        }
+    }
+}
+
+impl HeadPort for FakeHead {
+    fn request_jobs(&self, _: LocationId) -> io::Result<(Grant, bool)> {
+        if self.in_request.swap(true, Ordering::SeqCst) {
+            self.overlapped.store(true, Ordering::SeqCst);
+        }
+        self.requests.fetch_add(1, Ordering::SeqCst);
+        // Widen the window a concurrent request would land in.
+        std::thread::sleep(Duration::from_micros(200));
+        let quiet = self.quiet_until.is_some_and(|t| Instant::now() < t);
+        let mut todo = self.todo.lock().unwrap();
+        let n = if quiet { 0 } else { todo.len().min(2) };
+        let mut grant = Grant::empty();
+        grant.jobs.extend(todo.drain(..n));
+        let mut granted = self.granted.lock().unwrap();
+        granted.extend(&grant.jobs);
+        // Exhausted only once every lease is resolved, as the real head.
+        let idle = !quiet && todo.is_empty();
+        let exhausted = idle && self.resolved.lock().unwrap().len() >= granted.len();
+        self.in_request.store(false, Ordering::SeqCst);
+        Ok((grant, exhausted))
+    }
+
+    fn resolve(&self, _: LocationId, what: Resolution) -> io::Result<()> {
+        self.resolved.lock().unwrap().push(what);
+        Ok(())
+    }
+}
+
+/// Run one 4-slave, depth-1 cluster over `layout`'s local data against
+/// `head`.
+fn drive(
+    layout: &cb_storage::layout::DatasetLayout,
+    placement: &Placement,
+    stores: &StoreMap,
+    head: &FakeHead,
+) -> ClusterOutcome<Sum> {
+    let cfg = RuntimeConfig {
+        prefetch_depth: 1,
+        ..Default::default()
+    };
+    let fabric = DataFabric::direct(stores);
+    let cluster = ClusterSpec::new("local", LOCAL, 4);
+    let t0 = Instant::now();
+    run_cluster(
+        &SumApp,
+        &(),
+        layout,
+        placement,
+        &fabric,
+        &cluster,
+        0,
+        &cfg,
+        head,
+        t0,
+    )
+}
+
+fn all_chunks(layout: &cb_storage::layout::DatasetLayout) -> Vec<ChunkId> {
+    layout.chunks.iter().map(|c| c.id).collect()
+}
+
+#[test]
+fn one_cluster_never_overlaps_head_requests() {
+    let (layout, placement, stores) = setup(4, 1.0);
+    let head = FakeHead::new(all_chunks(&layout), Duration::ZERO);
+    let out = drive(&layout, &placement, &stores, &head);
+    assert_eq!(out.robj.unwrap().0, expected_sum(&layout));
+    assert!(head.requests.load(Ordering::SeqCst) > 1);
+    assert!(
+        !head.overlapped.load(Ordering::SeqCst),
+        "request_jobs entered concurrently for one cluster"
+    );
+}
+
+#[test]
+fn empty_grants_are_repolled_once_per_poll_interval() {
+    let (layout, placement, stores) = setup(2, 1.0);
+    let quiet = Duration::from_millis(200);
+    let head = FakeHead::new(Vec::new(), quiet);
+    let t = Instant::now();
+    let out = drive(&layout, &placement, &stores, &head);
+    assert!(
+        t.elapsed() >= quiet,
+        "finished before the head said exhausted"
+    );
+    assert_eq!(out.robj.unwrap().0, 0);
+    // The runtime re-polls an empty grant at most every 2 ms per cluster.
+    let requests = head.requests.load(Ordering::SeqCst);
+    assert!(requests <= 200 / 2 + 5, "{requests} requests in 200 ms");
+}
+
+#[test]
+fn every_granted_chunk_is_resolved_exactly_once() {
+    let (layout, placement, stores) = setup(4, 1.0);
+    let head = FakeHead::new(all_chunks(&layout), Duration::from_millis(10));
+    drive(&layout, &placement, &stores, &head);
+    let resolved = head.resolved.lock().unwrap();
+    let completed = resolved.iter().map(|r| match r {
+        Resolution::Completed(c) => *c,
+        other => panic!("healthy run resolved {other:?}"),
+    });
+    let mut completed: Vec<ChunkId> = completed.collect();
+    let mut granted = head.granted.lock().unwrap().clone();
+    granted.sort();
+    completed.sort();
+    assert_eq!(granted, all_chunks(&layout));
+    assert_eq!(completed, granted);
 }

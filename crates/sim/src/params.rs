@@ -43,13 +43,6 @@ impl Default for FaultPlan {
     }
 }
 
-impl FaultPlan {
-    /// True when this plan injects nothing.
-    pub fn is_failure_free(&self) -> bool {
-        self.kill_schedule.is_empty() && self.fetch_failure_prob == 0.0
-    }
-}
-
 /// One shared bottleneck link (disk array, S3 frontend, WAN pipe).
 #[derive(Debug, Clone)]
 pub struct LinkSpec {

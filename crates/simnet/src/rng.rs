@@ -105,11 +105,6 @@ impl DetRng {
     pub fn chance(&mut self, p: f64) -> bool {
         self.uniform() < p
     }
-
-    /// The next raw 64-bit draw, for callers needing other distributions.
-    pub fn raw_u64(&mut self) -> u64 {
-        self.next_u64()
-    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
 //! Streaming summary statistics used by run reports.
 
-use crate::time::SimDur;
 use std::fmt;
 
 /// Online accumulator of count / sum / min / max / mean (Welford variance).
@@ -34,11 +33,6 @@ impl Summary {
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
         self.m2 += delta * (x - self.mean);
-    }
-
-    /// Record a duration in seconds.
-    pub fn record_dur(&mut self, d: SimDur) {
-        self.record(d.as_secs_f64());
     }
 
     pub fn count(&self) -> u64 {

@@ -12,7 +12,7 @@ use crate::store::ObjectStore;
 use bytes::{Bytes, BytesMut};
 use cb_simnet::DetRng;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -85,13 +85,10 @@ pub struct Retriever {
     /// classified as timed out (and retried), even if bytes eventually
     /// arrived — a hung connection must not block a slave forever.
     deadline: Option<Duration>,
-    /// Shared counter incremented once per retry attempt, so callers (the
-    /// runtime's `RecoveryStats`) can account for faults absorbed here.
-    retry_counter: Option<Arc<AtomicU64>>,
-    /// Called once per retry attempt (1-based attempt number) alongside
-    /// `retry_counter` — the observability layer's per-event hook. Kept as
-    /// a plain callback so this crate stays independent of the runtime's
-    /// event types.
+    /// Called once per retry attempt (1-based attempt number), so callers
+    /// (the runtime's `RecoveryStats` and its event stream) can account for
+    /// faults absorbed here. Kept as a plain callback so this crate stays
+    /// independent of the runtime's types.
     retry_hook: Option<RetryHook>,
 }
 
@@ -108,7 +105,6 @@ impl std::fmt::Debug for Retriever {
             .field("backoff_cap", &self.backoff_cap)
             .field("jitter_seed", &self.jitter_seed)
             .field("deadline", &self.deadline)
-            .field("retry_counter", &self.retry_counter)
             .field("retry_hook", &self.retry_hook.as_ref().map(|_| "…"))
             .finish()
     }
@@ -125,7 +121,6 @@ impl Retriever {
             backoff_cap: Duration::from_secs(1),
             jitter_seed: 0,
             deadline: None,
-            retry_counter: None,
             retry_hook: None,
         }
     }
@@ -168,15 +163,9 @@ impl Retriever {
         self
     }
 
-    /// Count every retry attempt into `counter`.
-    pub fn with_retry_counter(mut self, counter: Arc<AtomicU64>) -> Self {
-        self.retry_counter = Some(counter);
-        self
-    }
-
-    /// Invoke `hook(attempt)` once per retry attempt (1-based), at the same
-    /// point `with_retry_counter` increments — callers use it to emit
-    /// per-retry events without this crate knowing their event types.
+    /// Invoke `hook(attempt)` once per retry attempt (1-based) — callers
+    /// use it to count and report retries without this crate knowing their
+    /// types.
     pub fn with_retry_hook(mut self, hook: RetryHook) -> Self {
         self.retry_hook = Some(hook);
         self
@@ -243,9 +232,6 @@ impl Retriever {
                         && e.kind() != io::ErrorKind::InvalidInput =>
                 {
                     attempt += 1;
-                    if let Some(counter) = &self.retry_counter {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    }
                     if let Some(hook) = &self.retry_hook {
                         hook(attempt);
                     }
@@ -345,6 +331,7 @@ mod tests {
     use super::*;
     use crate::s3sim::{RemoteProfile, RemoteStore};
     use crate::store::MemStore;
+    use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -523,14 +510,16 @@ mod tests {
     #[test]
     fn retry_counter_accounts_for_absorbed_faults() {
         use crate::faults::{FaultMode, FlakyStore};
-        use std::sync::atomic::AtomicU64;
         let inner = Arc::new(MemStore::new("m"));
         inner.put("k", patterned(100)).unwrap();
         let flaky = FlakyStore::new(inner, FaultMode::FirstNPerKey { n: 2 }, 0);
         let counter = Arc::new(AtomicU64::new(0));
+        let hook_counter = Arc::clone(&counter);
         let r = Retriever::new(1)
             .with_retries(3, Duration::ZERO)
-            .with_retry_counter(Arc::clone(&counter));
+            .with_retry_hook(Arc::new(move |_| {
+                hook_counter.fetch_add(1, Ordering::Relaxed);
+            }));
         r.fetch(&flaky, "k", 0, 10).unwrap();
         assert_eq!(counter.load(std::sync::atomic::Ordering::Relaxed), 2);
     }

@@ -35,28 +35,6 @@ pub struct RemoteProfile {
 }
 
 impl RemoteProfile {
-    /// A profile loosely shaped like 2011-era S3 access from a campus
-    /// network, scaled for laptop-size experiments: 30 ms TTFB, 200 MB/s
-    /// aggregate, 25 MB/s per connection (so multi-threaded retrieval pays
-    /// off up to ~8 connections).
-    pub fn s3_like() -> Self {
-        RemoteProfile {
-            request_latency: Duration::from_millis(30),
-            aggregate_bps: 200.0e6,
-            per_conn_bps: 25.0e6,
-        }
-    }
-
-    /// A fast local storage node: no request latency to speak of, high
-    /// aggregate bandwidth shared by the cluster.
-    pub fn local_disk_like() -> Self {
-        RemoteProfile {
-            request_latency: Duration::from_micros(200),
-            aggregate_bps: 800.0e6,
-            per_conn_bps: 400.0e6,
-        }
-    }
-
     /// No throttling at all (unit tests).
     pub fn unlimited() -> Self {
         RemoteProfile {
