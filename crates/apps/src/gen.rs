@@ -278,7 +278,9 @@ mod tests {
         let chunk = &layout.chunks[0];
         let mut buf = vec![0u8; chunk.len as usize];
         (spec.fill())(chunk, &mut buf);
-        let decoded = points::decode(&buf, spec.dim);
+        let decoded: Vec<Vec<f32>> = crate::records(chunk, &buf, points::unit_bytes(spec.dim))
+            .map(points::point)
+            .collect();
         let all = spec.all_points(&layout);
         assert_eq!(&all[..decoded.len()], &decoded[..]);
     }

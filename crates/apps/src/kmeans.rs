@@ -9,6 +9,7 @@
 //! [`Centroids`] params.
 
 use crate::points;
+use crate::records;
 use cb_storage::layout::ChunkMeta;
 use cloudburst_core::api::GRApp;
 use cloudburst_core::combine::VecSum;
@@ -83,9 +84,9 @@ impl GRApp for KMeansApp {
     type Params = Centroids;
 
     fn decode_chunk(&self, meta: &ChunkMeta, bytes: &[u8]) -> Vec<Vec<f32>> {
-        let pts = points::decode(bytes, self.dim);
-        assert_eq!(pts.len() as u64, meta.units, "unit count mismatch");
-        pts
+        records(meta, bytes, points::unit_bytes(self.dim))
+            .map(points::point)
+            .collect()
     }
 
     fn init(&self, params: &Centroids) -> VecSum {

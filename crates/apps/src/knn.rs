@@ -7,6 +7,7 @@
 //! reduction argument.
 
 use crate::points;
+use crate::records;
 use cb_storage::layout::ChunkMeta;
 use cloudburst_core::api::GRApp;
 use cloudburst_core::combine::TopK;
@@ -52,13 +53,11 @@ impl GRApp for KnnApp {
     type Params = KnnQuery;
 
     fn decode_chunk(&self, meta: &ChunkMeta, bytes: &[u8]) -> Vec<IdPoint> {
-        let pts = points::decode(bytes, self.dim);
-        assert_eq!(pts.len() as u64, meta.units, "unit count mismatch");
-        pts.into_iter()
+        records(meta, bytes, points::unit_bytes(self.dim))
             .enumerate()
-            .map(|(i, coords)| IdPoint {
+            .map(|(i, rec)| IdPoint {
                 id: Self::unit_id(meta, self.dim, i),
-                coords,
+                coords: points::point(rec),
             })
             .collect()
     }

@@ -18,6 +18,8 @@
 //!
 //! Plus the substrate the examples/tests share:
 //!
+//! * [`records`] — a chunk's fixed-size records, checked against its index
+//!   entry; every app's `decode_chunk` maps over it.
 //! * [`points`] — the fixed-dimension point record format.
 //! * [`gen`] — deterministic synthetic dataset generators (uniform points,
 //!   Gaussian blobs, power-law web graphs, skewed word streams).
@@ -37,3 +39,20 @@ pub mod scenario;
 pub mod selection;
 pub mod stats;
 pub mod wordcount;
+
+use cb_storage::layout::ChunkMeta;
+use std::slice::ChunksExact;
+
+/// A chunk's records, `unit_bytes` each. Panics unless `bytes` holds whole
+/// records and exactly `meta.units` of them: the organizer writes chunks
+/// that way, so anything else is a wrong unit size or a stale index.
+pub fn records<'a>(meta: &ChunkMeta, bytes: &'a [u8], unit_bytes: u64) -> ChunksExact<'a, u8> {
+    let len = bytes.len() as u64;
+    assert_eq!(
+        len % unit_bytes,
+        0,
+        "chunk not a whole number of {unit_bytes}-byte records"
+    );
+    assert_eq!(len / unit_bytes, meta.units, "unit count mismatch");
+    bytes.chunks_exact(unit_bytes as usize)
+}

@@ -8,6 +8,7 @@
 //! to the graph, reproducing the paper's robj-transfer bottleneck. The
 //! driver applies damping and dangling-mass redistribution between passes.
 
+use crate::records;
 use cb_storage::layout::ChunkMeta;
 use cloudburst_core::api::GRApp;
 use cloudburst_core::combine::VecSum;
@@ -57,18 +58,14 @@ impl GRApp for PageRankApp {
     type Params = RankParams;
 
     fn decode_chunk(&self, meta: &ChunkMeta, bytes: &[u8]) -> Vec<(u32, u32)> {
-        assert_eq!(bytes.len() % 8, 0, "chunk not a whole number of edges");
-        let edges: Vec<(u32, u32)> = bytes
-            .chunks_exact(8)
+        records(meta, bytes, 8)
             .map(|rec| {
                 (
                     u32::from_le_bytes(rec[..4].try_into().unwrap()),
                     u32::from_le_bytes(rec[4..].try_into().unwrap()),
                 )
             })
-            .collect();
-        assert_eq!(edges.len() as u64, meta.units, "unit count mismatch");
-        edges
+            .collect()
     }
 
     fn init(&self, params: &RankParams) -> VecSum {

@@ -20,20 +20,10 @@ pub fn encode_into(points: &[f32], dim: usize, buf: &mut [u8]) {
     }
 }
 
-/// Decode a chunk's bytes into owned points.
-pub fn decode(bytes: &[u8], dim: usize) -> Vec<Vec<f32>> {
-    assert_eq!(
-        bytes.len() % (dim * 4),
-        0,
-        "chunk not a whole number of {dim}-d points"
-    );
-    bytes
-        .chunks_exact(dim * 4)
-        .map(|rec| {
-            rec.chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                .collect()
-        })
+/// Decode one point record (one of [`crate::records`]).
+pub fn point(rec: &[u8]) -> Vec<f32> {
+    rec.chunks_exact(4)
+        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
         .collect()
 }
 
@@ -52,13 +42,26 @@ pub fn dist2(a: &[f32], b: &[f32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::records;
+    use cb_storage::layout::{ChunkId, ChunkMeta, FileId};
+
+    fn decode(bytes: &[u8], dim: usize, units: u64) -> Vec<Vec<f32>> {
+        let meta = ChunkMeta {
+            id: ChunkId(0),
+            file: FileId(0),
+            offset: 0,
+            len: bytes.len() as u64,
+            units,
+        };
+        records(&meta, bytes, unit_bytes(dim)).map(point).collect()
+    }
 
     #[test]
     fn encode_decode_round_trip() {
         let pts = vec![1.0f32, 2.0, 3.0, -4.5, 0.25, 1e-7];
         let mut buf = vec![0u8; 24];
         encode_into(&pts, 3, &mut buf);
-        let back = decode(&buf, 3);
+        let back = decode(&buf, 3, 2);
         assert_eq!(back.len(), 2);
         assert_eq!(back[0], vec![1.0, 2.0, 3.0]);
         assert_eq!(back[1], vec![-4.5, 0.25, 1e-7]);
@@ -73,7 +76,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "whole number")]
     fn ragged_chunk_rejected() {
-        decode(&[0u8; 10], 3);
+        decode(&[0u8; 10], 3, 1);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use crate::knn::KnnApp;
 use crate::points;
+use crate::records;
 use cb_simnet::DetRng;
 use cb_storage::layout::ChunkMeta;
 use cloudburst_core::api::{GRApp, ReductionObject};
@@ -102,10 +103,9 @@ impl GRApp for SampleApp {
     type Params = ();
 
     fn decode_chunk(&self, meta: &ChunkMeta, bytes: &[u8]) -> Vec<(u64, Vec<f32>)> {
-        points::decode(bytes, self.dim)
-            .into_iter()
+        records(meta, bytes, points::unit_bytes(self.dim))
             .enumerate()
-            .map(|(i, p)| (KnnApp::unit_id(meta, self.dim, i), p))
+            .map(|(i, rec)| (KnnApp::unit_id(meta, self.dim, i), points::point(rec)))
             .collect()
     }
 
@@ -232,6 +232,20 @@ mod tests {
         let sample = robj.into_points();
         assert_eq!(sample.len(), 16);
         assert!(sample.iter().all(|p| p.len() == dim));
+    }
+
+    #[test]
+    #[should_panic(expected = "unit count mismatch")]
+    fn decode_checks_the_indexed_unit_count() {
+        let app = SampleApp::new(2, 4, 0);
+        let meta = ChunkMeta {
+            id: ChunkId(0),
+            file: FileId(0),
+            offset: 0,
+            len: 16,
+            units: 3,
+        };
+        app.decode_chunk(&meta, &[0u8; 16]);
     }
 
     #[test]

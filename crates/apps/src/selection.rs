@@ -11,6 +11,7 @@
 
 use crate::knn::KnnApp;
 use crate::points;
+use crate::records;
 use cb_storage::layout::ChunkMeta;
 use cloudburst_core::api::GRApp;
 use cloudburst_core::combine::Concat;
@@ -60,11 +61,9 @@ impl GRApp for SelectionApp {
     type Params = BoxQuery;
 
     fn decode_chunk(&self, meta: &ChunkMeta, bytes: &[u8]) -> Vec<(u64, Vec<f32>)> {
-        let pts = points::decode(bytes, self.dim);
-        assert_eq!(pts.len() as u64, meta.units, "unit count mismatch");
-        pts.into_iter()
+        records(meta, bytes, points::unit_bytes(self.dim))
             .enumerate()
-            .map(|(i, p)| (KnnApp::unit_id(meta, self.dim, i), p))
+            .map(|(i, rec)| (KnnApp::unit_id(meta, self.dim, i), points::point(rec)))
             .collect()
     }
 

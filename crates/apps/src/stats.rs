@@ -5,6 +5,7 @@
 //!
 //! Units are little-endian `f64` readings (sensor samples, latencies, ...).
 
+use crate::records;
 use cb_storage::layout::ChunkMeta;
 use cloudburst_core::api::GRApp;
 use cloudburst_core::combine::{Histogram, MinMax, Moments};
@@ -28,13 +29,9 @@ impl GRApp for StatsApp {
     type Params = StatsQuery;
 
     fn decode_chunk(&self, meta: &ChunkMeta, bytes: &[u8]) -> Vec<f64> {
-        assert_eq!(bytes.len() % 8, 0, "chunk not a whole number of readings");
-        let units: Vec<f64> = bytes
-            .chunks_exact(8)
+        records(meta, bytes, 8)
             .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        assert_eq!(units.len() as u64, meta.units, "unit count mismatch");
-        units
+            .collect()
     }
 
     fn init(&self, q: &StatsQuery) -> (Moments, Histogram, MinMax) {

@@ -5,6 +5,7 @@
 //! Units are 8-byte word ids (a real system would hash tokens to ids during
 //! ingestion); the reduction object is a [`KeyedSum`].
 
+use crate::records;
 use cb_storage::layout::ChunkMeta;
 use cloudburst_core::api::GRApp;
 use cloudburst_core::combine::KeyedSum;
@@ -19,13 +20,9 @@ impl GRApp for WordCountApp {
     type Params = ();
 
     fn decode_chunk(&self, meta: &ChunkMeta, bytes: &[u8]) -> Vec<u64> {
-        assert_eq!(bytes.len() % 8, 0, "chunk not a whole number of words");
-        let words: Vec<u64> = bytes
-            .chunks_exact(8)
+        records(meta, bytes, 8)
             .map(|rec| u64::from_le_bytes(rec.try_into().unwrap()))
-            .collect();
-        assert_eq!(words.len() as u64, meta.units, "unit count mismatch");
-        words
+            .collect()
     }
 
     fn init(&self, _: &()) -> KeyedSum {

@@ -23,7 +23,8 @@
 use cb_bench::fig1;
 use cb_bench::fmt::{pct, s2, table};
 use cb_sim::calib::{self, App, NetConstants};
-use cb_sim::experiments::{self, DEFAULT_SEED};
+use cb_sim::experiments::{self, Fig3Row, Table1Row, Table2Row, DEFAULT_SEED};
+use std::cell::OnceCell;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -67,32 +68,42 @@ fn main() {
     }
 
     let run = |name: &str| what == "all" || what == name;
+    // Each selected experiment runs once: its rows go to the printer and,
+    // with `--json`, to `json`. Fig. 3's rows also feed tables 1 and 2.
+    let mut json: Vec<(&str, serde_json::Value)> = Vec::new();
+    let fig3_cells: [OnceCell<Vec<Fig3Row>>; 3] = Default::default();
+    let fig3 = |i: usize| {
+        fig3_cells[i].get_or_init(|| experiments::run_fig3(App::ALL[i], &net, DEFAULT_SEED))
+    };
 
     if run("fig1") {
         print_fig1();
     }
-    for (name, app) in [
-        ("fig3a", App::Knn),
-        ("fig3b", App::KMeans),
-        ("fig3c", App::PageRank),
-    ] {
+    for (i, name) in ["fig3a", "fig3b", "fig3c"].into_iter().enumerate() {
         if run(name) {
-            print_fig3(name, app, &net);
+            print_fig3(name, App::ALL[i], fig3(i));
+            json.push((name, serde_json::to_value(fig3(i)).unwrap()));
         }
     }
     if run("table1") {
-        print_table1(&net);
+        let rows: Vec<_> = (0..3)
+            .map(|i| experiments::table1(App::ALL[i], fig3(i)))
+            .collect();
+        print_table1(&rows);
+        json.push(("table1", serde_json::to_value(rows.concat()).unwrap()));
     }
     if run("table2") {
-        print_table2(&net);
+        let rows: Vec<_> = (0..3)
+            .map(|i| experiments::table2(App::ALL[i], fig3(i)))
+            .collect();
+        print_table2(&rows);
+        json.push(("table2", serde_json::to_value(rows.concat()).unwrap()));
     }
-    for (name, app) in [
-        ("fig4a", App::Knn),
-        ("fig4b", App::KMeans),
-        ("fig4c", App::PageRank),
-    ] {
+    for (app, name) in App::ALL.into_iter().zip(["fig4a", "fig4b", "fig4c"]) {
         if run(name) {
-            print_fig4(name, app, &net);
+            let rows = experiments::run_fig4(app, &net, DEFAULT_SEED);
+            print_fig4(name, app, &rows);
+            json.push((name, serde_json::to_value(&rows).unwrap()));
         }
     }
     if run("headline") {
@@ -101,32 +112,34 @@ fn main() {
     if run("ablate-consecutive") {
         print_ablation(
             "ablate-consecutive — consecutive vs round-robin local grants (knn, env-local)",
-            experiments::ablate_consecutive(&net, DEFAULT_SEED),
+            &experiments::ablate_consecutive(&net, DEFAULT_SEED),
         );
     }
     if run("ablate-contention") {
         print_ablation(
             "ablate-contention — remote-file selection under contention (knn, env-17/83)",
-            experiments::ablate_contention(&net, DEFAULT_SEED),
+            &experiments::ablate_contention(&net, DEFAULT_SEED),
         );
     }
     if run("ablate-stealing") {
         print_ablation(
             "ablate-stealing — work stealing on/off (knn, env-17/83)",
-            experiments::ablate_stealing(&net, DEFAULT_SEED),
+            &experiments::ablate_stealing(&net, DEFAULT_SEED),
         );
     }
     if run("ablate-retrieval") {
         print_ablation(
             "ablate-retrieval — parallel connections per S3 fetch (knn, env-cloud)",
-            experiments::ablate_retrieval_streams(&net, DEFAULT_SEED),
+            &experiments::ablate_retrieval_streams(&net, DEFAULT_SEED),
         );
     }
     if run("ablate-prefetch") {
+        let rows = experiments::ablate_prefetch(&net, DEFAULT_SEED);
         print_ablation(
             "ablate-prefetch — master refill low-water mark under a stressed 1s head RTT (knn, env-cloud)",
-            experiments::ablate_prefetch(&net, DEFAULT_SEED),
+            &rows,
         );
+        json.push(("ablate-prefetch", serde_json::to_value(&rows).unwrap()));
     }
     if run("ablate-overlap") {
         let smoke = args.iter().any(|a| a == "--smoke");
@@ -157,17 +170,24 @@ fn main() {
         }
         print_ablation(
             "ablate-overlap — slave prefetch pipeline: retrieval overlapped with compute (kmeans, env-cloud)",
-            rows,
+            &rows,
         );
+        json.push(("ablate-overlap", serde_json::to_value(&rows).unwrap()));
     }
     if run("multicloud") {
-        print_multicloud(&net);
+        let rows = experiments::run_multicloud(App::Knn, &net, DEFAULT_SEED);
+        print_multicloud(&rows);
+        json.push(("multicloud", serde_json::to_value(&rows).unwrap()));
     }
     if run("sweep-wan") {
-        print_wan_sweep(&net);
+        let rows = experiments::sweep_wan(App::PageRank, &net, DEFAULT_SEED);
+        print_wan_sweep(&rows);
+        json.push(("sweep-wan", serde_json::to_value(&rows).unwrap()));
     }
     if run("sweep-robj") {
-        print_robj_sweep(&net);
+        let rows = experiments::sweep_robj(&net, DEFAULT_SEED);
+        print_robj_sweep(&rows);
+        json.push(("sweep-robj", serde_json::to_value(&rows).unwrap()));
     }
     if run("seeds") {
         print_seed_spread(&net);
@@ -178,91 +198,47 @@ fn main() {
     if run("ablate-jitter") {
         print_ablation(
             "ablate-jitter — EC2 variability under pool balancing (kmeans, env-50/50)",
-            experiments::ablate_jitter(&net, DEFAULT_SEED),
+            &experiments::ablate_jitter(&net, DEFAULT_SEED),
         );
     }
     if run("ablate-failures") {
-        print_failure_ablation(&net);
+        let rows = experiments::ablate_failures(&net, DEFAULT_SEED);
+        print_failure_ablation(&rows);
+        json.push(("ablate-failures", serde_json::to_value(&rows).unwrap()));
     }
 
     if let Some(dir) = json_dir {
-        write_json(&dir, what, &net);
+        json.sort_by_key(|(name, _)| JSON_ORDER.iter().position(|n| n == name));
+        write_json(&dir, json);
     }
 }
 
-/// Serialize the selected experiments' structured rows into `dir`.
-fn write_json(dir: &std::path::Path, what: &str, net: &NetConstants) {
+/// The order `--json` writes its files in.
+const JSON_ORDER: [&str; 14] = [
+    "fig3a",
+    "fig3b",
+    "fig3c",
+    "fig4a",
+    "fig4b",
+    "fig4c",
+    "table1",
+    "table2",
+    "sweep-wan",
+    "sweep-robj",
+    "ablate-prefetch",
+    "ablate-overlap",
+    "multicloud",
+    "ablate-failures",
+];
+
+/// Write each experiment's rows to `<dir>/<name>.json`.
+fn write_json(dir: &std::path::Path, json: Vec<(&str, serde_json::Value)>) {
     std::fs::create_dir_all(dir).expect("create json output dir");
-    let run = |name: &str| what == "all" || what == name;
-    let write = |name: &str, value: serde_json::Value| {
+    for (name, value) in json {
         let path = dir.join(format!("{name}.json"));
         std::fs::write(&path, serde_json::to_string_pretty(&value).unwrap())
             .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
         println!("wrote {}", path.display());
-    };
-    for (name, app) in [
-        ("fig3a", App::Knn),
-        ("fig3b", App::KMeans),
-        ("fig3c", App::PageRank),
-    ] {
-        if run(name) {
-            let rows = experiments::run_fig3(app, net, DEFAULT_SEED);
-            write(name, serde_json::to_value(&rows).unwrap());
-        }
-    }
-    for (name, app) in [
-        ("fig4a", App::Knn),
-        ("fig4b", App::KMeans),
-        ("fig4c", App::PageRank),
-    ] {
-        if run(name) {
-            let rows = experiments::run_fig4(app, net, DEFAULT_SEED);
-            write(name, serde_json::to_value(&rows).unwrap());
-        }
-    }
-    if run("table1") {
-        let rows: Vec<_> = App::ALL
-            .into_iter()
-            .flat_map(|app| {
-                let fig3 = experiments::run_fig3(app, net, DEFAULT_SEED);
-                experiments::table1(app, &fig3)
-            })
-            .collect();
-        write("table1", serde_json::to_value(&rows).unwrap());
-    }
-    if run("table2") {
-        let rows: Vec<_> = App::ALL
-            .into_iter()
-            .flat_map(|app| {
-                let fig3 = experiments::run_fig3(app, net, DEFAULT_SEED);
-                experiments::table2(app, &fig3)
-            })
-            .collect();
-        write("table2", serde_json::to_value(&rows).unwrap());
-    }
-    if run("sweep-wan") {
-        let rows = experiments::sweep_wan(App::PageRank, net, DEFAULT_SEED);
-        write("sweep-wan", serde_json::to_value(&rows).unwrap());
-    }
-    if run("sweep-robj") {
-        let rows = experiments::sweep_robj(net, DEFAULT_SEED);
-        write("sweep-robj", serde_json::to_value(&rows).unwrap());
-    }
-    if run("ablate-prefetch") {
-        let rows = experiments::ablate_prefetch(net, DEFAULT_SEED);
-        write("ablate-prefetch", serde_json::to_value(&rows).unwrap());
-    }
-    if run("ablate-overlap") {
-        let rows = experiments::ablate_overlap(net, DEFAULT_SEED);
-        write("ablate-overlap", serde_json::to_value(&rows).unwrap());
-    }
-    if run("multicloud") {
-        let rows = experiments::run_multicloud(App::Knn, net, DEFAULT_SEED);
-        write("multicloud", serde_json::to_value(&rows).unwrap());
-    }
-    if run("ablate-failures") {
-        let rows = experiments::ablate_failures(net, DEFAULT_SEED);
-        write("ablate-failures", serde_json::to_value(&rows).unwrap());
     }
 }
 
@@ -304,12 +280,11 @@ fn print_fig1() {
     println!("paper's claim: combine cuts shuffle volume but still buffers pairs; GR has no intermediate pairs at all.");
 }
 
-fn print_fig3(name: &str, app: App, net: &NetConstants) {
+fn print_fig3(name: &str, app: App, rows: &[Fig3Row]) {
     banner(&format!(
         "{name} — Fig. 3 ({}) execution over the five environments [simulated at 120 GB scale]",
         app.name()
     ));
-    let rows = experiments::run_fig3(app, net, DEFAULT_SEED);
     let base = rows[0].report.total_s;
     let t: Vec<Vec<String>> = rows
         .iter()
@@ -337,12 +312,10 @@ fn print_fig3(name: &str, app: App, net: &NetConstants) {
     );
 }
 
-fn print_table1(net: &NetConstants) {
+fn print_table1(per_app: &[Vec<Table1Row>]) {
     banner("table1 — job assignment per application [simulated | paper]");
     let mut rows = Vec::new();
-    for app in App::ALL {
-        let fig3 = experiments::run_fig3(app, net, DEFAULT_SEED);
-        let ours = experiments::table1(app, &fig3);
+    for (app, ours) in App::ALL.into_iter().zip(per_app) {
         let paper: &[(&str, u64, u64, u64)] = match app {
             App::Knn => &calib::paper::TABLE1_KNN,
             App::KMeans => &calib::paper::TABLE1_KMEANS,
@@ -373,12 +346,10 @@ fn print_table1(net: &NetConstants) {
     );
 }
 
-fn print_table2(net: &NetConstants) {
+fn print_table2(per_app: &[Vec<Table2Row>]) {
     banner("table2 — overheads and slowdowns [simulated | paper]");
     let mut rows = Vec::new();
-    for app in App::ALL {
-        let fig3 = experiments::run_fig3(app, net, DEFAULT_SEED);
-        let ours = experiments::table2(app, &fig3);
+    for (app, ours) in App::ALL.into_iter().zip(per_app) {
         let paper: &[(&str, f64, f64, f64, f64)] = match app {
             App::Knn => &calib::paper::TABLE2_KNN,
             App::KMeans => &calib::paper::TABLE2_KMEANS,
@@ -413,12 +384,11 @@ fn print_table2(net: &NetConstants) {
     );
 }
 
-fn print_fig4(name: &str, app: App, net: &NetConstants) {
+fn print_fig4(name: &str, app: App, rows: &[experiments::Fig4Row]) {
     banner(&format!(
         "{name} — Fig. 4 ({}) scalability, all data in S3 [simulated | paper speedups]",
         app.name()
     ));
-    let rows = experiments::run_fig4(app, net, DEFAULT_SEED);
     let paper: &[f64; 3] = match app {
         App::Knn => &calib::paper::FIG4_SPEEDUPS_KNN,
         App::KMeans => &calib::paper::FIG4_SPEEDUPS_KMEANS,
@@ -478,7 +448,7 @@ fn print_headline(net: &NetConstants) {
     );
 }
 
-fn print_ablation(title: &str, rows: Vec<experiments::AblationRow>) {
+fn print_ablation(title: &str, rows: &[experiments::AblationRow]) {
     banner(title);
     let t: Vec<Vec<String>> = rows
         .iter()
@@ -509,9 +479,8 @@ fn print_ablation(title: &str, rows: Vec<experiments::AblationRow>) {
     );
 }
 
-fn print_failure_ablation(net: &NetConstants) {
+fn print_failure_ablation(rows: &[experiments::FailureAblationRow]) {
     banner("ablate-failures — recovery cost under escalating fault schedules (knn, env-50/50)");
-    let rows = experiments::ablate_failures(net, DEFAULT_SEED);
     let t: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -544,9 +513,8 @@ fn print_failure_ablation(net: &NetConstants) {
     println!("the GR recovery model in action: failures cost re-execution time, never results.");
 }
 
-fn print_multicloud(net: &NetConstants) {
+fn print_multicloud(rows: &[experiments::MultiCloudRow]) {
     banner("multicloud — extension: local + two cloud providers (knn, 16 cores/site)");
-    let rows = experiments::run_multicloud(App::Knn, net, DEFAULT_SEED);
     let t: Vec<Vec<String>> = rows
         .iter()
         .flat_map(|r| {
@@ -579,11 +547,10 @@ fn print_multicloud(net: &NetConstants) {
     println!("the middleware is provider-count agnostic: three sites, one job pool.");
 }
 
-fn print_wan_sweep(net: &NetConstants) {
+fn print_wan_sweep(rows: &[experiments::WanSweepRow]) {
     banner(
         "sweep-wan — dedicated high-speed WAN collapses the bursting penalty (pagerank, env-17/83)",
     );
-    let rows = experiments::sweep_wan(App::PageRank, net, DEFAULT_SEED);
     let t: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -609,11 +576,10 @@ fn print_wan_sweep(net: &NetConstants) {
     );
 }
 
-fn print_robj_sweep(net: &NetConstants) {
+fn print_robj_sweep(rows: &[experiments::RobjSweepRow]) {
     banner(
         "sweep-robj — reduction-object size vs bursting feasibility (pagerank profile, env-50/50)",
     );
-    let rows = experiments::sweep_robj(net, DEFAULT_SEED);
     let t: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

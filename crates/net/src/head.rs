@@ -11,6 +11,13 @@
 //! heartbeats and loss detection, frame counting, and decoding the banked
 //! robjs (after the event loop, so decoding never stalls request serving).
 //!
+//! Every wait ends on an event. Each peer's reader is a plain thread that
+//! owns its receive half, blocks until a frame arrives and exits on EOF,
+//! `Goodbye`, a link error or when the head loop is gone. The head loop
+//! waits for the next frame or the earliest open peer's loss deadline.
+//! When the run ends, the head closes every link, which wakes any reader
+//! still blocked on a silent peer. Nothing joins the readers.
+//!
 //! # Failure semantics
 //!
 //! The head tracks each peer's `last_seen` instant (any frame refreshes
@@ -40,10 +47,9 @@ use cloudburst_core::config::RuntimeConfig;
 use cloudburst_core::obs::EventKind;
 use cloudburst_core::report::NetStats;
 use cloudburst_core::{ClusterSpec, Head, RunOutcome, RuntimeError};
-use crossbeam::channel::{unbounded, RecvTimeoutError};
+use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use std::io;
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// What a worker declared about itself at handshake.
@@ -65,16 +71,22 @@ pub struct HeadPeer {
     pub rx: LinkRx,
 }
 
-/// Reader-thread → head-loop event.
-enum FromPeer {
-    Frame {
-        peer: usize,
-        msg: Message,
-        bytes: usize,
-    },
-    /// The connection died (EOF or I/O error). Benign after a clean
-    /// `Goodbye`; peer loss otherwise.
-    Gone { peer: usize, error: String },
+/// Reader → head-loop event: a frame off peer `.0`'s link, or the error
+/// that ended the link. An error is peer loss unless the peer shipped.
+type FromPeer = (usize, io::Result<(Message, usize)>);
+
+/// One peer's reader: forwards frames to the head loop until the link ends
+/// (EOF, a link error, `Goodbye`) or the head loop is gone.
+fn read_peer(peer: usize, mut rx: LinkRx, events: Sender<FromPeer>) {
+    loop {
+        let frame = rx.next();
+        let last = frame
+            .as_ref()
+            .map_or(true, |(msg, _)| *msg == Message::Goodbye);
+        if events.send((peer, frame)).is_err() || last {
+            return;
+        }
+    }
 }
 
 /// The head's end of one peer's connection. Whether the peer shipped or
@@ -106,10 +118,17 @@ pub fn serve_head<R: ReductionObject + RobjCodec>(
     run_head(peers, layout, placement, cfg, net)
 }
 
-/// Accept loop: polls a non-blocking listener until `expected` workers have
-/// handshaken or [`NetConfig::accept_timeout`] expires. Rejected dialers
-/// (version/fingerprint/app mismatch, duplicate cluster or location) get a
-/// `Reject { reason }` frame and are dropped without counting.
+/// How long the accept loop waits for a `Hello` before it checks the
+/// non-blocking listener for new dialers again.
+const LISTEN_POLL: Duration = Duration::from_millis(10);
+
+/// Accept loop: takes every queued connection off a non-blocking listener,
+/// then waits up to 10 ms for a `Hello`, until `expected` workers
+/// have handshaken or [`NetConfig::accept_timeout`] expires. A `Hello` is
+/// admitted the moment it lands. Rejected dialers (version/fingerprint/app
+/// mismatch, duplicate cluster or location) get a `Reject { reason }` frame
+/// and are dropped without counting; so is a dialer whose `Hello` never
+/// came. Dialers still pending when the complement is full are dropped.
 ///
 /// Each accepted connection's `Hello` is read on a short-lived thread, so
 /// a dialer that connects but never speaks (a port-scanner, a stalled
@@ -131,69 +150,54 @@ pub fn accept_workers(
     type PendingHello = (LinkTx, LinkRx, Result<Message, String>);
     let (hello_tx, hello_rx) = unbounded::<PendingHello>();
     while peers.len() < expected {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false)?;
-                let hello_tx = hello_tx.clone();
-                let net = net.clone();
-                std::thread::spawn(move || {
-                    let (tx, mut rx) = match split_tcp(stream, &net) {
-                        Ok(halves) => halves,
-                        Err(_) => return,
-                    };
-                    let hello = read_hello(&mut rx, &net);
-                    // The accept loop may be gone (deadline, or complement
-                    // already full) — then the send fails and the dialer's
-                    // socket just drops.
-                    let _ = hello_tx.send((tx, rx, hello));
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-            Err(e) => return Err(e),
-        }
-        // Admit every dialer whose Hello has landed.
-        while let Ok((mut tx, rx, hello)) = hello_rx.try_recv() {
-            let hello = match hello {
-                Ok(hello) => hello,
-                Err(reason) => {
-                    eprintln!("head: dropped dialer: {reason}");
-                    continue;
-                }
+        loop {
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) => return Err(e),
             };
-            if peers.len() == expected {
-                let _ = tx.send(&Message::Reject {
-                    reason: format!("all {expected} worker slot(s) filled"),
-                });
-                continue;
-            }
-            match admit_hello(tx, rx, hello, &peers, net, fingerprint, app_tag) {
-                Ok(peer) => {
-                    cfg.sink.emit(
-                        Some(peer.spec.cluster),
-                        None,
-                        EventKind::PeerJoined {
-                            cores: peer.spec.cores as u64,
-                        },
-                    );
-                    peers.push(peer);
-                }
-                Err(reason) => {
-                    // Rejection already sent (best-effort); keep waiting
-                    // for a valid worker on this slot.
-                    eprintln!("head: rejected worker: {reason}");
-                }
-            }
+            stream.set_nonblocking(false)?;
+            let hello_tx = hello_tx.clone();
+            let net = net.clone();
+            std::thread::spawn(move || {
+                let Ok((tx, mut rx)) = split_tcp(stream, &net) else {
+                    return;
+                };
+                let hello = read_hello(&mut rx, &net);
+                // The accept loop may be gone (deadline, or complement
+                // already full) — then the send fails and the dialer's
+                // socket just drops.
+                let _ = hello_tx.send((tx, rx, hello));
+            });
         }
-        if peers.len() >= expected {
-            break;
-        }
-        if Instant::now() >= deadline {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
             return Err(io::Error::new(
                 io::ErrorKind::TimedOut,
                 format!("only {} of {expected} worker(s) joined", peers.len()),
             ));
         }
-        std::thread::sleep(Duration::from_millis(10));
+        // Admit a Hello the moment it lands.
+        let Ok((tx, rx, hello)) = hello_rx.recv_timeout(left.min(LISTEN_POLL)) else {
+            continue;
+        };
+        let admitted =
+            hello.and_then(|hello| admit_hello(tx, rx, hello, &peers, net, fingerprint, app_tag));
+        match admitted {
+            Ok(peer) => {
+                cfg.sink.emit(
+                    Some(peer.spec.cluster),
+                    None,
+                    EventKind::PeerJoined {
+                        cores: peer.spec.cores as u64,
+                    },
+                );
+                peers.push(peer);
+            }
+            // A rejection was already sent (best-effort); keep waiting for
+            // a valid worker on this slot.
+            Err(reason) => eprintln!("head: turned away dialer: {reason}"),
+        }
     }
     Ok(peers)
 }
@@ -335,96 +339,84 @@ pub fn run_head<R: ReductionObject + RobjCodec>(
         },
     };
 
-    let deadline_grace = net.heartbeat * net.heartbeat_misses.max(1);
+    let grace = net.heartbeat * net.heartbeat_misses.max(1);
     let (event_tx, event_rx) = unbounded::<FromPeer>();
-    let done = AtomicBool::new(false);
     let mut links: Vec<Link> = Vec::with_capacity(peers.len());
+    for (peer, HeadPeer { spec, tx, rx }) in peers.into_iter().enumerate() {
+        let event_tx = event_tx.clone();
+        std::thread::spawn(move || read_peer(peer, rx, event_tx));
+        let last_seen = Instant::now();
+        links.push(Link {
+            spec,
+            tx,
+            last_seen,
+        });
+    }
+    drop(event_tx);
 
-    std::thread::scope(|scope| {
-        // --- Per-peer readers: frames → central channel. ---
-        for (peer, HeadPeer { spec, tx, mut rx }) in peers.into_iter().enumerate() {
-            let last_seen = Instant::now();
-            links.push(Link {
-                spec,
-                tx,
-                last_seen,
-            });
-            let event_tx = event_tx.clone();
-            let done = &done;
-            scope.spawn(move || {
-                let pumped = rx.pump(done, |msg, bytes| {
-                    let goodbye = matches!(msg, Message::Goodbye);
-                    let _ = event_tx.send(FromPeer::Frame { peer, msg, bytes });
-                    !goodbye
-                });
-                if let Err(e) = pumped {
-                    let error = e.to_string();
-                    let _ = event_tx.send(FromPeer::Gone { peer, error });
-                }
-            });
-        }
-        drop(event_tx);
-
-        // --- Head loop: serve the pool until every peer shipped or lost. ---
-        let poll = (net.heartbeat / 2).clamp(Duration::from_millis(10), Duration::from_millis(250));
-        while (0..links.len()).any(|peer| wire.head.is_open(peer)) {
-            match event_rx.recv_timeout(poll) {
-                Ok(FromPeer::Frame { peer, msg, bytes }) => {
-                    let bytes = bytes as u64;
-                    wire.stats.frames_recv += 1;
-                    wire.stats.bytes_recv += bytes;
-                    cfg.sink
-                        .emit(Some(peer as u32), None, EventKind::NetRecv { bytes });
-                    // Forfeiture is final. A lost-but-alive peer's leases
-                    // and completions were re-enqueued at loss and may
-                    // already be re-granted or re-done by survivors:
-                    // banking its late robj would count that work twice,
-                    // and resolving its late leases would corrupt the
-                    // pool. Count the bytes, drop the frame.
-                    if wire.head.is_lost(peer) {
-                        match msg {
-                            Message::Goodbye | Message::Heartbeat { .. } => {}
-                            dropped => eprintln!(
-                                "head: dropping late {} from lost worker {}",
-                                frame_name(&dropped),
-                                links[peer].spec.name
-                            ),
-                        }
-                        // Fall through to the heartbeat sweep so a frame
-                        // flood from a lost peer cannot delay detecting
-                        // *other* peers' losses.
-                    } else {
-                        links[peer].last_seen = Instant::now();
-                        wire.handle(peer, &mut links[peer], msg);
+    // --- Head loop: serve the pool until every peer shipped or lost. It
+    // wakes on the next frame or the earliest open peer's loss deadline. ---
+    loop {
+        let open = (0..links.len()).filter(|&peer| wire.head.is_open(peer));
+        let Some(deadline) = open.map(|peer| links[peer].last_seen + grace).min() else {
+            break;
+        };
+        match event_rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            Ok((peer, Ok((msg, bytes)))) => {
+                let bytes = bytes as u64;
+                wire.stats.frames_recv += 1;
+                wire.stats.bytes_recv += bytes;
+                cfg.sink
+                    .emit(Some(peer as u32), None, EventKind::NetRecv { bytes });
+                // Forfeiture is final. A lost-but-alive peer's leases
+                // and completions were re-enqueued at loss and may
+                // already be re-granted or re-done by survivors:
+                // banking its late robj would count that work twice,
+                // and resolving its late leases would corrupt the
+                // pool. Count the bytes, drop the frame.
+                if wire.head.is_lost(peer) {
+                    match msg {
+                        Message::Goodbye | Message::Heartbeat { .. } => {}
+                        dropped => eprintln!(
+                            "head: dropping late {} from lost worker {}",
+                            frame_name(&dropped),
+                            links[peer].spec.name
+                        ),
                     }
-                }
-                Ok(FromPeer::Gone { peer, error }) => {
-                    if wire.head.is_open(peer) {
-                        let name = &links[peer].spec.name;
-                        wire.lose(
-                            peer,
-                            format!("worker {name} disconnected before shipping: {error}"),
-                        );
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-
-            // Heartbeat sweep: silence beyond the grace window is loss.
-            let now = Instant::now();
-            for (peer, link) in links.iter().enumerate() {
-                if wire.head.is_open(peer)
-                    && now.saturating_duration_since(link.last_seen) > deadline_grace
-                {
-                    let (name, misses) = (&link.spec.name, net.heartbeat_misses);
-                    wire.lose(peer, format!("worker {name} missed {misses} heartbeat(s)"));
+                    // Fall through to the loss sweep so a frame flood
+                    // from a lost peer cannot delay detecting *other*
+                    // peers' losses.
+                } else {
+                    links[peer].last_seen = Instant::now();
+                    wire.handle(peer, &mut links[peer], msg);
                 }
             }
+            Ok((peer, Err(error))) => {
+                if wire.head.is_open(peer) {
+                    let name = &links[peer].spec.name;
+                    wire.lose(
+                        peer,
+                        format!("worker {name} disconnected before shipping: {error}"),
+                    );
+                }
+            }
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
         }
-        done.store(true, Ordering::Relaxed);
-        // Scope joins the readers: ≤100 ms after the done flag.
-    });
+
+        // Loss sweep: an open peer silent up to its deadline is lost.
+        let now = Instant::now();
+        for (peer, link) in links.iter().enumerate() {
+            if wire.head.is_open(peer) && now >= link.last_seen + grace {
+                let (name, misses) = (&link.spec.name, net.heartbeat_misses);
+                wire.lose(peer, format!("worker {name} missed {misses} heartbeat(s)"));
+            }
+        }
+    }
+    // Wake every reader still blocked on a silent peer.
+    for link in &links {
+        link.tx.close();
+    }
 
     // --- Global reduction: decode the banked robjs and merge them in
     // cluster-index order (the same canonical order as in-process). ---

@@ -10,6 +10,11 @@
 //!   loopback traffic exercises the exact same codec path as TCP; only the
 //!   copy differs. [`loopback_pair`] builds a duplex pair of endpoints.
 //!
+//! Every receive ends on an event: a complete frame, EOF, a link error or
+//! the caller's deadline. Nothing polls. A reader blocked on a TCP link is
+//! woken by [`LinkTx::close`] on the other half of the same socket; a
+//! channel link ends when its peer's endpoint drops.
+//!
 //! Both report the frame size they moved, so callers can emit
 //! `NetSent`/`NetRecv` observability events with true byte counts.
 
@@ -17,8 +22,7 @@ use crate::wire::{decode_framed, Message, MAX_FRAME_BYTES};
 use cb_storage::retrieve::backoff_schedule;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for the networked runtime. The defaults suit localhost
@@ -100,27 +104,18 @@ impl LinkTx {
         }
         Ok(n)
     }
+
+    /// Shut a TCP link down in both directions. A reader blocked on the
+    /// socket's other half wakes with EOF. A channel link closes when its
+    /// endpoint drops, so this is a no-op for it.
+    pub fn close(&self) {
+        if let LinkTx::Tcp(stream) = self {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
 }
 
 impl LinkRx {
-    /// Hand each received frame and its size to `on_frame` until `stop` is
-    /// raised (checked every 100 ms), `on_frame` returns `false`, or the
-    /// link fails.
-    pub(crate) fn pump(
-        &mut self,
-        stop: &AtomicBool,
-        mut on_frame: impl FnMut(Message, usize) -> bool,
-    ) -> io::Result<()> {
-        while !stop.load(Ordering::Relaxed) {
-            if let Some((msg, bytes)) = self.recv(Duration::from_millis(100))? {
-                if !on_frame(msg, bytes) {
-                    break;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Receive one message, waiting up to `timeout`.
     ///
     /// `Ok(None)` means the timeout elapsed with no *complete* frame (any
@@ -128,7 +123,21 @@ impl LinkRx {
     /// means the peer closed the connection; `Err(InvalidData)` wraps a
     /// codec failure — corrupt frames are fatal to the link, never skipped.
     pub fn recv(&mut self, timeout: Duration) -> io::Result<Option<(Message, usize)>> {
-        let deadline = Instant::now() + timeout;
+        self.recv_by(Some(Instant::now() + timeout))
+    }
+
+    /// Block until one message arrives, or the link ends with EOF or an
+    /// error.
+    pub(crate) fn next(&mut self) -> io::Result<(Message, usize)> {
+        loop {
+            if let Some(got) = self.recv_by(None)? {
+                return Ok(got);
+            }
+        }
+    }
+
+    /// [`LinkRx::recv`] until `deadline`, or with no deadline at all.
+    fn recv_by(&mut self, deadline: Option<Instant>) -> io::Result<Option<(Message, usize)>> {
         loop {
             // A frame may already be complete in the buffer.
             let buf = match self {
@@ -144,13 +153,13 @@ impl LinkRx {
                 Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e)),
             }
 
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left.is_some_and(|left| left.is_zero()) {
                 return Ok(None);
             }
             match self {
                 LinkRx::Tcp { stream, buf } => {
-                    stream.set_read_timeout(Some(left.max(Duration::from_millis(1))))?;
+                    stream.set_read_timeout(left.map(|l| l.max(Duration::from_millis(1))))?;
                     let mut chunk = [0u8; 16 * 1024];
                     match stream.read(&mut chunk) {
                         Ok(0) => {
@@ -178,13 +187,20 @@ impl LinkRx {
                         Err(e) => return Err(e),
                     }
                 }
-                LinkRx::Chan { rx, buf } => match rx.recv_timeout(left) {
-                    Ok(frame) => buf.extend_from_slice(&frame),
-                    Err(RecvTimeoutError::Timeout) => return Ok(None),
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "peer hung up"))
+                LinkRx::Chan { rx, buf } => {
+                    let frame = left.map_or_else(
+                        || rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                        |left| rx.recv_timeout(left),
+                    );
+                    match frame {
+                        Ok(frame) => buf.extend_from_slice(&frame),
+                        Err(RecvTimeoutError::Timeout) => return Ok(None),
+                        Err(RecvTimeoutError::Disconnected) => {
+                            let eof = io::ErrorKind::UnexpectedEof;
+                            return Err(io::Error::new(eof, "peer hung up"));
+                        }
                     }
-                },
+                }
             }
         }
     }

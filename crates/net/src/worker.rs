@@ -3,13 +3,14 @@
 //! [`run_worker`] dials the head (capped + jittered reconnect), handshakes,
 //! then runs `cloudburst_core::run_cluster` — the *same* master/slave
 //! machinery the in-process runtime uses — against a `NetHeadPort` whose
-//! `request_jobs`/`resolve` cross the socket instead of a mutex. A
-//! background thread heartbeats at half the cadence the head announced; a
-//! reader thread routes `JobGrant` and `ShipAck` frames to the callers
-//! waiting on them. When the cluster drains, the worker encodes its
-//! reduction object canonically ([`RobjCodec`]), ships it with its final
-//! accounting, waits for the head's ack (after which its death is free),
-//! and says goodbye.
+//! `request_jobs`/`resolve` cross the socket instead of a mutex. The head
+//! only ever replies, so there is no reader thread: `request_jobs` reads
+//! its `JobGrant` inline and the shipping code reads its `ShipAck` inline.
+//! The one helper thread heartbeats at half the cadence the head announced
+//! until a stop channel drops. When the cluster drains, the worker encodes
+//! its reduction object canonically ([`RobjCodec`]), ships it with its
+//! final accounting, reads the head's ack (after which its death is free),
+//! says goodbye at once and returns.
 
 use crate::robj::RobjCodec;
 use crate::transport::{connect_with_backoff, split_tcp, LinkRx, LinkTx, NetConfig};
@@ -21,12 +22,11 @@ use cloudburst_core::deploy::{ClusterSpec, DataFabric};
 use cloudburst_core::obs::EventKind;
 use cloudburst_core::sched::pool::Grant;
 use cloudburst_core::{run_cluster, ClusterOutcome, HeadPort, Resolution};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
+use crossbeam::channel::{unbounded, RecvTimeoutError};
 use parking_lot::Mutex;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Why a worker run ended without shipping.
@@ -81,12 +81,12 @@ pub struct WorkerOutcome<R> {
     pub robj_bytes: usize,
 }
 
-/// The TCP-backed [`HeadPort`]: `request_jobs` sends `JobRequest` and
-/// blocks on the grant channel the reader thread feeds; `resolve` is
-/// fire-and-forget. The transmit half is shared with the heartbeat thread
-/// and the shipping code behind a mutex; the grant receiver sits behind its
-/// own mutex because the channel shim's `Receiver` is single-consumer and
-/// not `Sync` (the `HeadPort` trait requires `Sync`).
+/// The TCP-backed [`HeadPort`]. The head only ever answers: a `JobGrant`
+/// replies to a `JobRequest`, a `ShipAck` to the `RobjShip`. So each
+/// caller reads its own reply inline — `request_jobs` runs one at a time
+/// per cluster, and shipping starts after the slaves are joined. `resolve`
+/// is fire-and-forget. The transmit half is shared with the heartbeat
+/// thread behind a mutex.
 ///
 /// Requests and grants are paired by sequence number. If the grant for a
 /// request does not arrive within `io_timeout`, the link is **poisoned**:
@@ -95,8 +95,8 @@ pub struct WorkerOutcome<R> {
 /// stop heartbeating, never ship, never say goodbye — so the head declares
 /// this worker lost and forfeits its leases back to the survivors.
 struct NetHeadPort {
-    tx: Arc<Mutex<LinkTx>>,
-    grants: Mutex<Receiver<(u64, Grant, bool)>>,
+    tx: Mutex<LinkTx>,
+    rx: Mutex<LinkRx>,
     io_timeout: Duration,
     cluster: u32,
     sink: cloudburst_core::obs::SinkHandle,
@@ -104,9 +104,9 @@ struct NetHeadPort {
     /// must echo it. Any lower number is a stale grant from a request this
     /// worker already gave up on.
     seq: AtomicU64,
-    /// Set on a missed grant; shared with the heartbeat thread (which
-    /// stops beating) and the shipping path (which refuses to ship).
-    poisoned: Arc<AtomicBool>,
+    /// Set on a missed grant; read by the heartbeat thread (which stops
+    /// beating) and the shipping path (which refuses to ship).
+    poisoned: AtomicBool,
 }
 
 impl NetHeadPort {
@@ -121,6 +121,25 @@ impl NetHeadPort {
         );
         Ok(())
     }
+
+    /// Read the head's frames until `want` takes one; fails with
+    /// `TimedOut` if no frame `what` arrives within `io_timeout`.
+    fn reply<T>(&self, what: &str, mut want: impl FnMut(Message) -> Option<T>) -> io::Result<T> {
+        let deadline = Instant::now() + self.io_timeout;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let Some((msg, bytes)) = self.rx.lock().recv(left)? else {
+                let late = format!("no {what} within io_timeout");
+                return Err(io::Error::new(io::ErrorKind::TimedOut, late));
+            };
+            let bytes = bytes as u64;
+            let cluster = Some(self.cluster);
+            self.sink.emit(cluster, None, EventKind::NetRecv { bytes });
+            if let Some(got) = want(msg) {
+                return Ok(got);
+            }
+        }
+    }
 }
 
 impl HeadPort for NetHeadPort {
@@ -133,33 +152,29 @@ impl HeadPort for NetHeadPort {
         }
         let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         self.send(&Message::JobRequest { seq })?;
-        let grants = self.grants.lock();
-        let deadline = Instant::now() + self.io_timeout;
-        loop {
-            match grants.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-                // A grant for an older request is stale: poisoning makes
-                // this unreachable in practice (a request is never issued
-                // after a miss), but the explicit pairing keeps the
-                // protocol self-checking.
-                Ok((got, grant, exhausted)) if got == seq => return Ok((grant, exhausted)),
-                Ok(_) => continue,
-                Err(RecvTimeoutError::Timeout) => {
-                    self.poisoned.store(true, Ordering::Relaxed);
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "no JobGrant within io_timeout; dropping the link so the head \
-                         reclaims this worker's leases",
-                    ));
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    self.poisoned.store(true, Ordering::Relaxed);
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "connection to head lost",
-                    ));
-                }
+        // A grant for an older request is stale: poisoning makes this
+        // unreachable in practice (a request is never issued after a miss),
+        // but the explicit pairing keeps the protocol self-checking. The
+        // head initiates nothing else after `Welcome`, so any other frame
+        // is noise.
+        let grant = self.reply("JobGrant", |msg| match msg {
+            Message::JobGrant {
+                seq: got,
+                jobs,
+                stolen,
+                exhausted,
+            } if got == seq => {
+                let jobs = jobs.into_iter().map(ChunkId).collect();
+                Some((Grant { jobs, stolen }, exhausted))
             }
+            _ => None,
+        });
+        // A missed grant poisons the link, so the head reclaims this
+        // worker's leases.
+        if grant.is_err() {
+            self.poisoned.store(true, Ordering::Relaxed);
         }
+        grant
     }
 
     fn resolve(&self, _loc: LocationId, what: Resolution) -> io::Result<()> {
@@ -240,72 +255,30 @@ where
         }
     };
 
-    let tx = Arc::new(Mutex::new(tx));
-    let done = AtomicBool::new(false);
-    let poisoned = Arc::new(AtomicBool::new(false));
-    let (grant_tx, grant_rx) = unbounded::<(u64, Grant, bool)>();
-    let (ack_tx, ack_rx) = unbounded::<()>();
     let port = NetHeadPort {
-        tx: Arc::clone(&tx),
-        grants: Mutex::new(grant_rx),
+        tx: Mutex::new(tx),
+        rx: Mutex::new(rx),
         io_timeout: net.io_timeout,
         cluster: spec.cluster,
         sink: cfg.sink.clone(),
         seq: AtomicU64::new(0),
-        poisoned: Arc::clone(&poisoned),
+        poisoned: AtomicBool::new(false),
     };
     let t0 = Instant::now();
+    let hb_interval = (heartbeat / 2).max(Duration::from_millis(10));
+    let (stop_beating, stop) = unbounded::<()>();
 
-    let (outcome, shipped_bytes) = std::thread::scope(|scope| {
-        // --- Reader: route frames to whoever waits on them. ---
-        let done_ref = &done;
-        let sink = cfg.sink.clone();
-        let cluster_idx = spec.cluster;
-        scope.spawn(move || {
-            // EOF or a link error ends the pump: pending recvs then see
-            // Disconnected.
-            let mut rx = rx;
-            let _ = rx.pump(done_ref, |msg, bytes| {
-                let bytes = bytes as u64;
-                sink.emit(Some(cluster_idx), None, EventKind::NetRecv { bytes });
-                match msg {
-                    Message::JobGrant {
-                        seq,
-                        jobs,
-                        stolen,
-                        exhausted,
-                    } => {
-                        let jobs = jobs.into_iter().map(ChunkId).collect();
-                        let grant = Grant { jobs, stolen };
-                        grant_tx.send((seq, grant, exhausted)).is_ok()
-                    }
-                    Message::ShipAck => {
-                        let _ = ack_tx.send(());
-                        true
-                    }
-                    // Anything else mid-run is noise; the head never
-                    // initiates other traffic after Welcome.
-                    _ => true,
-                }
-            });
-        });
-
-        // --- Heartbeats at half the announced cadence. A poisoned link
-        // stops beating on purpose: the head must declare this worker
-        // lost and forfeit its leases. ---
-        let hb_tx = Arc::clone(&tx);
-        let hb_done = &done;
-        let hb_poisoned = Arc::clone(&poisoned);
-        let hb_interval = (heartbeat / 2).max(Duration::from_millis(10));
+    let (outcome, shipped) = std::thread::scope(|scope| {
+        // --- Heartbeats at half the announced cadence until `stop_beating`
+        // drops. A poisoned link stops beating on purpose: the head must
+        // declare this worker lost and forfeit its leases. ---
+        let port = &port;
         scope.spawn(move || {
             let mut seq = 0u64;
-            while !hb_done.load(Ordering::Relaxed) {
-                std::thread::sleep(hb_interval);
-                if hb_done.load(Ordering::Relaxed) || hb_poisoned.load(Ordering::Relaxed) {
-                    return;
-                }
+            while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(hb_interval) {
                 seq += 1;
-                if hb_tx.lock().send(&Message::Heartbeat { seq }).is_err() {
+                let beat = Message::Heartbeat { seq };
+                if port.poisoned.load(Ordering::Relaxed) || port.tx.lock().send(&beat).is_err() {
                     return;
                 }
             }
@@ -321,32 +294,28 @@ where
             cluster,
             spec.cluster as usize,
             cfg,
-            &port,
+            port,
             t0,
         );
 
-        // --- Ship the result, then let the background threads go. ---
-        let shipped = ship(&outcome, &port, &ack_rx, net);
-        done.store(true, Ordering::Relaxed);
+        // --- Ship the result; once it is banked, say goodbye at once
+        // (best-effort: the head already holds the result). ---
+        let shipped = ship(&outcome, port);
+        if shipped.is_ok() {
+            let _ = port.tx.lock().send(&Message::Goodbye);
+        }
+        drop(stop_beating);
         (outcome, shipped)
     });
 
-    let robj_bytes = shipped_bytes?;
-    // Clean goodbye (best-effort: the result is already banked).
-    let _ = tx.lock().send(&Message::Goodbye);
     Ok(WorkerOutcome {
         outcome,
-        robj_bytes,
+        robj_bytes: shipped?,
     })
 }
 
 /// Encode + ship the cluster outcome; wait for the head's ack.
-fn ship<R: RobjCodec>(
-    outcome: &ClusterOutcome<R>,
-    port: &NetHeadPort,
-    ack_rx: &Receiver<()>,
-    net: &NetConfig,
-) -> Result<usize, NetError> {
+fn ship<R: RobjCodec>(outcome: &ClusterOutcome<R>, port: &NetHeadPort) -> Result<usize, NetError> {
     if port.poisoned.load(Ordering::Relaxed) {
         // A grant went missing mid-run: the head may hold leases this
         // worker never executed. Shipping (and the Goodbye that follows a
@@ -370,14 +339,9 @@ fn ship<R: RobjCodec>(
         robj: encoded,
         report: outcome.account.clone(),
     })?;
-    match ack_rx.recv_timeout(net.io_timeout) {
-        Ok(()) => Ok(robj_bytes),
-        Err(RecvTimeoutError::Timeout) => Err(NetError::Protocol(
-            "no ShipAck within io_timeout — result may not be banked".into(),
-        )),
-        Err(RecvTimeoutError::Disconnected) => Err(NetError::Io(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "connection to head lost before ShipAck",
-        ))),
-    }
+    // Without the ack the result may not be banked.
+    let ack = port.reply("ShipAck", |msg| {
+        matches!(msg, Message::ShipAck).then_some(())
+    });
+    ack.map(|()| robj_bytes).map_err(NetError::Io)
 }

@@ -19,7 +19,7 @@ use cloudburst_core::Resolution;
 use proptest::prelude::*;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const APP: &str = "wordcount";
 
@@ -121,6 +121,181 @@ fn tcp_three_node_matches_single_process() {
         env.layout.n_jobs(),
         "every job ran exactly once"
     );
+}
+
+/// Once the last worker ships, nothing waits out a poll: the head merges
+/// and returns without joining readers on a timer, and each worker says
+/// goodbye right after its `ShipAck` and returns. Timed as the minimum of
+/// three runs, so one descheduled thread cannot fail it.
+#[test]
+fn a_shipped_run_ends_without_waiting_out_a_poll() {
+    let spec = WordsSpec {
+        vocabulary: 300,
+        n_files: 4,
+        words_per_file: 4_000,
+        words_per_chunk: 500,
+        seed: 7,
+    };
+    let env = env_for(&spec, 0.5, 2, 2);
+    let cfg = RuntimeConfig::default();
+    let net = NetConfig::default();
+    let fp = fingerprint(&env.layout, &env.placement, APP);
+    let (mut reduction_s, mut exit) = (f64::INFINITY, Duration::MAX);
+    for _ in 0..3 {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (out, served) = std::thread::scope(|scope| {
+            let workers: Vec<_> = env
+                .deployment
+                .clusters
+                .iter()
+                .enumerate()
+                .map(|(ci, cluster)| {
+                    let (net, cfg) = (&net, &cfg);
+                    let (layout, placement) = (&env.layout, &env.placement);
+                    let fabric = &env.deployment.fabric;
+                    scope.spawn(move || {
+                        let wspec = WorkerSpec {
+                            cluster: ci as u32,
+                            name: cluster.name.clone(),
+                            app_tag: APP.into(),
+                            fingerprint: fp,
+                        };
+                        run_worker(
+                            &WordCountApp,
+                            &(),
+                            layout,
+                            placement,
+                            fabric,
+                            cluster,
+                            &wspec,
+                            cfg,
+                            net,
+                            addr,
+                        )
+                        .expect("worker run");
+                    })
+                })
+                .collect();
+            let out = serve_head::<KeyedSum>(
+                &listener,
+                2,
+                &env.layout,
+                &env.placement,
+                &cfg,
+                &net,
+                fp,
+                APP,
+            )
+            .expect("head run");
+            let served = Instant::now();
+            for worker in workers {
+                worker.join().unwrap();
+            }
+            (out, served.elapsed())
+        });
+        assert_eq!(out.report.net.peers_lost, 0);
+        reduction_s = reduction_s.min(out.report.global_reduction_s);
+        exit = exit.min(served);
+    }
+    assert!(
+        reduction_s < 0.040,
+        "global reduction took {:.1} ms at best",
+        reduction_s * 1e3
+    );
+    assert!(
+        exit < Duration::from_millis(40),
+        "workers exited {exit:?} after the head returned, at best"
+    );
+}
+
+/// A grant that echoes an older request's sequence number is stale: the
+/// worker reads past it to the grant for its current request and runs
+/// exactly that grant's jobs.
+#[test]
+fn stale_grant_is_skipped_not_consumed() {
+    let spec = WordsSpec {
+        vocabulary: 50,
+        n_files: 2,
+        words_per_file: 800,
+        words_per_chunk: 400,
+        seed: 17,
+    };
+    let env = env_for(&spec, 1.0, 1, 0);
+    let cfg = RuntimeConfig::default();
+    let net = NetConfig::default();
+    let fp = fingerprint(&env.layout, &env.placement, APP);
+    let (head_end, worker_end) = loopback_pair();
+    let grant = |seq: u64, jobs: Vec<u32>, exhausted: bool| Message::JobGrant {
+        seq,
+        jobs,
+        stolen: false,
+        exhausted,
+    };
+
+    let (resolved, outcome) = std::thread::scope(|scope| {
+        // A head that answers request 1 with nothing yet, request 2 with a
+        // stale seq-1 grant before the real one, and every later request
+        // with "exhausted".
+        let head = scope.spawn(move || {
+            let (mut tx, mut rx) = (head_end.tx, head_end.rx);
+            let (hello, _) = rx.recv(Duration::from_secs(5)).unwrap().expect("hello");
+            assert!(matches!(hello, Message::Hello { .. }));
+            tx.send(&Message::Welcome {
+                version: PROTOCOL_VERSION,
+                heartbeat_ms: 500,
+                fingerprint: fp,
+            })
+            .unwrap();
+            let mut resolved = Vec::new();
+            loop {
+                let (msg, _) = rx.recv(Duration::from_secs(5)).unwrap().expect("a frame");
+                match msg {
+                    Message::JobRequest { seq: 1 } => tx.send(&grant(1, vec![], false)),
+                    Message::JobRequest { seq: 2 } => tx
+                        .send(&grant(1, vec![0, 1], false))
+                        .and_then(|_| tx.send(&grant(2, vec![2, 3], false))),
+                    Message::JobRequest { seq } => tx.send(&grant(seq, vec![], true)),
+                    Message::Resolve(what) => {
+                        resolved.push(what);
+                        continue;
+                    }
+                    Message::RobjShip { .. } => tx.send(&Message::ShipAck),
+                    Message::Heartbeat { .. } => continue,
+                    Message::Goodbye => return resolved,
+                    other => panic!("unexpected frame {other:?}"),
+                }
+                .unwrap();
+            }
+        });
+        let wspec = WorkerSpec {
+            cluster: 0,
+            name: "paired".into(),
+            app_tag: APP.into(),
+            fingerprint: fp,
+        };
+        let outcome = run_worker_on_links(
+            &WordCountApp,
+            &(),
+            &env.layout,
+            &env.placement,
+            &env.deployment.fabric,
+            &env.deployment.clusters[0],
+            &wspec,
+            &cfg,
+            &net,
+            worker_end.tx,
+            worker_end.rx,
+        )
+        .expect("worker run");
+        (head.join().unwrap(), outcome)
+    });
+
+    let done = [2, 3].map(|c| Resolution::Completed(ChunkId(c)));
+    assert_eq!(resolved, done, "only the seq-2 grant's jobs ran");
+    let slaves = &outcome.outcome.account.slaves;
+    assert_eq!(slaves.iter().map(|s| s.jobs).sum::<u64>(), 2);
+    assert_eq!(slaves.iter().map(|s| s.units).sum::<u64>(), 800);
 }
 
 proptest! {

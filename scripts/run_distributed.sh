@@ -9,7 +9,9 @@ set -euo pipefail
 PORT="${1:-4817}"
 ADDR="127.0.0.1:${PORT}"
 WORKDIR="$(mktemp -d /tmp/cb-distributed.XXXXXX)"
-trap 'kill $(jobs -p) 2>/dev/null; rm -rf "$WORKDIR"' EXIT
+# Under `set -e` a failing `kill` (no jobs left, or already gone) would
+# turn a passing run into a non-zero exit, so the cleanup ignores it.
+trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$WORKDIR"' EXIT
 
 cd "$(dirname "$0")/.."
 cargo build --release -p cloudburst-cli
