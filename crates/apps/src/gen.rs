@@ -279,6 +279,7 @@ mod tests {
         let mut buf = vec![0u8; chunk.len as usize];
         (spec.fill())(chunk, &mut buf);
         let decoded: Vec<Vec<f32>> = crate::records(chunk, &buf, points::unit_bytes(spec.dim))
+            .unwrap()
             .map(points::point)
             .collect();
         let all = spec.all_points(&layout);

@@ -9,10 +9,11 @@
 //! [`Centroids`] params.
 
 use crate::points;
-use crate::records;
+use crate::{expect_records, records};
 use cb_storage::layout::ChunkMeta;
-use cloudburst_core::api::GRApp;
+use cloudburst_core::api::{DecodeError, GRApp};
 use cloudburst_core::combine::VecSum;
+use std::borrow::Borrow;
 
 /// Broadcast parameters of one k-means pass: the current centroids,
 /// flattened row-major (`k * dim`).
@@ -37,15 +38,20 @@ impl Centroids {
         &self.flat[c * self.dim..(c + 1) * self.dim]
     }
 
-    /// Index of the centroid nearest to `p`.
-    pub fn nearest(&self, p: &[f32]) -> usize {
+    /// Index of the centroid nearest to `p` (a slice or a record's
+    /// [`points::coords`]).
+    pub fn nearest<P>(&self, p: P) -> usize
+    where
+        P: IntoIterator + Clone,
+        P::Item: Borrow<f32>,
+    {
         let mut best = 0;
         let mut best_d = f64::INFINITY;
         for c in 0..self.k() {
             let cent = self.centroid(c);
             let mut d = 0.0;
-            for (x, y) in p.iter().zip(cent) {
-                let diff = *x as f64 - y;
+            for (x, y) in p.clone().into_iter().zip(cent) {
+                let diff = *x.borrow() as f64 - y;
                 d += diff * diff;
             }
             if d < best_d {
@@ -76,6 +82,19 @@ impl KMeansApp {
     pub fn robj_len(&self) -> usize {
         self.k * (self.dim + 1)
     }
+
+    /// Add point `p` to its nearest centroid's sums and count.
+    fn assign<P>(&self, params: &Centroids, robj: &mut VecSum, p: P)
+    where
+        P: IntoIterator + Clone,
+        P::Item: Borrow<f32>,
+    {
+        let base = params.nearest(p.clone()) * (self.dim + 1);
+        for (d, x) in p.into_iter().enumerate() {
+            robj.add_at(base + d, *x.borrow() as f64);
+        }
+        robj.add_at(base + self.dim, 1.0);
+    }
 }
 
 impl GRApp for KMeansApp {
@@ -84,7 +103,7 @@ impl GRApp for KMeansApp {
     type Params = Centroids;
 
     fn decode_chunk(&self, meta: &ChunkMeta, bytes: &[u8]) -> Vec<Vec<f32>> {
-        records(meta, bytes, points::unit_bytes(self.dim))
+        expect_records(meta, bytes, points::unit_bytes(self.dim))
             .map(points::point)
             .collect()
     }
@@ -96,12 +115,20 @@ impl GRApp for KMeansApp {
     }
 
     fn local_reduce(&self, params: &Centroids, robj: &mut VecSum, unit: &Vec<f32>) {
-        let c = params.nearest(unit);
-        let base = c * (self.dim + 1);
-        for (d, &x) in unit.iter().enumerate() {
-            robj.add_at(base + d, x as f64);
+        self.assign(params, robj, unit);
+    }
+
+    fn fold_chunk(
+        &self,
+        params: &Centroids,
+        robj: &mut VecSum,
+        meta: &ChunkMeta,
+        bytes: &[u8],
+    ) -> Result<u64, DecodeError> {
+        for rec in records(meta, bytes, points::unit_bytes(self.dim))? {
+            self.assign(params, robj, points::coords(rec));
         }
-        robj.add_at(base + self.dim, 1.0);
+        Ok(meta.units)
     }
 }
 

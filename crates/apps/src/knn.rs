@@ -7,10 +7,11 @@
 //! reduction argument.
 
 use crate::points;
-use crate::records;
+use crate::{expect_records, records};
 use cb_storage::layout::ChunkMeta;
-use cloudburst_core::api::GRApp;
+use cloudburst_core::api::{DecodeError, GRApp};
 use cloudburst_core::combine::TopK;
+use std::borrow::Borrow;
 
 /// A point with its global id (payload returned in results).
 #[derive(Debug, Clone)]
@@ -53,7 +54,7 @@ impl GRApp for KnnApp {
     type Params = KnnQuery;
 
     fn decode_chunk(&self, meta: &ChunkMeta, bytes: &[u8]) -> Vec<IdPoint> {
-        records(meta, bytes, points::unit_bytes(self.dim))
+        expect_records(meta, bytes, points::unit_bytes(self.dim))
             .enumerate()
             .map(|(i, rec)| IdPoint {
                 id: Self::unit_id(meta, self.dim, i),
@@ -67,8 +68,22 @@ impl GRApp for KnnApp {
     }
 
     fn local_reduce(&self, params: &KnnQuery, robj: &mut TopK, unit: &IdPoint) {
-        let d2 = points::dist2(&unit.coords, &params.query);
-        robj.offer(d2, unit.id);
+        robj.offer(points::dist2(&unit.coords, &params.query), unit.id);
+    }
+
+    fn fold_chunk(
+        &self,
+        params: &KnnQuery,
+        robj: &mut TopK,
+        meta: &ChunkMeta,
+        bytes: &[u8],
+    ) -> Result<u64, DecodeError> {
+        let recs = records(meta, bytes, points::unit_bytes(self.dim))?;
+        for (i, rec) in recs.enumerate() {
+            let id = Self::unit_id(meta, self.dim, i);
+            robj.offer(points::dist2(points::coords(rec), &params.query), id);
+        }
+        Ok(meta.units)
     }
 }
 
@@ -102,6 +117,17 @@ impl TopKSet {
     /// Results per query, best-first.
     pub fn into_sorted(self) -> Vec<Vec<(f64, u64)>> {
         self.heaps.into_iter().map(TopK::into_sorted).collect()
+    }
+
+    /// Offer point `id` to every query's heap.
+    fn offer<P>(&mut self, params: &BatchQueries, id: u64, point: P)
+    where
+        P: IntoIterator + Clone,
+        P::Item: Borrow<f32>,
+    {
+        for (q, heap) in params.queries.iter().zip(self.heaps.iter_mut()) {
+            heap.offer(points::dist2(point.clone(), q), id);
+        }
     }
 }
 
@@ -156,9 +182,22 @@ impl GRApp for BatchKnnApp {
     }
 
     fn local_reduce(&self, params: &BatchQueries, robj: &mut TopKSet, unit: &IdPoint) {
-        for (q, heap) in params.queries.iter().zip(robj.heaps.iter_mut()) {
-            heap.offer(points::dist2(&unit.coords, q), unit.id);
+        robj.offer(params, unit.id, &unit.coords);
+    }
+
+    fn fold_chunk(
+        &self,
+        params: &BatchQueries,
+        robj: &mut TopKSet,
+        meta: &ChunkMeta,
+        bytes: &[u8],
+    ) -> Result<u64, DecodeError> {
+        let recs = records(meta, bytes, points::unit_bytes(self.dim))?;
+        for (i, rec) in recs.enumerate() {
+            let id = KnnApp::unit_id(meta, self.dim, i);
+            robj.offer(params, id, points::coords(rec));
         }
+        Ok(meta.units)
     }
 }
 

@@ -19,7 +19,9 @@
 //! Plus the substrate the examples/tests share:
 //!
 //! * [`records`] — a chunk's fixed-size records, checked against its index
-//!   entry; every app's `decode_chunk` maps over it.
+//!   entry. Every app's `fold_chunk` folds straight from them, with no
+//!   heap object per unit, and returns the [`DecodeError`] of a bad chunk;
+//!   every `decode_chunk` (the reference route) maps over them.
 //! * [`points`] — the fixed-dimension point record format.
 //! * [`gen`] — deterministic synthetic dataset generators (uniform points,
 //!   Gaussian blobs, power-law web graphs, skewed word streams).
@@ -41,18 +43,51 @@ pub mod stats;
 pub mod wordcount;
 
 use cb_storage::layout::ChunkMeta;
+use cloudburst_core::api::{DecodeError, GRApp};
 use std::slice::ChunksExact;
 
-/// A chunk's records, `unit_bytes` each. Panics unless `bytes` holds whole
-/// records and exactly `meta.units` of them: the organizer writes chunks
-/// that way, so anything else is a wrong unit size or a stale index.
-pub fn records<'a>(meta: &ChunkMeta, bytes: &'a [u8], unit_bytes: u64) -> ChunksExact<'a, u8> {
+/// A chunk's records, `unit_bytes` each, or why the chunk cannot hold
+/// them: `bytes` must be whole records and exactly `meta.units` of them.
+/// The organizer writes chunks that way, so anything else is a wrong unit
+/// size or a stale index.
+pub fn records<'a>(
+    meta: &ChunkMeta,
+    bytes: &'a [u8],
+    unit_bytes: u64,
+) -> Result<ChunksExact<'a, u8>, DecodeError> {
     let len = bytes.len() as u64;
-    assert_eq!(
-        len % unit_bytes,
-        0,
-        "chunk not a whole number of {unit_bytes}-byte records"
-    );
-    assert_eq!(len / unit_bytes, meta.units, "unit count mismatch");
-    bytes.chunks_exact(unit_bytes as usize)
+    let (found, rest) = (len / unit_bytes, len % unit_bytes);
+    if rest > 0 {
+        return Err(DecodeError::Ragged { len, unit_bytes });
+    }
+    if found != meta.units {
+        return Err(DecodeError::UnitCount {
+            expected: meta.units,
+            found,
+        });
+    }
+    Ok(bytes.chunks_exact(unit_bytes as usize))
+}
+
+/// [`records`] for a `decode_chunk`, which has no error path: a bad chunk
+/// panics with the reason.
+fn expect_records<'a>(meta: &ChunkMeta, bytes: &'a [u8], unit_bytes: u64) -> ChunksExact<'a, u8> {
+    records(meta, bytes, unit_bytes).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// `fold_chunk` for an app whose unit is a plain value: each record is
+/// read onto the stack with `read` and folded by the app's `local_reduce`.
+fn fold_values<A: GRApp>(
+    app: &A,
+    params: &A::Params,
+    robj: &mut A::RObj,
+    meta: &ChunkMeta,
+    bytes: &[u8],
+    unit_bytes: u64,
+    read: impl Fn(&[u8]) -> A::Unit,
+) -> Result<u64, DecodeError> {
+    for rec in records(meta, bytes, unit_bytes)? {
+        app.local_reduce(params, robj, &read(rec));
+    }
+    Ok(meta.units)
 }

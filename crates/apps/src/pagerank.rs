@@ -8,11 +8,19 @@
 //! to the graph, reproducing the paper's robj-transfer bottleneck. The
 //! driver applies damping and dangling-mass redistribution between passes.
 
-use crate::records;
+use crate::{expect_records, fold_values};
 use cb_storage::layout::ChunkMeta;
-use cloudburst_core::api::GRApp;
+use cloudburst_core::api::{DecodeError, GRApp};
 use cloudburst_core::combine::VecSum;
 use std::sync::Arc;
+
+/// One edge record: `(src, dst)` as two little-endian `u32`s.
+pub fn edge(rec: &[u8]) -> (u32, u32) {
+    (
+        u32::from_le_bytes(rec[..4].try_into().unwrap()),
+        u32::from_le_bytes(rec[4..].try_into().unwrap()),
+    )
+}
 
 /// Broadcast parameters of one PageRank pass.
 #[derive(Debug, Clone)]
@@ -58,14 +66,7 @@ impl GRApp for PageRankApp {
     type Params = RankParams;
 
     fn decode_chunk(&self, meta: &ChunkMeta, bytes: &[u8]) -> Vec<(u32, u32)> {
-        records(meta, bytes, 8)
-            .map(|rec| {
-                (
-                    u32::from_le_bytes(rec[..4].try_into().unwrap()),
-                    u32::from_le_bytes(rec[4..].try_into().unwrap()),
-                )
-            })
-            .collect()
+        expect_records(meta, bytes, 8).map(edge).collect()
     }
 
     fn init(&self, params: &RankParams) -> VecSum {
@@ -78,6 +79,16 @@ impl GRApp for PageRankApp {
         let deg = params.out_degree[src as usize];
         debug_assert!(deg > 0, "edge from page with recorded out-degree 0");
         robj.add_at(dst as usize, params.ranks[src as usize] / deg as f64);
+    }
+
+    fn fold_chunk(
+        &self,
+        params: &RankParams,
+        robj: &mut VecSum,
+        meta: &ChunkMeta,
+        bytes: &[u8],
+    ) -> Result<u64, DecodeError> {
+        fold_values(self, params, robj, meta, bytes, 8, edge)
     }
 }
 

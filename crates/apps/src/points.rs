@@ -4,6 +4,13 @@
 //! A data unit is one point: `dim` little-endian `f32` coordinates
 //! (`unit_bytes = 4 * dim`). Chunks hold whole points by construction of the
 //! organizer.
+//!
+//! The point apps fold a record in place through [`coords`], and the
+//! per-point arithmetic ([`dist2`] here, `Centroids::nearest`,
+//! `BoxQuery::contains`) takes any coordinate iterator, so one function
+//! serves both a record and a decoded `Vec<f32>`.
+
+use std::borrow::Borrow;
 
 /// Byte size of one point record.
 pub fn unit_bytes(dim: usize) -> u64 {
@@ -20,20 +27,25 @@ pub fn encode_into(points: &[f32], dim: usize, buf: &mut [u8]) {
     }
 }
 
-/// Decode one point record (one of [`crate::records`]).
-pub fn point(rec: &[u8]) -> Vec<f32> {
+/// The coordinates of one point record (one of [`crate::records`]), read
+/// in place.
+pub fn coords(rec: &[u8]) -> impl Iterator<Item = f32> + Clone + '_ {
     rec.chunks_exact(4)
         .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-        .collect()
 }
 
-/// Squared Euclidean distance.
-pub fn dist2(a: &[f32], b: &[f32]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter()
+/// Decode one point record into an owned point.
+pub fn point(rec: &[u8]) -> Vec<f32> {
+    coords(rec).collect()
+}
+
+/// Squared Euclidean distance from the point `a` (a slice or a record's
+/// [`coords`]) to `b`.
+pub fn dist2(a: impl IntoIterator<Item = impl Borrow<f32>>, b: &[f32]) -> f64 {
+    a.into_iter()
         .zip(b)
-        .map(|(&x, &y)| {
-            let d = x as f64 - y as f64;
+        .map(|(x, &y)| {
+            let d = *x.borrow() as f64 - y as f64;
             d * d
         })
         .sum()
@@ -53,7 +65,10 @@ mod tests {
             len: bytes.len() as u64,
             units,
         };
-        records(&meta, bytes, unit_bytes(dim)).map(point).collect()
+        records(&meta, bytes, unit_bytes(dim))
+            .unwrap_or_else(|e| panic!("{e}"))
+            .map(point)
+            .collect()
     }
 
     #[test]
@@ -81,7 +96,15 @@ mod tests {
 
     #[test]
     fn dist2_basic() {
-        assert_eq!(dist2(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
-        assert_eq!(dist2(&[1.0], &[1.0]), 0.0);
+        assert_eq!(dist2([0.0, 0.0], &[3.0, 4.0]), 25.0);
+        assert_eq!(dist2([1.0], &[1.0]), 0.0);
+    }
+
+    #[test]
+    fn dist2_of_a_record_equals_dist2_of_its_point() {
+        let mut rec = vec![0u8; 12];
+        encode_into(&[1.5, -2.0, 1e-7], 3, &mut rec);
+        let q = [0.25, 3.0, -1.0];
+        assert_eq!(dist2(coords(&rec), &q), dist2(point(&rec), &q));
     }
 }

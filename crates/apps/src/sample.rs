@@ -11,10 +11,10 @@
 
 use crate::knn::KnnApp;
 use crate::points;
-use crate::records;
+use crate::{expect_records, records};
 use cb_simnet::DetRng;
 use cb_storage::layout::ChunkMeta;
-use cloudburst_core::api::{GRApp, ReductionObject};
+use cloudburst_core::api::{DecodeError, GRApp, ReductionObject};
 
 /// Deterministic 64-bit mix of a record id (splitmix64 finalizer) — the
 /// pseudo-random sampling key.
@@ -34,6 +34,10 @@ pub struct BottomKSample {
     /// batching: we keep a Vec and prune when it doubles — simpler than a
     /// heap of non-Ord payloads, same asymptotics for our sizes.
     entries: Vec<(u64, Vec<f32>)>,
+    /// The largest kept key after the last prune that left `k` entries.
+    /// Those `k` keys are all at or below it, so a key at or above it can
+    /// never make the sample (a tie loses to the entry already kept).
+    threshold: Option<u64>,
 }
 
 impl BottomKSample {
@@ -42,11 +46,21 @@ impl BottomKSample {
         BottomKSample {
             k,
             entries: Vec::with_capacity(2 * k),
+            threshold: None,
         }
     }
 
     pub fn offer(&mut self, key: u64, point: Vec<f32>) {
-        self.entries.push((key, point));
+        self.offer_with(key, || point);
+    }
+
+    /// [`offer`](Self::offer), building the point only if `key` can still
+    /// make the sample.
+    pub fn offer_with(&mut self, key: u64, point: impl FnOnce() -> Vec<f32>) {
+        if self.threshold.is_some_and(|t| key >= t) {
+            return;
+        }
+        self.entries.push((key, point()));
         if self.entries.len() >= 2 * self.k {
             self.prune();
         }
@@ -56,6 +70,9 @@ impl BottomKSample {
         self.entries.sort_by_key(|(k, _)| *k);
         self.entries.dedup_by_key(|(k, _)| *k);
         self.entries.truncate(self.k);
+        if self.entries.len() == self.k {
+            self.threshold = self.entries.last().map(|(k, _)| *k);
+        }
     }
 
     /// The sample, in ascending key order (canonical).
@@ -103,7 +120,7 @@ impl GRApp for SampleApp {
     type Params = ();
 
     fn decode_chunk(&self, meta: &ChunkMeta, bytes: &[u8]) -> Vec<(u64, Vec<f32>)> {
-        records(meta, bytes, points::unit_bytes(self.dim))
+        expect_records(meta, bytes, points::unit_bytes(self.dim))
             .enumerate()
             .map(|(i, rec)| (KnnApp::unit_id(meta, self.dim, i), points::point(rec)))
             .collect()
@@ -114,7 +131,22 @@ impl GRApp for SampleApp {
     }
 
     fn local_reduce(&self, _: &(), robj: &mut BottomKSample, unit: &(u64, Vec<f32>)) {
-        robj.offer(sample_key(unit.0, self.salt), unit.1.clone());
+        robj.offer_with(sample_key(unit.0, self.salt), || unit.1.clone());
+    }
+
+    fn fold_chunk(
+        &self,
+        _: &(),
+        robj: &mut BottomKSample,
+        meta: &ChunkMeta,
+        bytes: &[u8],
+    ) -> Result<u64, DecodeError> {
+        let recs = records(meta, bytes, points::unit_bytes(self.dim))?;
+        for (i, rec) in recs.enumerate() {
+            let id = KnnApp::unit_id(meta, self.dim, i);
+            robj.offer_with(sample_key(id, self.salt), || points::point(rec));
+        }
+        Ok(meta.units)
     }
 }
 
@@ -195,6 +227,26 @@ mod tests {
         let mut left = mk(0..431);
         left.merge(mk(431..1000));
         assert_eq!(whole.into_points(), left.into_points());
+    }
+
+    #[test]
+    fn skipping_keys_past_the_threshold_keeps_the_exact_bottom_k() {
+        // Every key at or above the last prune's threshold is skipped
+        // unbuilt; the sample must still be exactly the k smallest keys.
+        let k = 7;
+        let mut s = BottomKSample::new(k);
+        let mut built = 0;
+        for id in 0..5_000u64 {
+            s.offer_with(sample_key(id, 3), || {
+                built += 1;
+                vec![id as f32]
+            });
+        }
+        let mut all: Vec<(u64, u64)> = (0..5_000u64).map(|id| (sample_key(id, 3), id)).collect();
+        all.sort_unstable();
+        let expect: Vec<Vec<f32>> = all[..k].iter().map(|&(_, id)| vec![id as f32]).collect();
+        assert_eq!(s.into_points(), expect);
+        assert!(built < 200, "{built} points built for a bottom-{k}");
     }
 
     #[test]

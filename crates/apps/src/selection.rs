@@ -11,10 +11,11 @@
 
 use crate::knn::KnnApp;
 use crate::points;
-use crate::records;
+use crate::{expect_records, records};
 use cb_storage::layout::ChunkMeta;
-use cloudburst_core::api::GRApp;
+use cloudburst_core::api::{DecodeError, GRApp};
 use cloudburst_core::combine::Concat;
+use std::borrow::Borrow;
 
 /// An axis-aligned box query: `lo[d] <= x[d] < hi[d]` for every dimension.
 #[derive(Debug, Clone)]
@@ -33,11 +34,15 @@ impl BoxQuery {
         BoxQuery { lo, hi }
     }
 
-    pub fn contains(&self, p: &[f32]) -> bool {
-        debug_assert_eq!(p.len(), self.lo.len());
-        p.iter()
+    /// Whether the point `p` (a slice or a record's [`points::coords`])
+    /// lies inside the box.
+    pub fn contains(&self, p: impl IntoIterator<Item = impl Borrow<f32>>) -> bool {
+        p.into_iter()
             .zip(self.lo.iter().zip(&self.hi))
-            .all(|(x, (l, h))| l <= x && x < h)
+            .all(|(x, (l, h))| {
+                let x = x.borrow();
+                l <= x && x < h
+            })
     }
 }
 
@@ -61,7 +66,7 @@ impl GRApp for SelectionApp {
     type Params = BoxQuery;
 
     fn decode_chunk(&self, meta: &ChunkMeta, bytes: &[u8]) -> Vec<(u64, Vec<f32>)> {
-        records(meta, bytes, points::unit_bytes(self.dim))
+        expect_records(meta, bytes, points::unit_bytes(self.dim))
             .enumerate()
             .map(|(i, rec)| (KnnApp::unit_id(meta, self.dim, i), points::point(rec)))
             .collect()
@@ -76,6 +81,22 @@ impl GRApp for SelectionApp {
         if params.contains(&unit.1) {
             robj.push(unit.0);
         }
+    }
+
+    fn fold_chunk(
+        &self,
+        params: &BoxQuery,
+        robj: &mut Concat<u64>,
+        meta: &ChunkMeta,
+        bytes: &[u8],
+    ) -> Result<u64, DecodeError> {
+        let recs = records(meta, bytes, points::unit_bytes(self.dim))?;
+        for (i, rec) in recs.enumerate() {
+            if params.contains(points::coords(rec)) {
+                robj.push(KnnApp::unit_id(meta, self.dim, i));
+            }
+        }
+        Ok(meta.units)
     }
 }
 
@@ -114,10 +135,10 @@ mod tests {
     #[test]
     fn box_query_semantics() {
         let q = BoxQuery::new(vec![0.0, 0.0], vec![1.0, 1.0]);
-        assert!(q.contains(&[0.0, 0.5]));
-        assert!(q.contains(&[0.999, 0.0]));
-        assert!(!q.contains(&[1.0, 0.5]), "hi is exclusive");
-        assert!(!q.contains(&[-0.1, 0.5]));
+        assert!(q.contains([0.0, 0.5]));
+        assert!(q.contains([0.999, 0.0]));
+        assert!(!q.contains([1.0, 0.5]), "hi is exclusive");
+        assert!(!q.contains([-0.1, 0.5]));
     }
 
     #[test]

@@ -5,10 +5,15 @@
 //!
 //! Units are little-endian `f64` readings (sensor samples, latencies, ...).
 
-use crate::records;
+use crate::{expect_records, fold_values};
 use cb_storage::layout::ChunkMeta;
-use cloudburst_core::api::GRApp;
+use cloudburst_core::api::{DecodeError, GRApp};
 use cloudburst_core::combine::{Histogram, MinMax, Moments};
+
+/// One 8-byte reading record.
+fn reading(rec: &[u8]) -> f64 {
+    f64::from_le_bytes(rec.try_into().unwrap())
+}
 
 /// Parameters: the histogram range (fixed per pass so per-worker histograms
 /// are merge-compatible).
@@ -29,9 +34,7 @@ impl GRApp for StatsApp {
     type Params = StatsQuery;
 
     fn decode_chunk(&self, meta: &ChunkMeta, bytes: &[u8]) -> Vec<f64> {
-        records(meta, bytes, 8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect()
+        expect_records(meta, bytes, 8).map(reading).collect()
     }
 
     fn init(&self, q: &StatsQuery) -> (Moments, Histogram, MinMax) {
@@ -48,6 +51,16 @@ impl GRApp for StatsApp {
         // MinMax is integer-domain; readings are observed at millisecond
         // resolution (scaled), which is exact for the comparison purpose.
         robj.2.observe((*unit * 1000.0).round() as i64);
+    }
+
+    fn fold_chunk(
+        &self,
+        q: &StatsQuery,
+        robj: &mut (Moments, Histogram, MinMax),
+        meta: &ChunkMeta,
+        bytes: &[u8],
+    ) -> Result<u64, DecodeError> {
+        fold_values(self, q, robj, meta, bytes, 8, reading)
     }
 }
 

@@ -5,10 +5,15 @@
 //! Units are 8-byte word ids (a real system would hash tokens to ids during
 //! ingestion); the reduction object is a [`KeyedSum`].
 
-use crate::records;
+use crate::{expect_records, fold_values};
 use cb_storage::layout::ChunkMeta;
-use cloudburst_core::api::GRApp;
+use cloudburst_core::api::{DecodeError, GRApp};
 use cloudburst_core::combine::KeyedSum;
+
+/// One 8-byte word-id record.
+fn word(rec: &[u8]) -> u64 {
+    u64::from_le_bytes(rec.try_into().unwrap())
+}
 
 /// The wordcount application.
 #[derive(Debug, Clone, Default)]
@@ -20,9 +25,7 @@ impl GRApp for WordCountApp {
     type Params = ();
 
     fn decode_chunk(&self, meta: &ChunkMeta, bytes: &[u8]) -> Vec<u64> {
-        records(meta, bytes, 8)
-            .map(|rec| u64::from_le_bytes(rec.try_into().unwrap()))
-            .collect()
+        expect_records(meta, bytes, 8).map(word).collect()
     }
 
     fn init(&self, _: &()) -> KeyedSum {
@@ -31,6 +34,16 @@ impl GRApp for WordCountApp {
 
     fn local_reduce(&self, _: &(), robj: &mut KeyedSum, unit: &u64) {
         robj.add(*unit, 1.0);
+    }
+
+    fn fold_chunk(
+        &self,
+        params: &(),
+        robj: &mut KeyedSum,
+        meta: &ChunkMeta,
+        bytes: &[u8],
+    ) -> Result<u64, DecodeError> {
+        fold_values(self, params, robj, meta, bytes, 8, word)
     }
 }
 

@@ -11,14 +11,14 @@
 use super::{CmdError, TraceOpts};
 use crate::args::Args;
 use cb_apps::knn::{KnnApp, KnnQuery};
-use cb_apps::pagerank::{next_ranks, rank_delta, PageRankApp, RankParams};
+use cb_apps::pagerank::{edge, next_ranks, rank_delta, PageRankApp, RankParams};
 use cb_apps::selection::{BoxQuery, SelectionApp};
 use cb_apps::wordcount::WordCountApp;
 use cb_net::RobjCodec;
 use cb_storage::builder::StoreMap;
 use cb_storage::layout::{LocationId, Placement};
 use cb_storage::store::{DiskStore, ObjectStore};
-use cloudburst_core::api::{GRApp, ReductionObject};
+use cloudburst_core::api::ReductionObject;
 use cloudburst_core::config::RuntimeConfig;
 use cloudburst_core::deploy::{ClusterSpec, DataFabric, Deployment};
 use cloudburst_core::obs::EventKind;
@@ -228,8 +228,12 @@ pub fn run(args: &Args) -> Result<String, CmdError> {
                     .store_for(cb_storage::layout::LocationId(0), home)
                     .ok_or_else(|| CmdError::Other("no fabric path for degree scan".into()))?;
                 let bytes = store.get_range(&file.name, chunk.offset, chunk.len)?;
-                let app0 = PageRankApp::new(u32::MAX);
-                let edges = app0.decode_chunk(chunk, &bytes);
+                let edges: Vec<(u32, u32)> = cb_apps::records(chunk, &bytes, 8)
+                    .map_err(|e| {
+                        CmdError::Other(format!("chunk {} of {}: {e}", chunk.id.0, file.name))
+                    })?
+                    .map(edge)
+                    .collect();
                 for &(src, dst) in &edges {
                     max_page = max_page.max(src).max(dst);
                 }

@@ -17,8 +17,15 @@
 //!    into the object; the result must not depend on unit order;
 //! 3. a **Global Reduction** — [`ReductionObject::merge`], combining two
 //!    objects; shipped combiners live in [`crate::combine`].
+//!
+//! The runtime folds each chunk through [`GRApp::fold_chunk`]. Its provided
+//! body is the reference semantics — [`GRApp::decode_chunk`], then
+//! `local_reduce` on every unit — and apps override it to fold straight
+//! from the chunk bytes. [`run_sequential`] always takes the reference
+//! route, so it is the oracle for the fast one.
 
 use cb_storage::layout::ChunkMeta;
+use std::fmt;
 
 /// A mergeable accumulator — the *reduction object* of the paper.
 ///
@@ -56,10 +63,12 @@ pub trait GRApp: Send + Sync + 'static {
     /// Read-only broadcast state for one pass.
     type Params: Send + Sync;
 
-    /// Decode a chunk's raw bytes into data units.
+    /// Decode a chunk's raw bytes into data units: the reference route's
+    /// view of a chunk, one `proc(e)` element per unit.
     ///
     /// `meta.units` tells the expected count; implementations should
-    /// assert/validate it to catch index corruption early.
+    /// assert it to catch index corruption early. [`GRApp::fold_chunk`]
+    /// is where a bad chunk is reported rather than asserted.
     fn decode_chunk(&self, meta: &ChunkMeta, bytes: &[u8]) -> Vec<Self::Unit>;
 
     /// A fresh (identity) reduction object.
@@ -68,7 +77,59 @@ pub trait GRApp: Send + Sync + 'static {
     /// Fold one unit into the reduction object. Must be order-insensitive
     /// across units (see [`ReductionObject`] contract).
     fn local_reduce(&self, params: &Self::Params, robj: &mut Self::RObj, unit: &Self::Unit);
+
+    /// Fold every unit of one chunk into `robj`; returns the unit count.
+    ///
+    /// The runtime folds every chunk through this. The provided body is the
+    /// reference route: [`decode_chunk`](GRApp::decode_chunk), then
+    /// [`local_reduce`](GRApp::local_reduce) on each unit. An override
+    /// folds straight from `bytes` instead, with no unit materialised, and
+    /// must leave `robj` exactly as the reference route would.
+    ///
+    /// An override returns `Err` when `bytes` disagree with `meta`, and
+    /// does so *before* folding any unit: the runtime then fails the job,
+    /// which may be retried elsewhere, so a partial fold would count units
+    /// twice.
+    fn fold_chunk(
+        &self,
+        params: &Self::Params,
+        robj: &mut Self::RObj,
+        meta: &ChunkMeta,
+        bytes: &[u8],
+    ) -> Result<u64, DecodeError> {
+        let units = self.decode_chunk(meta, bytes);
+        reduce_units(self, params, robj, &units);
+        Ok(units.len() as u64)
+    }
 }
+
+/// Why a chunk's bytes cannot be folded: they disagree with the chunk's
+/// index entry. The organizer never writes such a chunk, so this is a
+/// wrong unit size or a stale index, not a transient fault.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DecodeError {
+    /// `len` bytes are not a whole number of `unit_bytes`-byte records.
+    Ragged { len: u64, unit_bytes: u64 },
+    /// The chunk holds `found` records; its index entry says `expected`.
+    UnitCount { expected: u64, found: u64 },
+}
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DecodeError::Ragged { len, unit_bytes } => write!(
+                f,
+                "chunk of {len} bytes is not a whole number of {unit_bytes}-byte records"
+            ),
+            DecodeError::UnitCount { expected, found } => write!(
+                f,
+                "unit count mismatch: the index says {expected}, the chunk holds {found}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
 
 // --- Composition: tuples and vectors of reduction objects are reduction
 // --- objects, merged component-wise. Lets an application accumulate
@@ -116,7 +177,12 @@ impl<R: ReductionObject> ReductionObject for Vec<R> {
 /// Process a whole decoded chunk sequentially — the reference semantics any
 /// distributed schedule must reproduce. Exposed for tests, benchmarks, and
 /// the sequential baselines.
-pub fn reduce_units<A: GRApp>(app: &A, params: &A::Params, robj: &mut A::RObj, units: &[A::Unit]) {
+pub fn reduce_units<A: GRApp + ?Sized>(
+    app: &A,
+    params: &A::Params,
+    robj: &mut A::RObj,
+    units: &[A::Unit],
+) {
     for u in units {
         app.local_reduce(params, robj, u);
     }

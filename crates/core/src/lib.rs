@@ -9,6 +9,8 @@
 //! * [`api`] — the **generalized reduction** programming model: a
 //!   [`api::ReductionObject`] folded in place by [`api::GRApp::local_reduce`]
 //!   (no shuffle, no intermediate pairs), merged across workers and clusters.
+//!   The runtime folds whole chunks through [`api::GRApp::fold_chunk`],
+//!   which an app may override to fold straight from the chunk bytes.
 //! * [`combine`] — the shipped combiner library (aggregation, concatenation,
 //!   top-k, keyed sums, ...).
 //! * [`sched`] — the head's job pool with locality-first consecutive grants

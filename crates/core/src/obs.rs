@@ -111,7 +111,9 @@ pub enum EventKind {
     /// The fold thread waited `ns` for the fetch pipeline to deliver
     /// (the per-cluster `fetch_stall_s` is the per-core mean of these).
     Stall { ns: u64 },
-    /// Local reduction over a chunk began.
+    /// Local reduction over a chunk began. A `ProcessStart` with no
+    /// `ProcessEnd` is a chunk the app rejected before folding any of it
+    /// (`DecodeError`); its lease goes back charged.
     ProcessStart { chunk: u64 },
     /// Local reduction finished: `units` folded in `ns`. `stolen` tags
     /// jobs that were granted off another cluster's files.

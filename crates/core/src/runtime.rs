@@ -17,8 +17,8 @@
 //!   `1 + prefetch_depth` leases, retrieving the next chunk on a background
 //!   fetcher thread (through the data fabric; multi-threaded ranged GETs
 //!   when the data is remote — "job stealing") *while* folding the current
-//!   one in cache-sized groups into its private reduction object, so
-//!   retrieval overlaps computation. [`RuntimeConfig::prefetch_depth`]` = 0`
+//!   one into its private reduction object through [`GRApp::fold_chunk`],
+//!   so retrieval overlaps computation. [`RuntimeConfig::prefetch_depth`]` = 0`
 //!   restores the strictly serial fetch-then-fold loop.
 //!
 //! The scheduling behaviour (locality, consecutive grants, contention-aware
@@ -32,7 +32,8 @@
 //! the set of unprocessed chunks, both of which the head already tracks.
 //! Concretely:
 //!
-//! * a slave whose retrieval fails (after the storage layer's own retries)
+//! * a slave whose retrieval fails (after the storage layer's own retries),
+//!   or whose app rejects the chunk's bytes ([`crate::api::DecodeError`]),
 //!   reports the job *failed* and keeps pulling work — the head re-enqueues
 //!   the chunk at the front of its file's queue so another slave or cluster
 //!   picks it up with sequential reads intact;
@@ -74,10 +75,10 @@ use std::time::{Duration, Instant};
 /// again at most this often.
 const MASTER_POLL: Duration = Duration::from_millis(2);
 
-/// Data units folded per local-reduction group. The paper sizes unit groups
-/// to the processor cache; functionally it only sets the batching
-/// granularity of the synthetic compute weight.
-const CACHE_GROUP_UNITS: usize = 4096;
+/// Data units per synthetic-compute slice. The paper folds in unit groups
+/// sized to the processor cache; here the fold reads the chunk in place,
+/// and this only sets the granularity of the synthetic compute weight.
+const CACHE_GROUP_UNITS: u64 = 4096;
 
 /// Errors surfaced by a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -647,7 +648,6 @@ fn slave_loop<A: GRApp>(
                     continue;
                 }
             };
-            consecutive_failures = 0;
             if f.remote {
                 stats.bytes_remote += chunk.len;
             } else {
@@ -660,25 +660,38 @@ fn slave_loop<A: GRApp>(
                 ns,
             });
             emit(EventKind::ProcessStart { chunk: c });
-            // Process: decode, then fold in cache-sized unit groups.
+            // Process: fold the chunk in place, then burn the synthetic
+            // compute weight in cache-sized unit groups.
             let t_p = Instant::now();
-            let units = app.decode_chunk(chunk, &bytes);
-            for group in units.chunks(CACHE_GROUP_UNITS) {
-                for u in group {
-                    app.local_reduce(params, &mut robj, u);
+            let units = match app.fold_chunk(params, &mut robj, chunk, &bytes) {
+                Ok(units) => units,
+                Err(e) => {
+                    // Bytes that disagree with the index fail the job as a
+                    // fetch failure does; nothing of the chunk was folded.
+                    let file = &layout.file(chunk.file).name;
+                    master.note_error(format!("chunk {c} of {file}: {e}"));
+                    master.resolve(Resolution::Failed(f.job.chunk));
+                    consecutive_failures += 1;
+                    continue;
                 }
-                if compute_ns > 0 {
-                    burn(Duration::from_nanos(compute_ns * group.len() as u64));
+            };
+            consecutive_failures = 0;
+            if compute_ns > 0 {
+                let mut left = units;
+                while left > 0 {
+                    let group = left.min(CACHE_GROUP_UNITS);
+                    burn(Duration::from_nanos(compute_ns * group));
+                    left -= group;
                 }
             }
             let took = t_p.elapsed();
             stats.processing += took;
             stats.jobs += 1;
-            stats.units += units.len() as u64;
+            stats.units += units;
             stats.stolen_jobs += f.job.stolen as u64;
             emit(EventKind::ProcessEnd {
                 chunk: c,
-                units: units.len() as u64,
+                units,
                 ns: took.as_nanos() as u64,
                 stolen: f.job.stolen,
             });

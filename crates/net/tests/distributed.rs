@@ -1,7 +1,8 @@
 //! Distributed-runtime integration: TCP and loopback runs must reproduce
 //! the in-process runtime's result *byte for byte*; silent workers must be
 //! detected by heartbeat and their work recovered; bad handshakes must be
-//! rejected with a reason.
+//! rejected with a reason; a chunk whose bytes disagree with its index
+//! entry must fail the run with a typed error in every substrate.
 
 use cb_apps::gen::WordsSpec;
 use cb_apps::scenario::{build_hybrid, HybridEnv, HybridOpts};
@@ -14,8 +15,8 @@ use cb_net::{
 use cb_storage::layout::ChunkId;
 use cloudburst_core::combine::KeyedSum;
 use cloudburst_core::config::RuntimeConfig;
-use cloudburst_core::runtime::run;
-use cloudburst_core::Resolution;
+use cloudburst_core::runtime::{run, RunOutcome, RuntimeError};
+use cloudburst_core::{ClusterSpec, Resolution};
 use proptest::prelude::*;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,37 +52,31 @@ fn single_process_bytes(env: &HybridEnv, cfg: &RuntimeConfig) -> Vec<u8> {
     .encode_robj()
 }
 
-/// Three OS-thread "processes" over real localhost TCP produce the same
-/// final reduction-object bytes as the in-process loopback runtime.
-#[test]
-fn tcp_three_node_matches_single_process() {
-    let spec = WordsSpec {
-        vocabulary: 300,
-        n_files: 4,
-        words_per_file: 4_000,
-        words_per_chunk: 500,
-        seed: 7,
-    };
-    let env = env_for(&spec, 0.5, 2, 2);
-    let cfg = RuntimeConfig::default();
-    let expected = single_process_bytes(&env, &cfg);
+fn worker_spec(ci: usize, cluster: &ClusterSpec, fp: u64) -> WorkerSpec {
+    WorkerSpec {
+        cluster: ci as u32,
+        name: cluster.name.clone(),
+        app_tag: APP.into(),
+        fingerprint: fp,
+    }
+}
 
+/// One pass over real localhost TCP: `serve_head` plus one `run_worker`
+/// thread per cluster.
+fn run_over_tcp(
+    env: &HybridEnv,
+    cfg: &RuntimeConfig,
+) -> Result<RunOutcome<KeyedSum>, RuntimeError> {
     let net = NetConfig::default();
     let fp = fingerprint(&env.layout, &env.placement, APP);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-
-    let out = std::thread::scope(|scope| {
+    let (layout, placement, fabric) = (&env.layout, &env.placement, &env.deployment.fabric);
+    std::thread::scope(|scope| {
         for (ci, cluster) in env.deployment.clusters.iter().enumerate() {
-            let (net, cfg) = (&net, &cfg);
-            let (layout, placement, fabric) = (&env.layout, &env.placement, &env.deployment.fabric);
+            let net = &net;
             scope.spawn(move || {
-                let wspec = WorkerSpec {
-                    cluster: ci as u32,
-                    name: cluster.name.clone(),
-                    app_tag: APP.into(),
-                    fingerprint: fp,
-                };
+                let wspec = worker_spec(ci, cluster, fp);
                 run_worker(
                     &WordCountApp,
                     &(),
@@ -97,18 +92,66 @@ fn tcp_three_node_matches_single_process() {
                 .expect("worker run");
             });
         }
-        serve_head::<KeyedSum>(
-            &listener,
-            2,
-            &env.layout,
-            &env.placement,
-            &cfg,
-            &net,
-            fp,
-            APP,
-        )
-        .expect("head run")
-    });
+        let n = env.deployment.clusters.len();
+        serve_head::<KeyedSum>(&listener, n, layout, placement, cfg, &net, fp, APP)
+    })
+}
+
+/// One pass over the full wire protocol on in-process channel links
+/// (same codec, no sockets).
+fn run_over_loopback(
+    env: &HybridEnv,
+    cfg: &RuntimeConfig,
+) -> Result<RunOutcome<KeyedSum>, RuntimeError> {
+    let net = NetConfig::default();
+    let fp = fingerprint(&env.layout, &env.placement, APP);
+    let (layout, placement, fabric) = (&env.layout, &env.placement, &env.deployment.fabric);
+    std::thread::scope(|scope| {
+        let mut peers = Vec::new();
+        for (ci, cluster) in env.deployment.clusters.iter().enumerate() {
+            let (head_end, worker_end) = loopback_pair();
+            let net = &net;
+            scope.spawn(move || {
+                let wspec = worker_spec(ci, cluster, fp);
+                run_worker_on_links(
+                    &WordCountApp,
+                    &(),
+                    layout,
+                    placement,
+                    fabric,
+                    cluster,
+                    &wspec,
+                    cfg,
+                    net,
+                    worker_end.tx,
+                    worker_end.rx,
+                )
+                .expect("worker over loopback");
+            });
+            let peer = handshake_one(head_end.tx, head_end.rx, &peers, net, fp, APP)
+                .expect("loopback handshake");
+            peers.push(peer);
+        }
+        run_head::<KeyedSum>(peers, layout, placement, cfg, &net)
+    })
+}
+
+/// Three OS-thread "processes" over real localhost TCP produce the same
+/// final reduction-object bytes as the in-process loopback runtime.
+#[test]
+fn tcp_three_node_matches_single_process() {
+    let spec = WordsSpec {
+        vocabulary: 300,
+        n_files: 4,
+        words_per_file: 4_000,
+        words_per_chunk: 500,
+        seed: 7,
+    };
+    let env = env_for(&spec, 0.5, 2, 2);
+    let cfg = RuntimeConfig::default();
+    let expected = single_process_bytes(&env, &cfg);
+
+    let out = run_over_tcp(&env, &cfg).expect("head run");
 
     assert_eq!(out.result.encode_robj(), expected, "robj bytes must match");
     assert_eq!(out.report.net.peers_joined, 2);
@@ -327,46 +370,83 @@ proptest! {
         let cfg = RuntimeConfig::default();
         let expected = single_process_bytes(&env, &cfg);
 
-        let net = NetConfig::default();
-        let fp = fingerprint(&env.layout, &env.placement, APP);
-        let out = std::thread::scope(|scope| {
-            let mut peers = Vec::new();
-            for (ci, cluster) in env.deployment.clusters.iter().enumerate() {
-                let (head_end, worker_end) = loopback_pair();
-                let (net, cfg) = (&net, &cfg);
-                let (layout, placement, fabric) =
-                    (&env.layout, &env.placement, &env.deployment.fabric);
-                scope.spawn(move || {
-                    let wspec = WorkerSpec {
-                        cluster: ci as u32,
-                        name: cluster.name.clone(),
-                        app_tag: APP.into(),
-                        fingerprint: fp,
-                    };
-                    run_worker_on_links(
-                        &WordCountApp,
-                        &(),
-                        layout,
-                        placement,
-                        fabric,
-                        cluster,
-                        &wspec,
-                        cfg,
-                        net,
-                        worker_end.tx,
-                        worker_end.rx,
-                    )
-                    .expect("worker over loopback");
-                });
-                let peer = handshake_one(head_end.tx, head_end.rx, &peers, net, fp, APP)
-                    .expect("loopback handshake");
-                peers.push(peer);
-            }
-            run_head::<KeyedSum>(peers, &env.layout, &env.placement, &cfg, &net)
-                .expect("head over loopback")
-        });
+        let out = run_over_loopback(&env, &cfg).expect("head over loopback");
         prop_assert_eq!(out.result.encode_robj(), expected);
     }
+}
+
+/// The chunk [`env_with_bad_chunk`] corrupts.
+const BAD: ChunkId = ChunkId(5);
+
+/// A words corpus whose chunk [`BAD`] is indexed with one unit more than
+/// its bytes hold, as a stale index or a wrong unit size would leave it.
+fn env_with_bad_chunk() -> HybridEnv {
+    let spec = WordsSpec {
+        vocabulary: 200,
+        n_files: 4,
+        words_per_file: 2_000,
+        words_per_chunk: 500,
+        seed: 5,
+    };
+    let mut env = env_for(&spec, 0.5, 2, 2);
+    env.layout.chunks[BAD.0 as usize].units += 1;
+    env
+}
+
+/// Slaves never retire on failures, so the bad chunk alone spends its
+/// failure budget and every good chunk completes.
+fn bad_chunk_cfg() -> RuntimeConfig {
+    RuntimeConfig {
+        slave_failure_threshold: 1_000,
+        ..RuntimeConfig::default()
+    }
+}
+
+/// The run failed on [`BAD`] alone, and the error names it and its file.
+fn assert_failed_on_bad_chunk(env: &HybridEnv, result: Result<RunOutcome<KeyedSum>, RuntimeError>) {
+    let Err(RuntimeError::JobsFailed {
+        dead,
+        unfinished,
+        last_error,
+    }) = result
+    else {
+        panic!("expected JobsFailed, got {result:?}");
+    };
+    assert_eq!(dead, vec![BAD]);
+    assert_eq!(unfinished, 0, "every good chunk completes");
+    let file = &env.layout.file(env.layout.chunk(BAD).file).name;
+    let error = last_error.expect("the decode error is reported");
+    assert!(
+        error.contains(&format!("chunk {} of {file}: unit count mismatch", BAD.0)),
+        "{error}"
+    );
+}
+
+#[test]
+fn bad_chunk_fails_the_run_in_process() {
+    let env = env_with_bad_chunk();
+    let cfg = bad_chunk_cfg();
+    let result = run(
+        &WordCountApp,
+        &(),
+        &env.layout,
+        &env.placement,
+        &env.deployment,
+        &cfg,
+    );
+    assert_failed_on_bad_chunk(&env, result);
+}
+
+#[test]
+fn bad_chunk_fails_the_run_over_loopback() {
+    let env = env_with_bad_chunk();
+    assert_failed_on_bad_chunk(&env, run_over_loopback(&env, &bad_chunk_cfg()));
+}
+
+#[test]
+fn bad_chunk_fails_the_run_over_tcp() {
+    let env = env_with_bad_chunk();
+    assert_failed_on_bad_chunk(&env, run_over_tcp(&env, &bad_chunk_cfg()));
 }
 
 /// A worker that goes silent (socket open, no heartbeats, never ships) is

@@ -11,9 +11,12 @@ use cb_apps::selection::{BoxQuery, SelectionApp};
 use cb_apps::wordcount::WordCountApp;
 use cb_storage::layout::LocationId;
 use cloudburst_core::config::{RuntimeConfig, SlaveKill};
-use cloudburst_core::obs::{self, EventKind, EventRecord, RecordingSink, SinkHandle, TraceSummary};
+use cloudburst_core::obs::{
+    self, EventKind, EventRecord, EventSink, RecordingSink, SinkHandle, TraceSummary,
+};
 use cloudburst_core::runtime::run;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 fn points_spec(seed: u64) -> PointsSpec {
     PointsSpec {
@@ -88,6 +91,58 @@ fn live_events_reconcile_with_report() {
     assert_eq!(summary.robj_merges, out.report.clusters.len() as u64);
 }
 
+/// A recording sink that makes a scheduled kill certain: it holds back
+/// every other slave's fetches until the kill's target has completed its
+/// `after_jobs` jobs (or retired). Without it, a loaded host can leave the
+/// target thread unscheduled while its siblings drain every chunk, and the
+/// kill never fires.
+struct KillGate {
+    inner: Arc<RecordingSink>,
+    target: (u32, u32),
+    after_jobs: u64,
+    /// Jobs the target has completed; `u64::MAX` once it retired.
+    done: Mutex<u64>,
+    progressed: Condvar,
+}
+
+impl KillGate {
+    fn new(inner: Arc<RecordingSink>, kill: SlaveKill) -> Self {
+        KillGate {
+            inner,
+            target: (kill.cluster as u32, kill.slave as u32),
+            after_jobs: kill.after_jobs,
+            done: Mutex::new(0),
+            progressed: Condvar::new(),
+        }
+    }
+}
+
+impl EventSink for KillGate {
+    fn emit(&self, cluster: Option<u32>, slave: Option<u32>, kind: EventKind) {
+        let who = cluster.zip(slave);
+        if who == Some(self.target) {
+            let mut done = self.done.lock().unwrap();
+            match kind {
+                EventKind::ProcessEnd { .. } => *done = done.saturating_add(1),
+                EventKind::SlaveRetired { .. } => *done = u64::MAX,
+                _ => {}
+            }
+            self.progressed.notify_all();
+        } else if who.is_some() && matches!(kind, EventKind::FetchStart { .. }) {
+            // A fetcher emits `FetchStart` holding one lease and no lock,
+            // so the target can still take the rest of its cluster's
+            // work. The timeout only turns a gate bug into a failed
+            // assertion instead of a hang.
+            let done = self.done.lock().unwrap();
+            let _ = self
+                .progressed
+                .wait_timeout_while(done, Duration::from_secs(10), |d| *d < self.after_jobs)
+                .unwrap();
+        }
+        self.inner.emit(cluster, slave, kind);
+    }
+}
+
 /// Faults + a kill schedule: retries, lease releases, and the kill are all
 /// visible in the stream and still reconcile with the recovery stats.
 #[test]
@@ -106,18 +161,21 @@ fn faulty_run_events_reconcile_with_recovery_stats() {
         },
     )
     .unwrap();
-    let (rec, cfg) = observed_cfg(RuntimeConfig {
+    let kill = SlaveKill {
+        cluster: 1,
+        slave: 0,
+        after_jobs: 2,
+    };
+    let rec = RecordingSink::new();
+    let cfg = RuntimeConfig {
         prefetch_depth: 1,
         retrieval_retries: 3,
         retrieval_backoff: std::time::Duration::ZERO,
-        kill_schedule: vec![SlaveKill {
-            cluster: 1,
-            slave: 0,
-            after_jobs: 2,
-        }],
+        kill_schedule: vec![kill],
         slave_failure_threshold: 1_000, // keep retirement out of the picture
+        sink: SinkHandle::new(Arc::new(KillGate::new(Arc::clone(&rec), kill))),
         ..Default::default()
-    });
+    };
     // Every GET fails twice per key before succeeding: absorbed by retries,
     // each attempt surfacing as a Retry event (plus the FlakyStore's own
     // FaultInjected when observed, as the CLI wires it).
