@@ -25,11 +25,12 @@ fn render_sim(
 ) -> Result<String, CmdError> {
     let mut s = String::new();
     if timeline || trace_out.is_some() {
-        let (report, events) = simulate_observed(params).map_err(CmdError::Other)?;
+        let (report, events) =
+            simulate_observed(params).map_err(|e| CmdError::Other(e.to_string()))?;
         let _ = write!(s, "{}", report.render());
         render_events(&mut s, &events, timeline, trace_out)?;
     } else {
-        let report = simulate(params).map_err(CmdError::Other)?;
+        let report = simulate(params).map_err(|e| CmdError::Other(e.to_string()))?;
         let _ = write!(s, "{}", report.render());
     }
     Ok(s)

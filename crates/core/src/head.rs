@@ -1,5 +1,5 @@
-//! The head core (paper §III-B, Fig. 2): the one head every real substrate
-//! drives.
+//! The head core (paper §III-B, Fig. 2): the one head all three substrates
+//! drive — the in-process runtime, the `cb-net` head and the simulator.
 //!
 //! [`Head`] owns the [`JobPool`]. It answers a job request together with
 //! the pool's exhaustion verdict, resolves leases, forfeits a lost
@@ -9,30 +9,33 @@
 //!
 //! The in-process runtime puts it behind a mutex as its masters'
 //! [`HeadPort`]: direct calls, no frames. The `cb-net` head drives it from
-//! its event loop and keeps only what is specific to the wire. The banked
-//! payload `B` is what the substrate receives — the reduction object
-//! in-process, its encoding on the wire — and is decoded at `finish`.
+//! its event loop and keeps only what is specific to the wire. The
+//! simulator drives it from its event handlers on a virtual [`Clock`]. The
+//! banked payload `B` is what the substrate receives — the reduction object
+//! in-process, its encoding on the wire, nothing in the simulator — and is
+//! decoded at `finish`.
 
 use crate::api::ReductionObject;
 use crate::config::RuntimeConfig;
 use crate::deploy::ClusterSpec;
-use crate::report::{ClusterAccount, ClusterBreakdown, RecoveryStats, RunReport};
+use crate::obs::Clock;
+use crate::report::{secs, ClusterAccount, ClusterBreakdown, RecoveryStats, RunReport};
 use crate::runtime::{HeadPort, Resolution, RunOutcome, RuntimeError};
 use crate::sched::pool::{Grant, JobPool};
 use cb_storage::layout::{DatasetLayout, LocationId, Placement};
 use parking_lot::Mutex;
 use std::io;
-use std::time::Instant;
+use std::time::Duration;
 
 /// One cluster's result slot.
 enum Slot<B> {
     /// Still running.
     Open,
-    /// Reported, with the instant the substrate counts it done at.
+    /// Reported, with the run time the substrate counts it done at.
     Banked {
         robj: Option<B>,
         account: ClusterAccount,
-        done: Instant,
+        done: Duration,
     },
     /// Lost before reporting; its work went back to the pool.
     Lost,
@@ -45,22 +48,40 @@ pub struct Head<B> {
     slots: Vec<Slot<B>>,
     /// First error observed, carried by [`RuntimeError::JobsFailed`].
     error: Option<String>,
-    t0: Instant,
+    clock: Clock,
 }
 
 impl<B> Head<B> {
-    /// Validate the run, then build the job pool from the dataset index;
-    /// `clusters[i]` is report slot `i`. The run's clock starts here.
+    /// Validate the run — the config, the layout, and the kill schedule
+    /// against `clusters` — then build the job pool from the dataset index;
+    /// `clusters[i]` is report slot `i`. Every report time is read from
+    /// `clock`.
     pub fn new(
         layout: &DatasetLayout,
         placement: &Placement,
         cfg: &RuntimeConfig,
         clusters: Vec<ClusterSpec>,
+        clock: Clock,
     ) -> Result<Self, RuntimeError> {
         cfg.validate().map_err(RuntimeError::Validation)?;
         layout
             .validate()
             .map_err(|e| RuntimeError::Validation(e.to_string()))?;
+        for kill in &cfg.kill_schedule {
+            let Some(c) = clusters.get(kill.cluster) else {
+                return Err(RuntimeError::Validation(format!(
+                    "kill_schedule names cluster {} but only {} cluster(s) exist",
+                    kill.cluster,
+                    clusters.len()
+                )));
+            };
+            if kill.slave >= c.cores {
+                return Err(RuntimeError::Validation(format!(
+                    "kill_schedule names slave {} of cluster {} but it has {} core(s)",
+                    kill.slave, kill.cluster, c.cores
+                )));
+            }
+        }
         let locations: Vec<LocationId> = clusters.iter().map(|c| c.location).collect();
         Ok(Head {
             pool: JobPool::new(layout, placement, cfg.pool.clone())
@@ -68,13 +89,18 @@ impl<B> Head<B> {
             slots: clusters.iter().map(|_| Slot::Open).collect(),
             clusters,
             error: None,
-            t0: Instant::now(),
+            clock,
         })
     }
 
-    /// When the run started.
-    pub fn t0(&self) -> Instant {
-        self.t0
+    /// Time since the run started, on the run's clock.
+    pub fn now(&self) -> Duration {
+        self.clock.now()
+    }
+
+    /// The job pool, for its counters.
+    pub fn pool(&self) -> &JobPool {
+        &self.pool
     }
 
     /// Grant a job batch to the cluster at `loc`, with the exhaustion
@@ -95,14 +121,15 @@ impl<B> Head<B> {
         }
     }
 
-    /// Bank `cluster`'s result. `done` is when the substrate counts it
-    /// finished; it yields the idle and global-reduction times.
+    /// Bank `cluster`'s result. `done` is the run time at which the
+    /// substrate counts it finished; it yields the idle and
+    /// global-reduction times.
     pub fn bank(
         &mut self,
         cluster: usize,
         robj: Option<B>,
         account: ClusterAccount,
-        done: Instant,
+        done: Duration,
     ) {
         if let Some(e) = &account.error {
             self.note_error(e.clone());
@@ -139,7 +166,8 @@ impl<B> Head<B> {
 
     /// End the run: [`RuntimeError::JobsFailed`] unless every job completed.
     /// Otherwise `decode` turns each banked payload into a reduction object
-    /// and they merge in cluster-index order. A cluster that never reported
+    /// and they merge in cluster-index order; the run ends at the clock's
+    /// time after the merge. A cluster that never reported
     /// gets an empty `"<name> (lost)"` row: its work was redone, and is
     /// accounted, elsewhere.
     pub fn finish<R: ReductionObject>(
@@ -151,7 +179,7 @@ impl<B> Head<B> {
             clusters,
             slots,
             error,
-            t0,
+            clock,
         } = self;
         // The run fails only if some chunk could not be processed anywhere;
         // every fault the scheduler absorbed shows up in `recovery` instead.
@@ -166,7 +194,7 @@ impl<B> Head<B> {
             Slot::Banked { done, .. } => Some(*done),
             _ => None,
         });
-        let last_done = last_done.max().unwrap_or(t0);
+        let last_done = last_done.max().unwrap_or(Duration::ZERO);
         let mut recovery = RecoveryStats {
             jobs_reenqueued: pool.reenqueued(),
             ..Default::default()
@@ -184,8 +212,8 @@ impl<B> Head<B> {
                     format!("{} (lost)", c.name),
                     c.cores,
                     &[],
-                    0.0,
-                    0.0,
+                    Duration::ZERO,
+                    Duration::ZERO,
                 ));
                 continue;
             };
@@ -205,16 +233,16 @@ impl<B> Head<B> {
                 c.name,
                 c.cores,
                 &account.slaves,
-                account.wall.as_nanos() as f64 / 1e9,
-                last_done.saturating_duration_since(done).as_secs_f64(),
+                account.wall,
+                last_done.saturating_sub(done),
             ));
         }
         let result = result
             .ok_or_else(|| RuntimeError::Validation("no reduction objects produced".into()))?;
-        let end = Instant::now();
+        let end = clock.now();
         let report = RunReport {
-            total_s: end.saturating_duration_since(t0).as_secs_f64(),
-            global_reduction_s: end.saturating_duration_since(last_done).as_secs_f64(),
+            total_s: secs(end),
+            global_reduction_s: secs(end.saturating_sub(last_done)),
             robj_bytes: result.size_bytes() as u64,
             clusters: rows,
             recovery,
@@ -246,7 +274,8 @@ mod tests {
     use super::*;
     use crate::report::SlaveStats;
     use cb_storage::organizer::organize_even;
-    use std::time::Duration;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     const LOCAL: LocationId = LocationId(0);
     const CLOUD: LocationId = LocationId(1);
@@ -264,16 +293,17 @@ mod tests {
         }
     }
 
-    /// Two clusters over 2 files × 4 jobs; with `drain`, CLOUD has already
-    /// run every job.
-    fn head(drain: bool) -> Head<usize> {
+    /// Two clusters over 2 files × 4 jobs on `clock`; with `drain`, CLOUD
+    /// has already run every job.
+    fn head_on(clock: Clock, drain: bool) -> Head<usize> {
         let layout = organize_even(2, 4 * 64, 64, 8).unwrap();
         let placement = Placement::split_fraction(2, 0.5, LOCAL, CLOUD);
         let clusters = vec![
             ClusterSpec::new("local", LOCAL, 2),
             ClusterSpec::new("cloud", CLOUD, 2),
         ];
-        let mut head = Head::new(&layout, &placement, &RuntimeConfig::default(), clusters).unwrap();
+        let cfg = RuntimeConfig::default();
+        let mut head = Head::new(&layout, &placement, &cfg, clusters, clock).unwrap();
         while let (grant, false) = head.request(CLOUD) {
             if !drain {
                 break;
@@ -283,6 +313,10 @@ mod tests {
             }
         }
         head
+    }
+
+    fn head(drain: bool) -> Head<usize> {
+        head_on(Clock::Wall(std::time::Instant::now()), drain)
     }
 
     fn account(jobs: u64, error: Option<&str>) -> ClusterAccount {
@@ -305,8 +339,8 @@ mod tests {
     #[test]
     fn finish_merges_in_cluster_order_whatever_the_bank_order() {
         let mut h = head(true);
-        h.bank(1, Some(1), account(8, None), Instant::now());
-        h.bank(0, Some(0), account(0, None), Instant::now());
+        h.bank(1, Some(1), account(8, None), Duration::ZERO);
+        h.bank(0, Some(0), account(0, None), Duration::ZERO);
         let out = h.finish(decode).unwrap();
         assert_eq!(out.result.0, [0, 1]);
         assert_eq!(out.report.clusters[0].name, "local");
@@ -319,7 +353,7 @@ mod tests {
         assert!(h.is_open(0));
         assert_eq!(h.lose(0), 0, "LOCAL held nothing");
         assert!(h.is_lost(0) && !h.is_open(0));
-        h.bank(1, Some(1), account(8, None), Instant::now());
+        h.bank(1, Some(1), account(8, None), Duration::ZERO);
         let out = h.finish(decode).unwrap();
         let lost = &out.report.clusters[0];
         assert_eq!((lost.name.as_str(), lost.cores), ("local (lost)", 2));
@@ -333,8 +367,8 @@ mod tests {
     #[test]
     fn an_unfinished_pool_fails_with_the_first_banked_error() {
         let mut h = head(false);
-        h.bank(1, Some(1), account(0, Some("first")), Instant::now());
-        h.bank(0, Some(0), account(0, Some("second")), Instant::now());
+        h.bank(1, Some(1), account(0, Some("first")), Duration::ZERO);
+        h.bank(0, Some(0), account(0, Some("second")), Duration::ZERO);
         match h.finish(decode) {
             Err(RuntimeError::JobsFailed {
                 dead,
@@ -347,5 +381,21 @@ mod tests {
             }
             other => panic!("expected JobsFailed, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn report_times_come_from_the_run_clock() {
+        let ns = Arc::new(AtomicU64::new(0));
+        let mut h = head_on(Clock::Virtual(Arc::clone(&ns)), true);
+        h.bank(0, Some(0), account(0, None), Duration::from_secs(2));
+        h.bank(1, Some(1), account(8, None), Duration::from_secs(5));
+        ns.store(7_000_000_000, Ordering::Relaxed);
+        let r = h.finish(decode).unwrap().report;
+        assert_eq!((r.total_s, r.global_reduction_s), (7.0, 2.0));
+        let idle: Vec<f64> = r.clusters.iter().map(|c| c.idle_end_s).collect();
+        assert_eq!(idle, [3.0, 0.0]);
+        // A row's wall is its account's (5 ms), not the time it was banked.
+        let wall: Vec<f64> = r.clusters.iter().map(|c| c.wall_s).collect();
+        assert_eq!(wall, [0.005, 0.005]);
     }
 }

@@ -23,9 +23,9 @@
 //!   nanoseconds, making the two directly comparable).
 //! * [`EventSink`] + [`SinkHandle`] — the emission interface. A disabled
 //!   handle (the default) costs one branch per call site.
-//! * [`RecordingSink`] — buffers events in memory; the runtime stamps
-//!   wall-clock time, the simulator stamps virtual time via
-//!   [`RecordingSink::with_clock`].
+//! * [`Clock`] + [`RecordingSink`] — the sink buffers events in memory,
+//!   stamped from the run's clock: wall time in the runtime, virtual time
+//!   in the simulator, which shares the one clock with its head.
 //! * [`encode_jsonl`] / [`decode_jsonl`] — the versioned JSONL trace
 //!   format written by `cloudburst run --trace-out` (schema documented in
 //!   `docs/OBSERVABILITY.md`).
@@ -64,7 +64,7 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Schema identifier written in the JSONL header line.
 pub const SCHEMA_NAME: &str = "cloudburst-trace";
@@ -253,15 +253,33 @@ impl fmt::Debug for SinkHandle {
     }
 }
 
-/// Buffers events in memory, stamping each with a timestamp.
+/// A run's clock: the time since the run started.
 ///
-/// With [`RecordingSink::new`] timestamps are wall-clock nanoseconds
-/// since the sink was created. With [`RecordingSink::with_clock`] they
-/// are read from a shared counter the simulator advances — the mechanism
-/// that makes live and simulated event streams diffable.
+/// The runtime and the net head read the wall clock; the simulator hands
+/// the same shared counter to its sink and its head and advances it to
+/// each event's virtual time. Sharing one clock is what makes live and
+/// simulated event streams, and the reports built beside them, comparable.
+#[derive(Debug, Clone)]
+pub enum Clock {
+    /// Wall time since the instant the run started.
+    Wall(Instant),
+    /// Virtual nanoseconds, set by the simulator.
+    Virtual(Arc<AtomicU64>),
+}
+
+impl Clock {
+    /// Time since the run started.
+    pub fn now(&self) -> Duration {
+        match self {
+            Clock::Wall(t0) => t0.elapsed(),
+            Clock::Virtual(ns) => Duration::from_nanos(ns.load(Ordering::Relaxed)),
+        }
+    }
+}
+
+/// Buffers events in memory, stamping each with its [`Clock`]'s time.
 pub struct RecordingSink {
-    t0: Instant,
-    clock: Option<Arc<AtomicU64>>,
+    clock: Clock,
     events: Mutex<Vec<EventRecord>>,
 }
 
@@ -269,28 +287,15 @@ impl RecordingSink {
     /// Record wall-clock timestamps relative to now.
     #[allow(clippy::new_ret_no_self)]
     pub fn new() -> Arc<RecordingSink> {
-        Arc::new(RecordingSink {
-            t0: Instant::now(),
-            clock: None,
-            events: Mutex::new(Vec::new()),
-        })
+        RecordingSink::with_clock(Clock::Wall(Instant::now()))
     }
 
-    /// Record timestamps from `clock` (virtual nanoseconds owned by the
-    /// simulator) instead of the wall clock.
-    pub fn with_clock(clock: Arc<AtomicU64>) -> Arc<RecordingSink> {
+    /// Record timestamps read from `clock`.
+    pub fn with_clock(clock: Clock) -> Arc<RecordingSink> {
         Arc::new(RecordingSink {
-            t0: Instant::now(),
-            clock: Some(clock),
+            clock,
             events: Mutex::new(Vec::new()),
         })
-    }
-
-    fn now_ns(&self) -> u64 {
-        match &self.clock {
-            Some(c) => c.load(Ordering::Relaxed),
-            None => self.t0.elapsed().as_nanos() as u64,
-        }
     }
 
     /// Copy out everything recorded so far.
@@ -318,7 +323,7 @@ impl EventSink for RecordingSink {
         // later stamp pushed by a concurrent emitter.
         let mut events = self.events.lock();
         events.push(EventRecord {
-            t_ns: self.now_ns(),
+            t_ns: self.clock.now().as_nanos() as u64,
             cluster,
             slave,
             kind,
@@ -1361,7 +1366,7 @@ mod tests {
     #[test]
     fn manual_clock_stamps_virtual_time() {
         let clock = Arc::new(AtomicU64::new(42));
-        let sink = RecordingSink::with_clock(clock.clone());
+        let sink = RecordingSink::with_clock(Clock::Virtual(clock.clone()));
         let h = SinkHandle::new(sink.clone());
         h.emit(None, None, EventKind::FaultInjected);
         clock.store(1_000, Ordering::Relaxed);

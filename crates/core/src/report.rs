@@ -88,19 +88,25 @@ pub struct ClusterBreakdown {
     pub fetch_stall_s: f64,
 }
 
+/// `d` in report seconds: nanoseconds over 1e9, the one conversion every
+/// report time goes through (`Duration::as_secs_f64` can differ in the
+/// last bit).
+pub(crate) fn secs(d: Duration) -> f64 {
+    d.as_nanos() as f64 / 1e9
+}
+
 impl ClusterBreakdown {
-    /// One cluster's report row from its slaves' stats. `wall_s` and
-    /// `idle_end_s` are the caller's: each substrate measures them against
-    /// its own clock. Times are per-core means; `sync_s` is what the wall
-    /// leaves after processing and retrieval.
+    /// One cluster's report row from its slaves' stats, its wall time and
+    /// its idle time at the end of the run. Times are per-core means;
+    /// `sync_s` is what the wall leaves after processing and retrieval.
     pub fn from_slaves(
         name: String,
         cores: usize,
         slaves: &[SlaveStats],
-        wall_s: f64,
-        idle_end_s: f64,
+        wall: Duration,
+        idle_end: Duration,
     ) -> Self {
-        let secs = |d: Duration| d.as_nanos() as f64 / 1e9;
+        let (wall_s, idle_end_s) = (secs(wall), secs(idle_end));
         let n = slaves.len().max(1) as f64;
         let mean = |f: &dyn Fn(&SlaveStats) -> f64| slaves.iter().map(f).sum::<f64>() / n;
         let processing_s = mean(&|s| secs(s.processing));
@@ -360,7 +366,7 @@ mod tests {
         };
         // The second slave's stall exceeds its retrieval: nothing hidden.
         let slaves = [slave(600, 200, 50, 3), slave(200, 100, 300, 2)];
-        let c = ClusterBreakdown::from_slaves("EC2".into(), 2, &slaves, 1.0, 0.25);
+        let c = ClusterBreakdown::from_slaves("EC2".into(), 2, &slaves, ms(1000), ms(250));
         let close = |a: f64, b: f64| (a - b).abs() < 1e-12;
         assert!(close(c.processing_s, 0.4) && close(c.retrieval_s, 0.15));
         assert!(close(c.fetch_stall_s, 0.175));
@@ -370,7 +376,7 @@ mod tests {
         assert_eq!((c.jobs_processed, c.jobs_stolen), (5, 2));
         assert_eq!((c.bytes_local, c.bytes_remote), (20, 10));
         // A wall shorter than the busy time clamps sync at zero.
-        let short = ClusterBreakdown::from_slaves("EC2".into(), 2, &slaves, 0.1, 0.0);
+        let short = ClusterBreakdown::from_slaves("EC2".into(), 2, &slaves, ms(100), ms(0));
         assert_eq!(short.sync_s, 0.0);
     }
 

@@ -55,7 +55,7 @@ use crate::api::{GRApp, ReductionObject};
 use crate::config::RuntimeConfig;
 use crate::deploy::{ClusterSpec, DataFabric, Deployment};
 use crate::head::Head;
-use crate::obs::EventKind;
+use crate::obs::{Clock, EventKind};
 use crate::report::{ClusterAccount, RecoveryStats, RunReport, SlaveStats};
 use crate::sched::master::{MasterJob, MasterPool};
 use crate::sched::pool::Grant;
@@ -162,12 +162,11 @@ pub trait HeadPort: Sync {
 /// Everything one cluster produced, as returned by [`run_cluster`]: the
 /// locally-combined reduction object (shipped through the WAN throttle if
 /// one is configured) and the account the head builds its report row from.
+/// The account's wall time ends when the local combination completed,
+/// before the WAN transfer.
 #[derive(Debug)]
 pub struct ClusterOutcome<R> {
     pub robj: Option<Box<R>>,
-    /// Instant at which all of this cluster's slaves finished and the local
-    /// combination completed (before the WAN transfer).
-    pub local_done: Instant,
     pub account: ClusterAccount,
 }
 
@@ -213,7 +212,9 @@ pub fn run<A: GRApp>(
     deployment: &Deployment,
     cfg: &RuntimeConfig,
 ) -> Result<RunOutcome<A::RObj>, RuntimeError> {
-    let head = Head::new(layout, placement, cfg, deployment.clusters.clone())?;
+    let t0 = Instant::now();
+    let clusters = deployment.clusters.clone();
+    let head = Head::new(layout, placement, cfg, clusters, Clock::Wall(t0))?;
     let data_sites: Vec<LocationId> = {
         let mut v: Vec<LocationId> = (0..placement.n_files())
             .map(|i| placement.home(cb_storage::layout::FileId(i as u32)))
@@ -225,27 +226,6 @@ pub fn run<A: GRApp>(
     deployment
         .validate(&data_sites)
         .map_err(RuntimeError::Validation)?;
-    for kill in &cfg.kill_schedule {
-        let cores = deployment
-            .clusters
-            .get(kill.cluster)
-            .map(|c| c.cores)
-            .ok_or_else(|| {
-                RuntimeError::Validation(format!(
-                    "kill_schedule names cluster {} but only {} cluster(s) exist",
-                    kill.cluster,
-                    deployment.clusters.len()
-                ))
-            })?;
-        if kill.slave >= cores {
-            return Err(RuntimeError::Validation(format!(
-                "kill_schedule names slave {} of cluster {} but it has {} core(s)",
-                kill.slave, kill.cluster, cores
-            )));
-        }
-    }
-
-    let t0 = head.t0();
     let head = Mutex::new(head);
 
     // Each cluster banks its result as it finishes. The scope re-raises a
@@ -266,7 +246,8 @@ pub fn run<A: GRApp>(
                     head,
                     t0,
                 );
-                head.lock().bank(ci, out.robj, out.account, out.local_done);
+                let done = out.account.wall;
+                head.lock().bank(ci, out.robj, out.account, done);
             });
         }
     });
@@ -451,7 +432,6 @@ pub fn run_cluster<A: GRApp>(
     let recovery = master.recovery.lock().clone();
     ClusterOutcome {
         robj,
-        local_done,
         account: ClusterAccount {
             slaves: stats,
             recovery,

@@ -44,7 +44,7 @@ use crate::wire::{Message, PROTOCOL_VERSION};
 use cb_storage::layout::{DatasetLayout, LocationId, Placement};
 use cloudburst_core::api::ReductionObject;
 use cloudburst_core::config::RuntimeConfig;
-use cloudburst_core::obs::EventKind;
+use cloudburst_core::obs::{Clock, EventKind};
 use cloudburst_core::report::NetStats;
 use cloudburst_core::{ClusterSpec, Head, RunOutcome, RuntimeError};
 use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
@@ -328,10 +328,11 @@ pub fn run_head<R: ReductionObject + RobjCodec>(
             peers.len()
         )));
     }
+    let now = Instant::now();
     let clusters = peers.iter().map(|p| &p.spec);
     let clusters = clusters.map(|s| ClusterSpec::new(&s.name, s.location, s.cores as usize));
     let mut wire = WireHead {
-        head: Head::new(layout, placement, cfg, clusters.collect())?,
+        head: Head::new(layout, placement, cfg, clusters.collect(), Clock::Wall(now))?,
         cfg,
         stats: NetStats {
             peers_joined: peers.len() as u64,
@@ -470,7 +471,8 @@ impl WireHead<'_> {
             }
             Message::Heartbeat { .. } | Message::Goodbye => {}
             Message::RobjShip { robj, report } => {
-                self.head.bank(peer, Some(robj), report, Instant::now());
+                let done = self.head.now();
+                self.head.bank(peer, Some(robj), report, done);
                 self.send(peer, link, &Message::ShipAck);
             }
             other => {

@@ -1,8 +1,9 @@
 //! The discrete-event model of the cloud-bursting runtime.
 //!
-//! Drives the *same* scheduling state machines as the real runtime
-//! ([`JobPool`], [`MasterPool`]) in virtual time, with transfers as flows on
-//! fair-shared links and compute as parameterized per-unit costs. One run of
+//! Drives the same head and master as the real runtime ([`Head`],
+//! [`MasterPool`]) in virtual time, with transfers as flows on fair-shared
+//! links and compute as parameterized per-unit costs. The head reads the
+//! same virtual [`Clock`] as the event sink, and builds the report. One run of
 //! the paper's largest configuration (120 GB, 960 jobs, 64 cores) is a few
 //! thousand events — milliseconds of wall time — which is what lets the
 //! benchmark harness sweep every figure of the evaluation.
@@ -10,8 +11,8 @@
 //! Event flow per job: master dispatch → `FetchBegin` (after request
 //! latency) → flow on the path's bottleneck link → `LinkWake` →
 //! `ProcessDone` → completion reported, next request. Cluster end: all
-//! slaves denied → local combination → `RobjSend` → WAN flow → `RobjArrive`
-//! at head → final merge → `FinalDone`.
+//! slaves denied → local combination → `RobjSend` → WAN flow → robj banked
+//! at the head → final merge → `FinalDone`.
 //!
 //! With `prefetch_depth > 0` each slave mirrors the runtime's pipelined
 //! fold loop: it holds up to `1 + depth` leases, its serial background
@@ -26,21 +27,30 @@ use cb_simnet::link::FairShareLink;
 use cb_simnet::rng::DetRng;
 use cb_simnet::time::{SimDur, SimTime};
 use cb_storage::layout::ChunkId;
-use cloudburst_core::obs::{EventKind, EventRecord, RecordingSink, SinkHandle};
-use cloudburst_core::report::{ClusterBreakdown, RecoveryStats, RunReport, SlaveStats};
+use cloudburst_core::api::ReductionObject;
+use cloudburst_core::config::RuntimeConfig;
+use cloudburst_core::obs::{Clock, EventKind, EventRecord, RecordingSink, SinkHandle};
+use cloudburst_core::report::{ClusterAccount, RecoveryStats, RunReport, SlaveStats};
 use cloudburst_core::sched::master::MasterPool;
-use cloudburst_core::sched::pool::JobPool;
+use cloudburst_core::{ClusterSpec, Head, Resolution, RuntimeError};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The model resolves only leases it granted and still tracks.
-const HELD: &str = "the model resolves only leases it holds";
-
 /// A virtual duration as the report's wall-clock type (exact: both are ns).
 fn real(d: SimDur) -> Duration {
     Duration::from_nanos(d.as_nanos())
+}
+
+/// The model's reduction object: only its size is simulated.
+struct RobjSize(u64);
+
+impl ReductionObject for RobjSize {
+    fn merge(&mut self, _: Self) {}
+    fn size_bytes(&self) -> usize {
+        self.0 as usize
+    }
 }
 
 /// Events of the simulation.
@@ -129,7 +139,7 @@ struct SlaveState {
     /// When the compute unit went idle (`None` while busy); the portion of
     /// idleness overlapping the next job's fetch is counted as stall.
     idle_since: Option<SimTime>,
-    finish: Option<SimTime>,
+    finished: bool,
 }
 
 struct ClusterState {
@@ -140,14 +150,15 @@ struct ClusterState {
     slaves: Vec<SlaveState>,
     rngs: Vec<DetRng>,
     finished_slaves: usize,
+    /// When the local combination completed (the cluster has wound down).
     local_done: Option<SimTime>,
-    robj_sent_at: Option<SimTime>,
-    robj_arrived: bool,
+    /// Fetch failures and retired/killed slaves, for the cluster's account.
+    recovery: RecoveryStats,
 }
 
 struct SimWorld {
     params: SimParams,
-    pool: JobPool,
+    head: Head<()>,
     links: Vec<FairShareLink>,
     /// Pending flow targets, keyed by (link, flow tag).
     flow_targets: Vec<std::collections::BTreeMap<u64, FlowTarget>>,
@@ -155,38 +166,44 @@ struct SimWorld {
     clusters: Vec<ClusterState>,
     /// In-flight chunk fetches per file (contention gauge).
     active_per_file: Vec<usize>,
-    arrived_robjs: usize,
     final_done: Option<SimTime>,
-    last_local_done: SimTime,
-    /// Injected-failure accounting, mirroring the runtime's report.
-    recovery: RecoveryStats,
     /// Observability sink; disabled unless [`simulate_observed`] is used.
     /// Emits the same event kinds as the real runtime, stamped with
     /// *virtual* time via `clock`.
     sink: SinkHandle,
-    /// Virtual clock backing the sink: updated to `ctx.now()` at every
-    /// event-handler entry so emitted events carry simulated nanoseconds.
-    clock: Option<Arc<AtomicU64>>,
+    /// The virtual clock the sink and the head read: set to `ctx.now()` at
+    /// every event-handler entry, so both see simulated nanoseconds.
+    clock: Arc<AtomicU64>,
     /// Buffer behind `sink`, drained into the run's event stream at the end.
     recorder: Option<Arc<RecordingSink>>,
 }
 
 impl SimWorld {
-    fn new(params: SimParams, observe: bool) -> Self {
-        let (sink, clock, recorder) = if observe {
-            let clock = Arc::new(AtomicU64::new(0));
-            let rec = RecordingSink::with_clock(Arc::clone(&clock));
-            (
-                SinkHandle::new(Arc::clone(&rec) as _),
-                Some(clock),
-                Some(rec),
-            )
-        } else {
-            (SinkHandle::disabled(), None, None)
+    fn new(params: SimParams, observe: bool) -> Result<Self, RuntimeError> {
+        let ns = Arc::new(AtomicU64::new(0));
+        let clock = || Clock::Virtual(Arc::clone(&ns));
+        let recorder = observe.then(|| RecordingSink::with_clock(clock()));
+        let sink = recorder
+            .clone()
+            .map_or_else(SinkHandle::disabled, |r| SinkHandle::new(r));
+        let cfg = RuntimeConfig {
+            pool: params.pool.clone(),
+            slave_failure_threshold: params.faults.slave_failure_threshold,
+            kill_schedule: params.faults.kill_schedule.clone(),
+            sink: sink.clone(),
+            ..Default::default()
         };
-        let locations: Vec<_> = params.clusters.iter().map(|c| c.location).collect();
-        let pool = JobPool::new(&params.layout, &params.placement, params.pool.clone())
-            .with_sink(sink.clone(), &locations);
+        let specs = params
+            .clusters
+            .iter()
+            .map(|c| ClusterSpec::new(&c.name, c.location, c.cores));
+        let head = Head::new(
+            &params.layout,
+            &params.placement,
+            &cfg,
+            specs.collect(),
+            clock(),
+        )?;
         let links = params
             .links
             .iter()
@@ -208,27 +225,30 @@ impl SimWorld {
                     .collect(),
                 finished_slaves: 0,
                 local_done: None,
-                robj_sent_at: None,
-                robj_arrived: false,
+                recovery: RecoveryStats::default(),
             })
             .collect();
         let active_per_file = vec![0; params.layout.files.len()];
-        SimWorld {
+        Ok(SimWorld {
             params,
-            pool,
+            head,
             links,
             flow_targets,
             next_tag: 0,
             clusters,
             active_per_file,
-            arrived_robjs: 0,
             final_done: None,
-            last_local_done: SimTime::ZERO,
-            recovery: RecoveryStats::default(),
             sink,
-            clock,
+            clock: ns,
             recorder,
-        }
+        })
+    }
+
+    /// Resolve one of cluster `c`'s leases at the head.
+    fn resolve(&mut self, c: usize, what: Resolution) {
+        let loc = self.params.clusters[c].location;
+        let held = self.head.resolve(loc, what);
+        held.expect("the model resolves only leases it granted and still tracks");
     }
 
     /// (Re-)arm the wakeup for `link`'s next completion.
@@ -270,7 +290,7 @@ impl SimWorld {
             .iter()
             .any(|k| k.cluster == c && k.slave == s && jobs_done >= k.after_jobs);
         if killed {
-            self.recovery.slaves_killed += 1;
+            self.clusters[c].recovery.slaves_killed += 1;
             self.sink.emit(
                 Some(c as u32),
                 Some(s as u32),
@@ -291,7 +311,7 @@ impl SimWorld {
         let cl = &mut self.clusters[c];
         {
             let st = &mut cl.slaves[s];
-            if st.retiring || st.finish.is_some() || st.parked || st.leases >= capacity {
+            if st.retiring || st.finished || st.parked || st.leases >= capacity {
                 return;
             }
             st.parked = true;
@@ -411,14 +431,13 @@ impl SimWorld {
     fn retire_slave(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, s: usize) {
         {
             let st = &mut self.clusters[c].slaves[s];
-            if st.retiring || st.finish.is_some() {
+            if st.retiring || st.finished {
                 return;
             }
             st.retiring = true;
         }
         self.clusters[c].waiting.retain(|&x| x != s);
         self.clusters[c].slaves[s].parked = false;
-        let loc = self.params.clusters[c].location;
         let reclaimed: Vec<ChunkId> = {
             let st = &mut self.clusters[c].slaves[s];
             let queued = st.fetch_queue.drain(..).map(|q| q.job);
@@ -427,7 +446,7 @@ impl SimWorld {
         };
         for job in reclaimed {
             self.clusters[c].slaves[s].leases -= 1;
-            self.pool.release(loc, job).expect(HELD);
+            self.resolve(c, Resolution::Released(job));
         }
         self.maybe_finish_retiring(ctx, c, s);
     }
@@ -438,10 +457,10 @@ impl SimWorld {
     fn maybe_finish_retiring(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, s: usize) {
         {
             let st = &mut self.clusters[c].slaves[s];
-            if !st.retiring || st.finish.is_some() || st.leases != 0 {
+            if !st.retiring || st.finished || st.leases != 0 {
                 return;
             }
-            st.finish = Some(ctx.now());
+            st.finished = true;
         }
         self.clusters[c].finished_slaves += 1;
         self.maybe_cluster_done(ctx, c);
@@ -457,10 +476,8 @@ impl SimWorld {
             return;
         }
         // A dying master returns its leases; survivors pick them up.
-        let leases = self.clusters[c].mp.drain();
-        let loc = self.params.clusters[c].location;
-        for job in leases {
-            self.pool.fail(loc, job.chunk).expect(HELD);
+        for job in self.clusters[c].mp.drain() {
+            self.resolve(c, Resolution::Failed(job.chunk));
         }
         // Local combination: (cores-1) pairwise merges of the robj.
         let merges = (self.clusters[c].slaves.len() as f64 - 1.0).max(0.0);
@@ -476,12 +493,13 @@ impl SimWorld {
     /// empty pool into an exhausted one), so dispatching only the cluster
     /// that saw the event is not enough.
     fn settle(&mut self, ctx: &mut Ctx<'_, Ev>) {
+        let counts = |w: &Self| (w.head.pool().pending(), w.head.pool().outstanding());
         loop {
-            let before = (self.pool.pending(), self.pool.outstanding());
+            let before = counts(self);
             for c in 0..self.clusters.len() {
                 self.dispatch(ctx, c);
             }
-            if (self.pool.pending(), self.pool.outstanding()) == before {
+            if counts(self) == before {
                 break;
             }
         }
@@ -492,11 +510,10 @@ impl SimWorld {
     /// the site; otherwise jobs leased elsewhere may still fail back, so
     /// parked slaves just wait.
     fn refill(&mut self, c: usize) -> bool {
-        let loc = self.params.clusters[c].location;
-        let grant = self.pool.request(loc);
+        let (grant, exhausted) = self.head.request(self.params.clusters[c].location);
         let granted = !grant.jobs.is_empty();
         self.clusters[c].mp.on_grant(grant.jobs, grant.stolen);
-        if !granted && self.pool.exhausted_for(loc) {
+        if exhausted {
             self.clusters[c].mp.mark_exhausted();
         }
         granted
@@ -556,8 +573,8 @@ impl SimWorld {
             while let Some(s) = self.clusters[c].waiting.pop_front() {
                 let st = &mut self.clusters[c].slaves[s];
                 st.parked = false;
-                if st.leases == 0 && st.finish.is_none() && !st.retiring {
-                    st.finish = Some(ctx.now());
+                if st.leases == 0 && !st.finished && !st.retiring {
+                    st.finished = true;
                     self.clusters[c].finished_slaves += 1;
                 }
             }
@@ -565,23 +582,30 @@ impl SimWorld {
         }
     }
 
+    /// Cluster `c`'s reduction object reached the head: bank it, done at
+    /// its local combination, and start the global reduction once no
+    /// cluster is still open.
     fn handle_robj_arrive(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
-        assert!(!self.clusters[c].robj_arrived, "robj delivered twice");
-        let ship_ns = self.clusters[c]
-            .robj_sent_at
-            .map(|sent| ctx.now().saturating_since(sent).as_nanos())
-            .unwrap_or(0);
+        assert!(self.head.is_open(c), "robj delivered twice");
+        let cl = &self.clusters[c];
+        let local_done = cl.local_done.expect("a cluster ships after combining");
         self.sink.emit(
             Some(c as u32),
             None,
             EventKind::RobjMerge {
                 bytes: self.params.robj_bytes,
-                ns: ship_ns,
+                ns: ctx.now().saturating_since(local_done).as_nanos(),
             },
         );
-        self.clusters[c].robj_arrived = true;
-        self.arrived_robjs += 1;
-        if self.arrived_robjs == self.clusters.len() {
+        let wall = real(local_done.saturating_since(SimTime::ZERO));
+        let account = ClusterAccount {
+            slaves: cl.slaves.iter().map(|s| s.stats.clone()).collect(),
+            recovery: cl.recovery.clone(),
+            wall,
+            error: None,
+        };
+        self.head.bank(c, Some(()), account, wall);
+        if (0..self.clusters.len()).all(|c| !self.head.is_open(c)) {
             // Final global reduction at the head.
             let merges = (self.clusters.len() as f64 - 1.0).max(0.0);
             let cost = self.params.global_reduction_base
@@ -597,12 +621,10 @@ impl World for SimWorld {
     type Event = Ev;
 
     fn handle(&mut self, ctx: &mut Ctx<'_, Ev>, ev: Ev) {
-        // Advance the sink's virtual clock first: every event emitted while
-        // handling `ev` (including from inside the shared scheduler state
-        // machines) is stamped with the simulated time of `ev`.
-        if let Some(clock) = &self.clock {
-            clock.store(ctx.now().as_nanos(), Ordering::Relaxed);
-        }
+        // Advance the virtual clock first: every event emitted while
+        // handling `ev` (including from inside the shared head and master)
+        // is stamped with the simulated time of `ev`.
+        self.clock.store(ctx.now().as_nanos(), Ordering::Relaxed);
         match ev {
             Ev::Boot => {
                 for c in 0..self.clusters.len() {
@@ -679,7 +701,6 @@ impl World for SimWorld {
                         } => {
                             let chunk = *self.params.layout.chunk(job);
                             self.active_per_file[chunk.file.0 as usize] -= 1;
-                            let loc = self.params.clusters[c].location;
                             self.clusters[c].slaves[s].fetch_busy = false;
                             if self.clusters[c].slaves[s].retiring {
                                 // An in-flight fetch of a retiring slave:
@@ -696,7 +717,7 @@ impl World for SimWorld {
                                     },
                                 );
                                 self.clusters[c].slaves[s].leases -= 1;
-                                self.pool.release(loc, job).expect(HELD);
+                                self.resolve(c, Resolution::Released(job));
                                 self.maybe_finish_retiring(ctx, c, s);
                                 continue;
                             }
@@ -712,7 +733,7 @@ impl World for SimWorld {
                             let st = &mut self.clusters[c].slaves[s];
                             st.stats.retrieval += real(ctx.now() - started);
                             if failed {
-                                self.recovery.fetch_failures += 1;
+                                self.clusters[c].recovery.fetch_failures += 1;
                                 // The injected fault and its terminal
                                 // failure coincide in the model (the real
                                 // stack separates them by a retry loop).
@@ -751,9 +772,9 @@ impl World for SimWorld {
                                 }
                                 let retire = self.clusters[c].slaves[s].consecutive_failures
                                     >= self.params.faults.slave_failure_threshold;
-                                self.pool.fail(loc, job).expect(HELD);
+                                self.resolve(c, Resolution::Failed(job));
                                 if retire {
-                                    self.recovery.slaves_retired += 1;
+                                    self.clusters[c].recovery.slaves_retired += 1;
                                     self.sink.emit(
                                         Some(c as u32),
                                         Some(s as u32),
@@ -818,8 +839,7 @@ impl World for SimWorld {
                         },
                     );
                 }
-                let loc = self.params.clusters[c].location;
-                self.pool.complete(loc, job).expect(HELD);
+                self.resolve(c, Resolution::Completed(job));
                 if self.clusters[c].slaves[s].retiring {
                     // Retired mid-compute (failure-threshold retire while
                     // this job was in flight): the completed work still
@@ -829,18 +849,14 @@ impl World for SimWorld {
                     self.job_boundary(ctx, c, s);
                 }
             }
-            Ev::RobjSend { c } => {
-                self.last_local_done = self.last_local_done.max(ctx.now());
-                self.clusters[c].robj_sent_at = Some(ctx.now());
-                match self.params.clusters[c].robj_link {
-                    Some(link) => {
-                        let cap = self.params.clusters[c].robj_conn_bps;
-                        let bytes = self.params.robj_bytes;
-                        self.start_flow(ctx, link, bytes, cap, FlowTarget::RobjDelivered { c });
-                    }
-                    None => self.handle_robj_arrive(ctx, c),
+            Ev::RobjSend { c } => match self.params.clusters[c].robj_link {
+                Some(link) => {
+                    let cap = self.params.clusters[c].robj_conn_bps;
+                    let bytes = self.params.robj_bytes;
+                    self.start_flow(ctx, link, bytes, cap, FlowTarget::RobjDelivered { c });
                 }
-            }
+                None => self.handle_robj_arrive(ctx, c),
+            },
             Ev::FinalDone => {
                 self.final_done = Some(ctx.now());
             }
@@ -851,9 +867,9 @@ impl World for SimWorld {
     }
 }
 
-/// Run the simulation to completion and produce the same report schema as
-/// the real runtime.
-pub fn simulate(params: SimParams) -> Result<RunReport, String> {
+/// Run the simulation to completion; the head builds the same report as
+/// for the real runtime, and fails the run the same way.
+pub fn simulate(params: SimParams) -> Result<RunReport, RuntimeError> {
     simulate_inner(params, false).map(|(r, _)| r)
 }
 
@@ -862,75 +878,33 @@ pub fn simulate(params: SimParams) -> Result<RunReport, String> {
 /// nanoseconds — so simulated and real traces can be diffed event by event,
 /// written to the same JSONL schema by `simulate --trace-out`, and drawn by
 /// the same [`Timeline`](cloudburst_core::obs::Timeline).
-pub fn simulate_observed(params: SimParams) -> Result<(RunReport, Vec<EventRecord>), String> {
+pub fn simulate_observed(params: SimParams) -> Result<(RunReport, Vec<EventRecord>), RuntimeError> {
     simulate_inner(params, true)
 }
 
 fn simulate_inner(
     params: SimParams,
     observe: bool,
-) -> Result<(RunReport, Vec<EventRecord>), String> {
-    params.validate()?;
-    let mut engine = Engine::new(SimWorld::new(params, observe));
+) -> Result<(RunReport, Vec<EventRecord>), RuntimeError> {
+    params.validate().map_err(RuntimeError::Validation)?;
+    let mut engine = Engine::new(SimWorld::new(params, observe)?);
     engine.schedule(SimTime::ZERO, Ev::Boot);
     // 960 jobs × ~5 events plus link wakeups: 10M is a generous livelock
     // guard, not a tuning knob.
     if !engine.run_bounded(10_000_000) {
-        return Err("simulation exceeded event budget (livelock?)".into());
+        let livelock = "simulation exceeded event budget (livelock?)";
+        return Err(RuntimeError::Validation(livelock.into()));
     }
     let end = engine.now();
     let world = engine.into_world();
-    let total = world
-        .final_done
-        .unwrap_or(end)
-        .saturating_since(SimTime::ZERO);
-    let last_local = world.last_local_done;
-
-    // Every job must have been folded exactly once. With injected failures
-    // this can legitimately fail (a chunk exceeding its failure budget, or
-    // every slave dead); surface that as an error naming the loss, the same
-    // contract as the runtime's `RuntimeError::JobsFailed`.
-    if !world.pool.all_done() {
-        return Err(format!(
-            "simulation ended with unfinished jobs: {} dead, {} pending, {} outstanding",
-            world.pool.dead_jobs().len(),
-            world.pool.pending(),
-            world.pool.outstanding(),
-        ));
-    }
-
-    let mut clusters = Vec::with_capacity(world.clusters.len());
-    for (ci, c) in world.clusters.iter().enumerate() {
-        let spec = &world.params.clusters[ci];
-        let slaves: Vec<SlaveStats> = c.slaves.iter().map(|s| s.stats.clone()).collect();
-        let local_done = c.local_done.unwrap_or(world.final_done.unwrap_or(end));
-        clusters.push(ClusterBreakdown::from_slaves(
-            spec.name.clone(),
-            spec.cores,
-            &slaves,
-            local_done.as_secs_f64(),
-            last_local.saturating_since(local_done).as_secs_f64(),
-        ));
-    }
-    let report = RunReport {
-        total_s: total.as_secs_f64(),
-        global_reduction_s: world
-            .final_done
-            .unwrap_or(end)
-            .saturating_since(last_local)
-            .as_secs_f64(),
-        robj_bytes: world.params.robj_bytes,
-        clusters,
-        recovery: RecoveryStats {
-            jobs_reenqueued: world.pool.reenqueued(),
-            ..world.recovery
-        },
-        cache_hits: 0,
-        cache_misses: 0,
-        net: Default::default(),
-    };
+    // The run ends at the global reduction's end, not at the last (stale)
+    // link wakeup.
+    let done = world.final_done.unwrap_or(end);
+    world.clock.store(done.as_nanos(), Ordering::Relaxed);
+    let robj_bytes = world.params.robj_bytes;
+    let out = world.head.finish(|_, ()| Ok(RobjSize(robj_bytes)))?;
     let events = world.recorder.map(|r| r.take()).unwrap_or_default();
-    Ok((report, events))
+    Ok((out.report, events))
 }
 
 #[cfg(test)]
@@ -1261,7 +1235,7 @@ mod tests {
         }
         let err = simulate(p).unwrap_err();
         assert!(
-            err.contains("unfinished jobs"),
+            matches!(err, RuntimeError::JobsFailed { unfinished: 32, .. }),
             "total loss must surface, got: {err}"
         );
     }

@@ -6,9 +6,10 @@ use cb_apps::gen::{PointMode, PointsSpec, WordsSpec};
 use cb_apps::kmeans::{next_centroids, Centroids, KMeansApp};
 use cb_apps::scenario::{build_hybrid, HybridOpts, ThrottleOpts, CLOUD, LOCAL};
 use cb_apps::wordcount::{wordcount_reference, WordCountApp};
+use cb_sim::calib::{self, App, EnvSpec, NetConstants};
 use cloudburst_core::api::run_sequential;
-use cloudburst_core::config::RuntimeConfig;
-use cloudburst_core::runtime::run;
+use cloudburst_core::config::{RuntimeConfig, SlaveKill};
+use cloudburst_core::runtime::{run, RuntimeError};
 
 fn points_spec() -> PointsSpec {
     PointsSpec {
@@ -334,4 +335,66 @@ fn failure_injection_missing_remote_file() {
         other => panic!("expected JobsFailed, got {other:?}"),
     }
     let _ = LOCAL;
+}
+
+/// The head validates a run whichever substrate drives it, so the
+/// in-process runtime and the simulator reject the same configurations —
+/// both on 4 + 4 cores.
+#[test]
+fn every_substrate_rejects_the_same_invalid_config() {
+    fn kill(cluster: usize, slave: usize) -> Vec<SlaveKill> {
+        vec![SlaveKill {
+            cluster,
+            slave,
+            after_jobs: 1,
+        }]
+    }
+    let with = |edit: fn(&mut RuntimeConfig)| {
+        let mut cfg = RuntimeConfig::default();
+        edit(&mut cfg);
+        cfg
+    };
+    let cases = [
+        ("local_batch = 0", with(|c| c.pool.local_batch = 0)),
+        ("remote_batch = 0", with(|c| c.pool.remote_batch = 0)),
+        (
+            "a kill naming a missing cluster",
+            with(|c| c.kill_schedule = kill(2, 0)),
+        ),
+        (
+            "a kill naming slave 4 of 4",
+            with(|c| c.kill_schedule = kill(1, 4)),
+        ),
+    ];
+    let spec = words_spec();
+    let opts = HybridOpts {
+        frac_local: 0.5,
+        local_cores: 4,
+        cloud_cores: 4,
+        throttle: None,
+    };
+    let env = build_hybrid(spec.layout(), spec.fill(), opts).unwrap();
+    let sim_env = EnvSpec {
+        name: "env-50/50".into(),
+        frac_local: 0.5,
+        local_cores: 4,
+        cloud_cores: 4,
+    };
+    for (case, cfg) in cases {
+        let (layout, placement) = (&env.layout, &env.placement);
+        let real = run(&WordCountApp, &(), layout, placement, &env.deployment, &cfg);
+        let real = real.map(|out| out.report);
+        assert!(
+            matches!(real, Err(RuntimeError::Validation(_))),
+            "run with {case}: {real:?}"
+        );
+        let mut params = calib::build_params(App::Knn, &sim_env, &NetConstants::default(), 7);
+        params.pool = cfg.pool;
+        params.faults.kill_schedule = cfg.kill_schedule;
+        let sim = cb_sim::simulate(params);
+        assert!(
+            matches!(sim, Err(RuntimeError::Validation(_))),
+            "simulate with {case}: {sim:?}"
+        );
+    }
 }
