@@ -5,7 +5,9 @@ use super::CmdError;
 use crate::args::Args;
 use cb_storage::index;
 use cloudburst_core::obs::{self, EventKind, MetricsRegistry, Timeline, TraceSummary};
+use cloudburst_core::SlaveStats;
 use std::fmt::Write as _;
+use std::time::Duration;
 
 pub const USAGE: &str = "cloudburst inspect <index-file> [--chunks true] | \
 cloudburst inspect trace <trace.jsonl> [--top <n>] [--width <cols>]";
@@ -42,25 +44,28 @@ fn run_trace(args: &Args) -> Result<String, CmdError> {
     );
 
     let summary = TraceSummary::from_events(&events);
-    for (c, cs) in &summary.clusters {
+    for (c, slaves) in &summary.slaves {
+        let sum = |f: fn(&SlaveStats) -> u64| slaves.iter().map(f).sum::<u64>();
+        let secs = |f: fn(&SlaveStats) -> Duration| {
+            slaves.iter().map(f).sum::<Duration>().as_nanos() as f64 / 1e9
+        };
         let _ = writeln!(
             s,
             "  cluster {c}: {} jobs ({} stolen), process {:.3}s, fetch {:.3}s, \
              stall {:.3}s, {} B local / {} B remote",
-            cs.jobs,
-            cs.stolen,
-            cs.process_ns as f64 / 1e9,
-            cs.fetch_ns as f64 / 1e9,
-            cs.stall_ns as f64 / 1e9,
-            cs.bytes_local,
-            cs.bytes_remote,
+            sum(|st| st.jobs),
+            sum(|st| st.stolen_jobs),
+            secs(|st| st.processing),
+            secs(|st| st.retrieval),
+            secs(|st| st.fetch_stall),
+            sum(|st| st.bytes_local),
+            sum(|st| st.bytes_remote),
         );
     }
 
     let tl = Timeline::from_events(&events);
     let _ = write!(s, "{}", tl.render_gantt(width));
-    let clusters: Vec<u32> = summary.clusters.keys().copied().collect();
-    for c in clusters {
+    for &c in summary.slaves.keys() {
         let _ = writeln!(
             s,
             "  cluster {c} utilization: {:.1}%",

@@ -224,11 +224,7 @@ impl<B> Head<B> {
                     Some(acc) => acc.merge(robj),
                 }
             }
-            let r = &account.recovery;
-            recovery.fetch_failures += r.fetch_failures;
-            recovery.retries += r.retries;
-            recovery.slaves_retired += r.slaves_retired;
-            recovery.slaves_killed += r.slaves_killed;
+            recovery.add(&account.recovery);
             rows.push(ClusterBreakdown::from_slaves(
                 c.name,
                 c.cores,

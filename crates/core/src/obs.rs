@@ -56,7 +56,7 @@
 //! assert_eq!(back, events);
 //! ```
 
-use crate::report::RunReport;
+use crate::report::{ClusterBreakdown, NetStats, RecoveryStats, RunReport, SlaveStats};
 use parking_lot::Mutex;
 use serde::value::{Number, Value};
 use std::collections::BTreeMap;
@@ -805,34 +805,23 @@ impl Timeline {
 // Summary (RunReport as a derived view)
 // ---------------------------------------------------------------------------
 
-/// Per-cluster aggregates folded from the event stream.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClusterSummary {
-    pub jobs: u64,
-    pub stolen: u64,
-    pub process_ns: u64,
-    pub fetch_ns: u64,
-    pub stall_ns: u64,
-    pub bytes_local: u64,
-    pub bytes_remote: u64,
-}
-
-/// Everything [`RunReport`] reports, re-derived
-/// from the event stream alone. [`TraceSummary::reconcile`] asserts the
-/// two agree — the observability layer's core invariant.
+/// Everything [`RunReport`] reports, re-derived from the event stream
+/// alone by the report's own folds ([`SlaveStats::observe`],
+/// [`RecoveryStats::observe`], [`NetStats::observe`]).
+/// [`TraceSummary::reconcile`] asserts the two agree — the observability
+/// layer's core invariant.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceSummary {
-    pub clusters: BTreeMap<u32, ClusterSummary>,
+    /// Per cluster, per slave index: the stats of every slave that emitted
+    /// an event.
+    pub slaves: BTreeMap<u32, Vec<SlaveStats>>,
+    pub recovery: RecoveryStats,
+    /// Control-plane traffic (distributed runs; idle for in-process runs).
+    pub net: NetStats,
     pub assignments: u64,
     pub steals: u64,
-    pub leases_released: u64,
+    /// Lease releases that debited a job's failure budget.
     pub charged_releases: u64,
-    pub retries: u64,
-    pub fetch_failures: u64,
-    /// Failure-threshold retirements (excludes scheduled kills, matching
-    /// `RecoveryStats::slaves_retired`).
-    pub slaves_retired: u64,
-    pub slaves_killed: u64,
     pub cache_hits: u64,
     pub cache_misses: u64,
     pub cache_hit_bytes: u64,
@@ -840,65 +829,27 @@ pub struct TraceSummary {
     pub robj_merges: u64,
     pub faults_injected: u64,
     pub passes: u64,
-    /// Control-plane frames written/read (distributed runs; zero for
-    /// in-process runs, matching `NetStats::default`).
-    pub frames_sent: u64,
-    pub frames_recv: u64,
-    pub net_bytes_sent: u64,
-    pub net_bytes_recv: u64,
-    pub peers_joined: u64,
-    pub peers_lost: u64,
 }
 
 impl TraceSummary {
     /// Fold an event stream into aggregates.
     pub fn from_events(events: &[EventRecord]) -> TraceSummary {
-        fn cl<'a>(s: &'a mut TraceSummary, e: &EventRecord) -> &'a mut ClusterSummary {
-            s.clusters.entry(e.cluster.unwrap_or(0)).or_default()
-        }
         let mut s = TraceSummary::default();
         for e in events {
+            if let (Some(c), Some(si)) = (e.cluster, e.slave) {
+                let row = s.slaves.entry(c).or_default();
+                let si = si as usize;
+                if row.len() <= si {
+                    row.resize(si + 1, SlaveStats::default());
+                }
+                row[si].observe(&e.kind);
+            }
+            s.recovery.observe(&e.kind);
+            s.net.observe(&e.kind);
             match e.kind {
                 EventKind::JobAssigned { .. } => s.assignments += 1,
                 EventKind::Steal { .. } => s.steals += 1,
-                EventKind::LeaseReleased { charged, .. } => {
-                    s.leases_released += 1;
-                    if charged {
-                        s.charged_releases += 1;
-                    }
-                }
-                EventKind::FetchEnd {
-                    bytes, remote, ns, ..
-                } => {
-                    let c = cl(&mut s, e);
-                    c.fetch_ns += ns;
-                    if remote {
-                        c.bytes_remote += bytes;
-                    } else {
-                        c.bytes_local += bytes;
-                    }
-                }
-                EventKind::FetchFailed { ns, .. } => {
-                    s.fetch_failures += 1;
-                    cl(&mut s, e).fetch_ns += ns;
-                }
-                EventKind::Stall { ns } => cl(&mut s, e).stall_ns += ns,
-                EventKind::ProcessEnd { ns, stolen, .. } => {
-                    let c = cl(&mut s, e);
-                    c.jobs += 1;
-                    c.process_ns += ns;
-                    if stolen {
-                        c.stolen += 1;
-                    }
-                }
-                EventKind::Retry { .. } => s.retries += 1,
-                EventKind::SlaveRetired { killed } => {
-                    if killed {
-                        s.slaves_killed += 1;
-                    } else {
-                        s.slaves_retired += 1;
-                    }
-                }
+                EventKind::LeaseReleased { charged, .. } => s.charged_releases += charged as u64,
                 EventKind::RobjMerge { bytes, .. } => {
                     s.robj_merges += 1;
                     s.robj_bytes += bytes;
@@ -910,16 +861,6 @@ impl TraceSummary {
                 EventKind::CacheMiss { .. } => s.cache_misses += 1,
                 EventKind::FaultInjected => s.faults_injected += 1,
                 EventKind::PassBoundary { pass } => s.passes = s.passes.max(pass + 1),
-                EventKind::NetSent { bytes } => {
-                    s.frames_sent += 1;
-                    s.net_bytes_sent += bytes;
-                }
-                EventKind::NetRecv { bytes } => {
-                    s.frames_recv += 1;
-                    s.net_bytes_recv += bytes;
-                }
-                EventKind::PeerJoined { .. } => s.peers_joined += 1,
-                EventKind::PeerLost { .. } => s.peers_lost += 1,
                 _ => {}
             }
         }
@@ -928,18 +869,20 @@ impl TraceSummary {
 
     /// Jobs processed across all clusters.
     pub fn total_jobs(&self) -> u64 {
-        self.clusters.values().map(|c| c.jobs).sum()
+        self.slaves.values().flatten().map(|s| s.jobs).sum()
     }
 
     /// Stolen jobs processed across all clusters.
     pub fn total_stolen(&self) -> u64 {
-        self.clusters.values().map(|c| c.stolen).sum()
+        self.slaves.values().flatten().map(|s| s.stolen_jobs).sum()
     }
 
-    /// Check that this summary and `report` agree: integer counters must
-    /// match exactly; per-core mean durations within `eps_s` seconds
-    /// (floating-point association differs between the two folds).
-    /// Returns the first disagreement found.
+    /// Check that this summary and `report` agree. Each report row is
+    /// rebuilt from the folded stats of its slaves (padded to the row's
+    /// cores) by the report's own builder: counts must match exactly,
+    /// per-core mean durations within `eps_s` seconds. Then the recovery,
+    /// cache and network counters must match. Returns the first
+    /// disagreement found.
     pub fn reconcile(&self, report: &RunReport, eps_s: f64) -> Result<(), String> {
         fn eq(name: &str, a: u64, b: u64) -> Result<(), String> {
             if a == b {
@@ -948,76 +891,54 @@ impl TraceSummary {
                 Err(format!("{name}: events say {a}, report says {b}"))
             }
         }
-        fn close(name: &str, a: f64, b: f64, eps: f64) -> Result<(), String> {
-            if (a - b).abs() <= eps {
-                Ok(())
-            } else {
-                Err(format!("{name}: events say {a:.6}, report says {b:.6}"))
+        for (i, row) in report.clusters.iter().enumerate() {
+            let mut slaves = self.slaves.get(&(i as u32)).cloned().unwrap_or_default();
+            if slaves.len() < row.cores {
+                slaves.resize(row.cores, SlaveStats::default());
+            }
+            let zero = Duration::ZERO;
+            let ev = ClusterBreakdown::from_slaves(String::new(), row.cores, &slaves, zero, zero);
+            let name = &row.name;
+            for (field, a, b) in [
+                ("jobs_processed", ev.jobs_processed, row.jobs_processed),
+                ("jobs_stolen", ev.jobs_stolen, row.jobs_stolen),
+                ("bytes_local", ev.bytes_local, row.bytes_local),
+                ("bytes_remote", ev.bytes_remote, row.bytes_remote),
+            ] {
+                eq(&format!("{name}.{field}"), a, b)?;
+            }
+            for (field, a, b) in [
+                ("processing_s", ev.processing_s, row.processing_s),
+                ("retrieval_s", ev.retrieval_s, row.retrieval_s),
+                ("fetch_stall_s", ev.fetch_stall_s, row.fetch_stall_s),
+                ("overlap_saved_s", ev.overlap_saved_s, row.overlap_saved_s),
+            ] {
+                if (a - b).abs() > eps_s {
+                    return Err(format!(
+                        "{name}.{field}: events say {a:.6}, report says {b:.6}"
+                    ));
+                }
             }
         }
-        for (i, c) in report.clusters.iter().enumerate() {
-            let empty = ClusterSummary::default();
-            let ev = self.clusters.get(&(i as u32)).unwrap_or(&empty);
-            let name = &c.name;
-            eq(&format!("{name}.jobs_processed"), ev.jobs, c.jobs_processed)?;
-            eq(&format!("{name}.jobs_stolen"), ev.stolen, c.jobs_stolen)?;
-            eq(
-                &format!("{name}.bytes_local"),
-                ev.bytes_local,
-                c.bytes_local,
-            )?;
-            eq(
-                &format!("{name}.bytes_remote"),
-                ev.bytes_remote,
-                c.bytes_remote,
-            )?;
-            let cores = (c.cores as f64).max(1.0);
-            close(
-                &format!("{name}.retrieval_s"),
-                ev.fetch_ns as f64 / 1e9 / cores,
-                c.retrieval_s,
-                eps_s,
-            )?;
-            close(
-                &format!("{name}.fetch_stall_s"),
-                ev.stall_ns as f64 / 1e9 / cores,
-                c.fetch_stall_s,
-                eps_s,
-            )?;
+        let rec = |f: fn(&RecoveryStats) -> u64| (f(&self.recovery), f(&report.recovery));
+        let net = |f: fn(&NetStats) -> u64| (f(&self.net), f(&report.net));
+        for (field, (a, b)) in [
+            ("recovery.fetch_failures", rec(|r| r.fetch_failures)),
+            ("recovery.jobs_reenqueued", rec(|r| r.jobs_reenqueued)),
+            ("recovery.retries", rec(|r| r.retries)),
+            ("recovery.slaves_retired", rec(|r| r.slaves_retired)),
+            ("recovery.slaves_killed", rec(|r| r.slaves_killed)),
+            ("cache_hits", (self.cache_hits, report.cache_hits)),
+            ("cache_misses", (self.cache_misses, report.cache_misses)),
+            ("net.frames_sent", net(|n| n.frames_sent)),
+            ("net.frames_recv", net(|n| n.frames_recv)),
+            ("net.bytes_sent", net(|n| n.bytes_sent)),
+            ("net.bytes_recv", net(|n| n.bytes_recv)),
+            ("net.peers_joined", net(|n| n.peers_joined)),
+            ("net.peers_lost", net(|n| n.peers_lost)),
+        ] {
+            eq(field, a, b)?;
         }
-        eq("recovery.retries", self.retries, report.recovery.retries)?;
-        eq(
-            "recovery.fetch_failures",
-            self.fetch_failures,
-            report.recovery.fetch_failures,
-        )?;
-        eq(
-            "recovery.jobs_reenqueued",
-            self.leases_released,
-            report.recovery.jobs_reenqueued,
-        )?;
-        eq(
-            "recovery.slaves_retired",
-            self.slaves_retired,
-            report.recovery.slaves_retired,
-        )?;
-        eq(
-            "recovery.slaves_killed",
-            self.slaves_killed,
-            report.recovery.slaves_killed,
-        )?;
-        eq("cache_hits", self.cache_hits, report.cache_hits)?;
-        eq("cache_misses", self.cache_misses, report.cache_misses)?;
-        eq("net.frames_sent", self.frames_sent, report.net.frames_sent)?;
-        eq("net.frames_recv", self.frames_recv, report.net.frames_recv)?;
-        eq("net.bytes_sent", self.net_bytes_sent, report.net.bytes_sent)?;
-        eq("net.bytes_recv", self.net_bytes_recv, report.net.bytes_recv)?;
-        eq(
-            "net.peers_joined",
-            self.peers_joined,
-            report.net.peers_joined,
-        )?;
-        eq("net.peers_lost", self.peers_lost, report.net.peers_lost)?;
         Ok(())
     }
 }
@@ -1532,13 +1453,180 @@ mod tests {
         assert_eq!(s.total_jobs(), 2);
         assert_eq!(s.total_stolen(), 1);
         assert_eq!(s.steals, 1);
-        assert_eq!(s.retries, 1);
-        assert_eq!(s.slaves_retired, 1);
-        assert_eq!(s.slaves_killed, 0);
+        assert_eq!(s.recovery.retries, 1);
+        assert_eq!(s.recovery.slaves_retired, 1);
+        assert_eq!(s.recovery.slaves_killed, 0);
         assert_eq!(s.cache_hits, 1);
         assert_eq!(s.passes, 3);
-        assert_eq!(s.clusters[&0].bytes_local, 100);
-        assert_eq!(s.clusters[&1].stolen, 1);
+        assert_eq!(s.slaves[&0][0].bytes_local, 100);
+        assert_eq!(s.slaves[&1][0].stolen_jobs, 1);
+    }
+
+    /// The fold table: exactly which report counters each event kind
+    /// moves. The match has no catch-all, so a new kind must take a row.
+    #[test]
+    fn each_kind_moves_exactly_its_counters() {
+        let ns = Duration::from_nanos;
+        let extra = [
+            EventKind::FetchEnd {
+                chunk: 1,
+                bytes: 10,
+                remote: false,
+                ns: 5,
+            },
+            EventKind::ProcessEnd {
+                chunk: 1,
+                units: 3,
+                ns: 8,
+                stolen: true,
+            },
+            EventKind::SlaveRetired { killed: false },
+            EventKind::LeaseReleased {
+                chunk: 1,
+                charged: true,
+            },
+        ];
+        for kind in all_kinds().into_iter().chain(extra) {
+            let mut got = (
+                SlaveStats::default(),
+                RecoveryStats::default(),
+                NetStats::default(),
+            );
+            got.0.observe(&kind);
+            got.1.observe(&kind);
+            got.2.observe(&kind);
+            let (slave, recovery, net) = (
+                SlaveStats::default(),
+                RecoveryStats::default(),
+                NetStats::default(),
+            );
+            let want = match kind {
+                EventKind::FetchEnd {
+                    bytes,
+                    remote,
+                    ns: t,
+                    ..
+                } => (
+                    SlaveStats {
+                        retrieval: ns(t),
+                        bytes_local: if remote { 0 } else { bytes },
+                        bytes_remote: if remote { bytes } else { 0 },
+                        ..slave
+                    },
+                    recovery,
+                    net,
+                ),
+                EventKind::FetchFailed { ns: t, .. } => (
+                    SlaveStats {
+                        retrieval: ns(t),
+                        ..slave
+                    },
+                    RecoveryStats {
+                        fetch_failures: 1,
+                        ..recovery
+                    },
+                    net,
+                ),
+                EventKind::Stall { ns: t } => (
+                    SlaveStats {
+                        fetch_stall: ns(t),
+                        ..slave
+                    },
+                    recovery,
+                    net,
+                ),
+                EventKind::ProcessEnd {
+                    units,
+                    ns: t,
+                    stolen,
+                    ..
+                } => (
+                    SlaveStats {
+                        processing: ns(t),
+                        jobs: 1,
+                        units,
+                        stolen_jobs: stolen as u64,
+                        ..slave
+                    },
+                    recovery,
+                    net,
+                ),
+                EventKind::Retry { .. } => (
+                    slave,
+                    RecoveryStats {
+                        retries: 1,
+                        ..recovery
+                    },
+                    net,
+                ),
+                EventKind::SlaveRetired { killed } => (
+                    slave,
+                    RecoveryStats {
+                        slaves_killed: killed as u64,
+                        slaves_retired: !killed as u64,
+                        ..recovery
+                    },
+                    net,
+                ),
+                EventKind::LeaseReleased { .. } => (
+                    slave,
+                    RecoveryStats {
+                        jobs_reenqueued: 1,
+                        ..recovery
+                    },
+                    net,
+                ),
+                EventKind::NetSent { bytes } => (
+                    slave,
+                    recovery,
+                    NetStats {
+                        frames_sent: 1,
+                        bytes_sent: bytes,
+                        ..net
+                    },
+                ),
+                EventKind::NetRecv { bytes } => (
+                    slave,
+                    recovery,
+                    NetStats {
+                        frames_recv: 1,
+                        bytes_recv: bytes,
+                        ..net
+                    },
+                ),
+                EventKind::PeerJoined { .. } => (
+                    slave,
+                    recovery,
+                    NetStats {
+                        peers_joined: 1,
+                        ..net
+                    },
+                ),
+                EventKind::PeerLost { .. } => (
+                    slave,
+                    recovery,
+                    NetStats {
+                        peers_lost: 1,
+                        ..net
+                    },
+                ),
+                // Scheduling, span starts and faults move no report
+                // counter; robj, cache and pass events are the summary's
+                // own counters.
+                EventKind::FetchStart { .. }
+                | EventKind::FetchDiscarded { .. }
+                | EventKind::ProcessStart { .. }
+                | EventKind::FaultInjected
+                | EventKind::JobAssigned { .. }
+                | EventKind::Steal { .. }
+                | EventKind::MasterRefill { .. }
+                | EventKind::RobjMerge { .. }
+                | EventKind::CacheHit { .. }
+                | EventKind::CacheMiss { .. }
+                | EventKind::PassBoundary { .. } => (slave, recovery, net),
+            };
+            assert_eq!(got, want, "{}", kind.name());
+        }
     }
 
     #[test]

@@ -6,13 +6,16 @@
 //! Table I job counters and the Table II global-reduction / idle / slowdown
 //! decomposition.
 //!
-//! When a run is traced (a [`SinkHandle`](crate::obs::SinkHandle) is
-//! installed), every counter and duration here is a *derived view* of the
-//! event stream: the emission points pass the same measured values that
-//! feed these aggregates, and
+//! Every slave, recovery and network aggregate here is a *fold of the
+//! emitted events*: [`SlaveStats::observe`], [`RecoveryStats::observe`] and
+//! [`NetStats::observe`] are the one rule for which event moves which
+//! counter. Each substrate counts by recording an event (observe, then
+//! emit), and [`TraceSummary`](crate::obs::TraceSummary) applies the same
+//! folds to a recorded trace, so
 //! [`TraceSummary::reconcile`](crate::obs::TraceSummary::reconcile) checks
-//! the two presentations agree. See `docs/OBSERVABILITY.md`.
+//! one rule against itself. See `docs/OBSERVABILITY.md`.
 
+use crate::obs::EventKind;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -30,6 +33,36 @@ pub struct SlaveStats {
     pub units: u64,
     pub bytes_local: u64,
     pub bytes_remote: u64,
+}
+
+impl SlaveStats {
+    /// Fold one of this slave's events into its stats. Durations are the
+    /// events' own nanosecond payloads.
+    pub fn observe(&mut self, kind: &EventKind) {
+        match *kind {
+            EventKind::FetchEnd {
+                bytes, remote, ns, ..
+            } => {
+                self.retrieval += Duration::from_nanos(ns);
+                if remote {
+                    self.bytes_remote += bytes;
+                } else {
+                    self.bytes_local += bytes;
+                }
+            }
+            EventKind::FetchFailed { ns, .. } => self.retrieval += Duration::from_nanos(ns),
+            EventKind::Stall { ns } => self.fetch_stall += Duration::from_nanos(ns),
+            EventKind::ProcessEnd {
+                units, ns, stolen, ..
+            } => {
+                self.processing += Duration::from_nanos(ns);
+                self.jobs += 1;
+                self.units += units;
+                self.stolen_jobs += stolen as u64;
+            }
+            _ => {}
+        }
+    }
 }
 
 /// One cluster's final accounting as it reaches the head, beside its
@@ -149,22 +182,37 @@ pub struct RecoveryStats {
 }
 
 impl RecoveryStats {
+    /// Fold one event into the recovery counters. Only the head's pool
+    /// emits `LeaseReleased`, so a cluster's account never counts one.
+    pub fn observe(&mut self, kind: &EventKind) {
+        match *kind {
+            EventKind::FetchFailed { .. } => self.fetch_failures += 1,
+            EventKind::Retry { .. } => self.retries += 1,
+            EventKind::SlaveRetired { killed: true } => self.slaves_killed += 1,
+            EventKind::SlaveRetired { killed: false } => self.slaves_retired += 1,
+            EventKind::LeaseReleased { .. } => self.jobs_reenqueued += 1,
+            _ => {}
+        }
+    }
+
+    /// Add `other`'s counters to these.
+    pub fn add(&mut self, other: &RecoveryStats) {
+        self.fetch_failures += other.fetch_failures;
+        self.jobs_reenqueued += other.jobs_reenqueued;
+        self.retries += other.retries;
+        self.slaves_retired += other.slaves_retired;
+        self.slaves_killed += other.slaves_killed;
+    }
+
     /// True when the run saw no failure events at all.
     pub fn is_clean(&self) -> bool {
-        self.fetch_failures == 0
-            && self.jobs_reenqueued == 0
-            && self.retries == 0
-            && self.slaves_retired == 0
-            && self.slaves_killed == 0
+        *self == RecoveryStats::default()
     }
 }
 
 /// Control-plane network accounting for one run. All zeros for in-process
-/// runs (the loopback head exchanges no frames); filled in by the `cb-net`
-/// head for distributed runs. Mirrors the `NetSent`/`NetRecv`/`PeerJoined`/
-/// `PeerLost` event kinds, which
-/// [`TraceSummary::reconcile`](crate::obs::TraceSummary::reconcile) checks
-/// against these counters.
+/// runs (the loopback head exchanges no frames); folded by the `cb-net`
+/// head from the `NetSent`/`NetRecv`/`PeerLost` events it records.
 #[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq)]
 pub struct NetStats {
     /// Wire frames written to peers.
@@ -182,6 +230,23 @@ pub struct NetStats {
 }
 
 impl NetStats {
+    /// Fold one event into the network counters.
+    pub fn observe(&mut self, kind: &EventKind) {
+        match *kind {
+            EventKind::NetSent { bytes } => {
+                self.frames_sent += 1;
+                self.bytes_sent += bytes;
+            }
+            EventKind::NetRecv { bytes } => {
+                self.frames_recv += 1;
+                self.bytes_recv += bytes;
+            }
+            EventKind::PeerJoined { .. } => self.peers_joined += 1,
+            EventKind::PeerLost { .. } => self.peers_lost += 1,
+            _ => {}
+        }
+    }
+
     /// True for a run that never touched the network (in-process loopback).
     pub fn is_idle(&self) -> bool {
         *self == NetStats::default()

@@ -46,6 +46,12 @@
 //! * a cluster whose slaves have all died drains its undispatched leases
 //!   back to the head, so surviving clusters can steal them — losing every node
 //!   at one location degrades the run instead of hanging or panicking;
+//! * a cluster whose app code panics is a lost cluster: the panicking slave
+//!   winds its cluster's queue down so its siblings drain, and the head
+//!   forfeits everything the cluster held or completed ([`Head::lose`]),
+//!   exactly as the `cb-net` head does when a worker's link drops. Other
+//!   clusters redo that work; if none can, the run ends in `JobsFailed`
+//!   naming the panic;
 //! * the run errors only when a chunk has failed permanently everywhere
 //!   (its failure budget, [`crate::sched::pool::PoolConfig::max_job_failures`],
 //!   is exhausted) — surfaced as [`RuntimeError::JobsFailed`] naming the
@@ -64,10 +70,11 @@ use cb_storage::layout::{ChunkId, DatasetLayout, LocationId, Placement};
 use cb_storage::retrieve::{Retriever, RetryHook};
 use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
+use std::any::Any;
 use std::io;
-use std::panic::resume_unwind;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 
 /// After the head answers "nothing right now" (an empty grant that is not
@@ -228,30 +235,42 @@ pub fn run<A: GRApp>(
         .map_err(RuntimeError::Validation)?;
     let head = Mutex::new(head);
 
-    // Each cluster banks its result as it finishes. The scope re-raises a
-    // cluster thread's panic, so every slot is banked once it closes.
+    // Each cluster banks its result as it finishes; a cluster that panics
+    // is lost, so every slot is banked or lost once the scope closes.
     std::thread::scope(|scope| {
         for (ci, cluster) in deployment.clusters.iter().enumerate() {
             let head = &head;
             scope.spawn(move || {
-                let out = run_cluster(
-                    app,
-                    params,
-                    layout,
-                    placement,
-                    &deployment.fabric,
-                    cluster,
-                    ci,
-                    cfg,
-                    head,
-                    t0,
-                );
-                let done = out.account.wall;
-                head.lock().bank(ci, out.robj, out.account, done);
+                let out = catch_unwind(AssertUnwindSafe(|| {
+                    let fabric = &deployment.fabric;
+                    run_cluster(
+                        app, params, layout, placement, fabric, cluster, ci, cfg, head, t0,
+                    )
+                }));
+                let mut head = head.lock();
+                match out {
+                    Ok(out) => {
+                        let done = out.account.wall;
+                        head.bank(ci, out.robj, out.account, done);
+                    }
+                    Err(panic) => {
+                        let why = panic_message(panic.as_ref());
+                        head.note_error(format!("cluster {}: panicked: {why}", cluster.name));
+                        head.lose(ci);
+                    }
+                }
             });
         }
     });
     head.into_inner().finish(|_, robj| Ok(*robj))
+}
+
+/// The text of a panic payload.
+fn panic_message(panic: &(dyn Any + Send)) -> &str {
+    match panic.downcast_ref::<&str>() {
+        Some(s) => s,
+        None => panic.downcast_ref::<String>().map_or("(no message)", |s| s),
+    }
 }
 
 /// A cluster's master (paper §III-B): the job queue its slaves share.
@@ -269,8 +288,9 @@ struct Master<'a> {
     /// The cluster's index in the deployment.
     idx: usize,
     cfg: &'a RuntimeConfig,
-    /// Fetch failures, retries and retired/killed slaves; the slaves'
-    /// storage retry hooks hold clones.
+    /// Fetch failures, retries and retired/killed slaves: the slaves'
+    /// storage retry hooks count into it, and each slave adds its own
+    /// tally as it exits.
     recovery: Arc<Mutex<RecoveryStats>>,
     /// First failure observed in this cluster (diagnostics).
     error: Mutex<Option<String>>,
@@ -351,6 +371,30 @@ impl Master<'_> {
     fn note_error(&self, error: String) {
         self.error.lock().get_or_insert(error);
     }
+}
+
+/// Dropped while its slave unwinds from a panic, it marks the cluster's
+/// queue exhausted and wakes every waiter. No lease the panicking slave
+/// holds will ever resolve, so otherwise its fetcher (which the slave's
+/// scope joins) and its siblings could wait on the head forever.
+struct WindDownOnPanic<'a, 'b>(&'a Master<'b>);
+
+impl Drop for WindDownOnPanic<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut q = self.0.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            q.pool.mark_exhausted();
+            drop(q);
+            self.0.ready.notify_all();
+        }
+    }
+}
+
+/// One slave's account, folded from the events it records.
+#[derive(Default)]
+struct Tally {
+    stats: SlaveStats,
+    recovery: RecoveryStats,
 }
 
 /// Run one cluster — `cores` slave threads sharing one master queue —
@@ -456,14 +500,23 @@ fn slave_loop<A: GRApp>(
     let my_loc = cluster.location;
     let (ci, si) = (cluster_idx as u32, slave as u32);
     let emit = |kind| cfg.sink.emit(Some(ci), Some(si), kind);
-    // The one retry observer: it fires where the storage layer retries, so
-    // `retry` events match `RecoveryStats::retries`.
+    // Counted events go through `record`: folded into this slave's tally,
+    // then emitted, so the account is a view of the events.
+    let record = |tally: &mut Tally, kind: EventKind| {
+        tally.stats.observe(&kind);
+        tally.recovery.observe(&kind);
+        emit(kind);
+    };
+    // The one retry observer: it fires where the storage layer retries and
+    // records the `retry` event into the cluster's tally.
     let retry_hook: RetryHook = {
         let (recovery, sink) = (Arc::clone(&master.recovery), cfg.sink.clone());
         Arc::new(move |attempt: u32| {
-            recovery.lock().retries += 1;
-            let attempt = attempt as u64;
-            sink.emit(Some(ci), Some(si), EventKind::Retry { attempt });
+            let kind = EventKind::Retry {
+                attempt: attempt as u64,
+            };
+            recovery.lock().observe(&kind);
+            sink.emit(Some(ci), Some(si), kind);
         })
     };
     // Jitter-decorrelate retries across slaves while staying deterministic.
@@ -486,7 +539,7 @@ fn slave_loop<A: GRApp>(
         .map(|k| k.after_jobs);
 
     let mut robj = app.init(params);
-    let mut stats = SlaveStats::default();
+    let mut tally = Tally::default();
     // `Some(killed)` once this slave stops before the cluster drains.
     let mut retired: Option<bool> = None;
     let mut consecutive_failures = 0u32;
@@ -501,6 +554,7 @@ fn slave_loop<A: GRApp>(
     let shutting_down = AtomicBool::new(false);
 
     std::thread::scope(|fs| {
+        let _wind_down = WindDownOnPanic(master);
         // One credit per free lease slot; the fetcher answers each with
         // `Data` or `NoMore`.
         let (credit_tx, credits) = unbounded::<()>();
@@ -570,7 +624,7 @@ fn slave_loop<A: GRApp>(
             // accumulated reduction object survives the "crash". A retired
             // slave gives no more credits and hands back every lease its
             // fetcher took.
-            let killed = kill_after.is_some_and(|n| stats.jobs >= n);
+            let killed = kill_after.is_some_and(|n| tally.stats.jobs >= n);
             let failing = consecutive_failures >= cfg.slave_failure_threshold;
             if retired.is_none() && (killed || failing) {
                 retired = Some(killed);
@@ -607,12 +661,8 @@ fn slave_loop<A: GRApp>(
             // Only waits that end in data count as fetch stall: `Started`
             // precedes `Data` in channel order, so this block was spent
             // waiting on the retrieval itself.
-            let waited = t_wait.elapsed();
-            stats.fetch_stall += waited;
-            emit(EventKind::Stall {
-                ns: waited.as_nanos() as u64,
-            });
-            stats.retrieval += f.took;
+            let waited = t_wait.elapsed().as_nanos() as u64;
+            record(&mut tally, EventKind::Stall { ns: waited });
             let chunk = layout.chunk(f.job.chunk);
             let (c, ns) = (f.job.chunk.0 as u64, f.took.as_nanos() as u64);
             let bytes = match f.result {
@@ -620,25 +670,20 @@ fn slave_loop<A: GRApp>(
                 Err(error) => {
                     // The job is NOT complete: report it failed so the
                     // head re-enqueues it, and keep pulling.
-                    emit(EventKind::FetchFailed { chunk: c, ns });
-                    master.recovery.lock().fetch_failures += 1;
+                    record(&mut tally, EventKind::FetchFailed { chunk: c, ns });
                     master.note_error(error);
                     master.resolve(Resolution::Failed(f.job.chunk));
                     consecutive_failures += 1;
                     continue;
                 }
             };
-            if f.remote {
-                stats.bytes_remote += chunk.len;
-            } else {
-                stats.bytes_local += chunk.len;
-            }
-            emit(EventKind::FetchEnd {
+            let fetched = EventKind::FetchEnd {
                 chunk: c,
                 bytes: chunk.len,
                 remote: f.remote,
                 ns,
-            });
+            };
+            record(&mut tally, fetched);
             emit(EventKind::ProcessStart { chunk: c });
             // Process: fold the chunk in place, then burn the synthetic
             // compute weight in cache-sized unit groups.
@@ -664,17 +709,13 @@ fn slave_loop<A: GRApp>(
                     left -= group;
                 }
             }
-            let took = t_p.elapsed();
-            stats.processing += took;
-            stats.jobs += 1;
-            stats.units += units;
-            stats.stolen_jobs += f.job.stolen as u64;
-            emit(EventKind::ProcessEnd {
+            let processed = EventKind::ProcessEnd {
                 chunk: c,
                 units,
-                ns: took.as_nanos() as u64,
+                ns: t_p.elapsed().as_nanos() as u64,
                 stolen: f.job.stolen,
-            });
+            };
+            record(&mut tally, processed);
             master.resolve(Resolution::Completed(f.job.chunk));
         }
 
@@ -682,17 +723,12 @@ fn slave_loop<A: GRApp>(
     });
 
     if let Some(killed) = retired {
-        emit(EventKind::SlaveRetired { killed });
-        let mut recovery = master.recovery.lock();
-        if killed {
-            recovery.slaves_killed += 1;
-        } else {
-            recovery.slaves_retired += 1;
-        }
+        record(&mut tally, EventKind::SlaveRetired { killed });
     }
+    master.recovery.lock().add(&tally.recovery);
     // Even a retiring slave's partial reduction object merges: under GR it
     // is a valid checkpoint of the work it did complete.
-    (stats, Box::new(robj))
+    (tally.stats, Box::new(robj))
 }
 
 /// Spin (short) or sleep (long) for `d` — synthetic compute weight.

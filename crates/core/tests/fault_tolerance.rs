@@ -6,6 +6,8 @@
 //! unprocessed chunks, any schedule of slave failures that leaves at least
 //! one worker alive must produce a result identical to the failure-free run.
 
+mod common;
+
 use cb_storage::builder::{materialize, StoreMap};
 use cb_storage::faults::{FaultMode, FlakyStore};
 use cb_storage::layout::{ChunkMeta, LocationId, Placement};
@@ -14,10 +16,13 @@ use cb_storage::store::{MemStore, ObjectStore};
 use cloudburst_core::api::{GRApp, ReductionObject};
 use cloudburst_core::config::{RuntimeConfig, SlaveKill};
 use cloudburst_core::deploy::{ClusterSpec, DataFabric, Deployment};
-use cloudburst_core::runtime::run;
+use cloudburst_core::runtime::{run, RuntimeError};
+use common::KillGate;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 const LOCAL: LocationId = LocationId(0);
 const CLOUD: LocationId = LocationId(1);
@@ -164,7 +169,7 @@ fn storage_retries_absorb_transient_faults_below_scheduler() {
 fn killed_slaves_checkpoint_and_survivors_finish() {
     let (layout, placement, stores) = setup(8, 0.5);
     let deployment = two_cluster_deployment(&stores, 2, 2);
-    let cfg = RuntimeConfig {
+    let cfg = KillGate::install(RuntimeConfig {
         kill_schedule: vec![
             SlaveKill {
                 cluster: 0,
@@ -178,7 +183,7 @@ fn killed_slaves_checkpoint_and_survivors_finish() {
             },
         ],
         ..Default::default()
-    };
+    });
     let out = run(&SumApp, &(), &layout, &placement, &deployment, &cfg).unwrap();
     assert_eq!(
         out.result.0,
@@ -196,7 +201,7 @@ fn killed_slaves_checkpoint_and_survivors_finish() {
 fn losing_every_node_at_one_location_is_survivable() {
     let (layout, placement, stores) = setup(6, 0.5);
     let deployment = two_cluster_deployment(&stores, 2, 2);
-    let cfg = RuntimeConfig {
+    let cfg = KillGate::install(RuntimeConfig {
         kill_schedule: vec![
             SlaveKill {
                 cluster: 1,
@@ -210,7 +215,7 @@ fn losing_every_node_at_one_location_is_survivable() {
             },
         ],
         ..Default::default()
-    };
+    });
     let out = run(&SumApp, &(), &layout, &placement, &deployment, &cfg).unwrap();
     assert_eq!(out.result.0, expected_sum(&layout));
     assert_eq!(out.report.total_jobs(), layout.n_jobs() as u64);
@@ -220,6 +225,81 @@ fn losing_every_node_at_one_location_is_survivable() {
         local.jobs_stolen > 0,
         "the survivor must have taken over cloud-homed data"
     );
+}
+
+/// `SumApp` with a bug: decoding chunk 5 panics, on every attempt or on
+/// the first one only.
+struct PanicsOnChunk5 {
+    once: bool,
+    fired: AtomicBool,
+}
+
+impl GRApp for PanicsOnChunk5 {
+    type Unit = u64;
+    type RObj = Sum;
+    type Params = ();
+
+    fn decode_chunk(&self, meta: &ChunkMeta, bytes: &[u8]) -> Vec<u64> {
+        if meta.id.0 == 5 && !(self.once && self.fired.swap(true, Ordering::SeqCst)) {
+            panic!("bug decoding chunk 5");
+        }
+        SumApp.decode_chunk(meta, bytes)
+    }
+    fn init(&self, _: &()) -> Sum {
+        Sum(0)
+    }
+    fn local_reduce(&self, _: &(), robj: &mut Sum, unit: &u64) {
+        robj.0 += unit;
+    }
+}
+
+/// A run's sum and lost-cluster count, beside the exact sum.
+type Panicked = (Result<(u64, usize), RuntimeError>, u64);
+
+/// One run of `PanicsOnChunk5` at `cores` + `cores`, on a watchdog thread:
+/// a run that hangs fails the test instead of hanging it.
+fn run_panicking(once: bool, cores: usize) -> Panicked {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let (layout, placement, stores) = setup(8, 0.5);
+        let deployment = two_cluster_deployment(&stores, cores, cores);
+        let app = PanicsOnChunk5 {
+            once,
+            fired: AtomicBool::new(false),
+        };
+        let cfg = RuntimeConfig::default();
+        let out = run(&app, &(), &layout, &placement, &deployment, &cfg);
+        let out = out.map(|o| {
+            let lost = o
+                .report
+                .clusters
+                .iter()
+                .filter(|c| c.name.ends_with("(lost)"));
+            (o.result.0, lost.count())
+        });
+        let _ = tx.send((out, expected_sum(&layout)));
+    });
+    rx.recv_timeout(Duration::from_secs(30))
+        .expect("the run ended within 30 s")
+}
+
+/// A panic in app code loses its cluster: the run ends, never hangs. When
+/// every attempt panics no cluster can fold the chunk and the run fails
+/// naming the panic; when one attempt does, the other cluster redoes the
+/// lost cluster's work and the result is exact.
+#[test]
+fn a_panicking_cluster_is_a_lost_cluster() {
+    for cores in [1, 2] {
+        match run_panicking(false, cores).0 {
+            Err(RuntimeError::JobsFailed { last_error, .. }) => {
+                let error = last_error.expect("the panic is reported");
+                assert!(error.contains("panicked: bug decoding chunk 5"), "{error}");
+            }
+            other => panic!("expected JobsFailed, got {other:?}"),
+        }
+        let (out, expected) = run_panicking(true, cores);
+        assert_eq!(out, Ok((expected, 1)), "{cores}+{cores} cores");
+    }
 }
 
 proptest! {

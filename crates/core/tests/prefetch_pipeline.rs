@@ -8,6 +8,8 @@
 //! slave dies. And on a workload where retrieval time rivals compute time,
 //! depth 1 has to actually deliver the overlap it exists for.
 
+mod common;
+
 use cb_storage::builder::{materialize, StoreMap};
 use cb_storage::faults::{FaultMode, FlakyStore};
 use cb_storage::layout::{ChunkMeta, LocationId, Placement};
@@ -18,6 +20,7 @@ use cloudburst_core::api::{GRApp, ReductionObject};
 use cloudburst_core::config::{RuntimeConfig, SlaveKill};
 use cloudburst_core::deploy::{ClusterSpec, DataFabric, Deployment};
 use cloudburst_core::runtime::run;
+use common::KillGate;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -135,7 +138,7 @@ fn every_depth_matches_the_serial_reduction() {
 fn killed_slave_in_flight_prefetches_are_reclaimed() {
     let (layout, placement, stores) = setup(8, 0.5);
     let deployment = two_cluster_deployment(&stores, 2, 2);
-    let cfg = RuntimeConfig {
+    let cfg = KillGate::install(RuntimeConfig {
         prefetch_depth: 3, // die holding up to 3 undigested leases
         kill_schedule: vec![
             SlaveKill {
@@ -150,7 +153,7 @@ fn killed_slave_in_flight_prefetches_are_reclaimed() {
             },
         ],
         ..Default::default()
-    };
+    });
     let out = run(&SumApp, &(), &layout, &placement, &deployment, &cfg).unwrap();
     assert_eq!(out.result.0, expected_sum(&layout));
     assert_eq!(out.report.total_jobs(), layout.n_jobs() as u64);

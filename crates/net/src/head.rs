@@ -365,10 +365,7 @@ pub fn run_head<R: ReductionObject + RobjCodec>(
         match event_rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
             Ok((peer, Ok((msg, bytes)))) => {
                 let bytes = bytes as u64;
-                wire.stats.frames_recv += 1;
-                wire.stats.bytes_recv += bytes;
-                cfg.sink
-                    .emit(Some(peer as u32), None, EventKind::NetRecv { bytes });
+                wire.record(peer, EventKind::NetRecv { bytes });
                 // Forfeiture is final. A lost-but-alive peer's leases
                 // and completions were re-enqueued at loss and may
                 // already be re-granted or re-done by survivors:
@@ -438,7 +435,9 @@ pub fn run_head<R: ReductionObject + RobjCodec>(
     Ok(out)
 }
 
-/// The head core plus the wire's accounting of its traffic.
+/// The head core plus the wire's accounting of its traffic. `stats` counts
+/// the joins at the start, because `PeerJoined` is emitted at accept time;
+/// every later counter is a fold of the events recorded here.
 struct WireHead<'a> {
     head: Head<Vec<u8>>,
     cfg: &'a RuntimeConfig,
@@ -483,17 +482,20 @@ impl WireHead<'_> {
         }
     }
 
-    /// Send a frame to a peer, counting it into obs + report. A send failure
-    /// is not handled here: the peer's reader will surface `Gone` and the
-    /// loss path takes over.
+    /// Record an event about `peer`: fold it into the net stats, then emit
+    /// it.
+    fn record(&mut self, peer: usize, kind: EventKind) {
+        self.stats.observe(&kind);
+        self.cfg.sink.emit(Some(peer as u32), None, kind);
+    }
+
+    /// Send a frame to a peer, recording it. A send failure is not handled
+    /// here: the peer's reader will surface `Gone` and the loss path takes
+    /// over.
     fn send(&mut self, peer: usize, link: &mut Link, msg: &Message) {
         if let Ok(bytes) = link.tx.send(msg) {
             let bytes = bytes as u64;
-            self.stats.frames_sent += 1;
-            self.stats.bytes_sent += bytes;
-            self.cfg
-                .sink
-                .emit(Some(peer as u32), None, EventKind::NetSent { bytes });
+            self.record(peer, EventKind::NetSent { bytes });
         }
     }
 
@@ -502,10 +504,7 @@ impl WireHead<'_> {
     fn lose(&mut self, peer: usize, why: String) {
         self.head.note_error(why);
         let jobs = self.head.lose(peer) as u64;
-        self.stats.peers_lost += 1;
-        self.cfg
-            .sink
-            .emit(Some(peer as u32), None, EventKind::PeerLost { jobs });
+        self.record(peer, EventKind::PeerLost { jobs });
     }
 }
 

@@ -12,13 +12,15 @@ use cb_net::{
     connect_with_backoff, fingerprint, handshake_one, loopback_pair, run_head, run_worker,
     run_worker_on_links, serve_head, split_tcp, NetConfig, RobjCodec, WorkerSpec,
 };
-use cb_storage::layout::ChunkId;
+use cb_storage::layout::{ChunkId, ChunkMeta};
+use cloudburst_core::api::{DecodeError, GRApp};
 use cloudburst_core::combine::KeyedSum;
 use cloudburst_core::config::RuntimeConfig;
 use cloudburst_core::runtime::{run, RunOutcome, RuntimeError};
 use cloudburst_core::{ClusterSpec, Resolution};
 use proptest::prelude::*;
 use std::net::TcpListener;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -447,6 +449,114 @@ fn bad_chunk_fails_the_run_over_loopback() {
 fn bad_chunk_fails_the_run_over_tcp() {
     let env = env_with_bad_chunk();
     assert_failed_on_bad_chunk(&env, run_over_tcp(&env, &bad_chunk_cfg()));
+}
+
+/// `WordCountApp` with a bug: folding chunk [`BAD`] panics, on every
+/// attempt or on the first one only.
+struct PanicsOnBad {
+    once: bool,
+    fired: AtomicBool,
+}
+
+impl GRApp for PanicsOnBad {
+    type Unit = u64;
+    type RObj = KeyedSum;
+    type Params = ();
+
+    fn decode_chunk(&self, meta: &ChunkMeta, bytes: &[u8]) -> Vec<u64> {
+        WordCountApp.decode_chunk(meta, bytes)
+    }
+    fn init(&self, params: &()) -> KeyedSum {
+        WordCountApp.init(params)
+    }
+    fn local_reduce(&self, params: &(), robj: &mut KeyedSum, unit: &u64) {
+        WordCountApp.local_reduce(params, robj, unit)
+    }
+    fn fold_chunk(
+        &self,
+        params: &(),
+        robj: &mut KeyedSum,
+        meta: &ChunkMeta,
+        bytes: &[u8],
+    ) -> Result<u64, DecodeError> {
+        if meta.id == BAD && !(self.once && self.fired.swap(true, Ordering::SeqCst)) {
+            panic!("bug folding chunk {}", BAD.0);
+        }
+        WordCountApp.fold_chunk(params, robj, meta, bytes)
+    }
+}
+
+/// The wordcount env at 2+2 over loopback with a `PanicsOnBad` app, on a
+/// watchdog thread so that a hang fails the test. A worker whose app
+/// panics dies with its thread, and its link drops with it. Returns the
+/// head's result as robj bytes beside the single-process bytes.
+fn run_panicking_over_loopback(once: bool) -> (Result<Vec<u8>, RuntimeError>, Vec<u8>) {
+    let (done, result) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let spec = WordsSpec {
+            vocabulary: 200,
+            n_files: 4,
+            words_per_file: 2_000,
+            words_per_chunk: 500,
+            seed: 5,
+        };
+        let env = env_for(&spec, 0.5, 2, 2);
+        let (cfg, net) = (RuntimeConfig::default(), NetConfig::default());
+        let app = PanicsOnBad {
+            once,
+            fired: AtomicBool::new(false),
+        };
+        let fp = fingerprint(&env.layout, &env.placement, APP);
+        let (layout, placement, fabric) = (&env.layout, &env.placement, &env.deployment.fabric);
+        let out = std::thread::scope(|scope| {
+            let mut peers = Vec::new();
+            for (ci, cluster) in env.deployment.clusters.iter().enumerate() {
+                let (head_end, worker_end) = loopback_pair();
+                let (app, cfg, net) = (&app, &cfg, &net);
+                scope.spawn(move || {
+                    let wspec = worker_spec(ci, cluster, fp);
+                    let (tx, rx) = (worker_end.tx, worker_end.rx);
+                    let _ = catch_unwind(AssertUnwindSafe(|| {
+                        run_worker_on_links(
+                            app,
+                            &(),
+                            layout,
+                            placement,
+                            fabric,
+                            cluster,
+                            &wspec,
+                            cfg,
+                            net,
+                            tx,
+                            rx,
+                        )
+                    }));
+                });
+                let peer = handshake_one(head_end.tx, head_end.rx, &peers, net, fp, APP)
+                    .expect("loopback handshake");
+                peers.push(peer);
+            }
+            run_head::<KeyedSum>(peers, layout, placement, &cfg, &net)
+        });
+        let out = out.map(|o| o.result.encode_robj());
+        let _ = done.send((out, single_process_bytes(&env, &cfg)));
+    });
+    result
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the run ended within 60 s")
+}
+
+/// A worker whose app code panics is a lost worker: when every attempt
+/// panics the run fails, and when one does the other worker redoes the
+/// lost worker's work and the result is exact.
+#[test]
+fn a_panicking_worker_is_a_lost_worker_over_loopback() {
+    match run_panicking_over_loopback(false).0 {
+        Err(RuntimeError::JobsFailed { .. }) => {}
+        other => panic!("expected JobsFailed, got {other:?}"),
+    }
+    let (got, want) = run_panicking_over_loopback(true);
+    assert_eq!(got.expect("one panic is survivable"), want);
 }
 
 /// A worker that goes silent (socket open, no heartbeats, never ships) is

@@ -244,6 +244,16 @@ impl SimWorld {
         })
     }
 
+    /// Record an event of slave `s` of cluster `c`: fold it into the slave's
+    /// stats and the cluster's recovery tally, then emit it. The one way
+    /// the model counts.
+    fn record(&mut self, c: usize, s: usize, kind: EventKind) {
+        let cl = &mut self.clusters[c];
+        cl.slaves[s].stats.observe(&kind);
+        cl.recovery.observe(&kind);
+        self.sink.emit(Some(c as u32), Some(s as u32), kind);
+    }
+
     /// Resolve one of cluster `c`'s leases at the head.
     fn resolve(&mut self, c: usize, what: Resolution) {
         let loc = self.params.clusters[c].location;
@@ -290,12 +300,7 @@ impl SimWorld {
             .iter()
             .any(|k| k.cluster == c && k.slave == s && jobs_done >= k.after_jobs);
         if killed {
-            self.clusters[c].recovery.slaves_killed += 1;
-            self.sink.emit(
-                Some(c as u32),
-                Some(s as u32),
-                EventKind::SlaveRetired { killed: true },
-            );
+            self.record(c, s, EventKind::SlaveRetired { killed: true });
             self.retire_slave(ctx, c, s);
             return;
         }
@@ -334,13 +339,8 @@ impl SimWorld {
         };
         // The fetcher picks up the lease *now*; request latency and the
         // transfer both count into the fetch, exactly as `retrieval` does.
-        self.sink.emit(
-            Some(c as u32),
-            Some(s as u32),
-            EventKind::FetchStart {
-                chunk: qf.job.0 as u64,
-            },
-        );
+        let chunk = qf.job.0 as u64;
+        self.record(c, s, EventKind::FetchStart { chunk });
         let loc = self.params.clusters[c].location;
         let home = self
             .params
@@ -390,26 +390,12 @@ impl SimWorld {
             let st = &mut self.clusters[c].slaves[s];
             st.proc_busy = true;
             let idle = st.idle_since.take().unwrap_or(SimTime::ZERO);
-            let stalled = now.saturating_since(idle.max(ready.started));
-            st.stats.fetch_stall += real(stalled);
-            st.stats.processing += real(proc);
             st.cur_proc_ns = proc.as_nanos();
-            stalled
+            now.saturating_since(idle.max(ready.started)).as_nanos()
         };
-        self.sink.emit(
-            Some(c as u32),
-            Some(s as u32),
-            EventKind::Stall {
-                ns: stalled.as_nanos(),
-            },
-        );
-        self.sink.emit(
-            Some(c as u32),
-            Some(s as u32),
-            EventKind::ProcessStart {
-                chunk: ready.job.0 as u64,
-            },
-        );
+        self.record(c, s, EventKind::Stall { ns: stalled });
+        let chunk = ready.job.0 as u64;
+        self.record(c, s, EventKind::ProcessStart { chunk });
         ctx.schedule_after(
             proc,
             Ev::ProcessDone {
@@ -709,13 +695,8 @@ impl World for SimWorld {
                                 // runtime's drain-and-reclaim (no RNG
                                 // draws either, so fault streams stay
                                 // aligned between worlds).
-                                self.sink.emit(
-                                    Some(c as u32),
-                                    Some(s as u32),
-                                    EventKind::FetchDiscarded {
-                                        chunk: job.0 as u64,
-                                    },
-                                );
+                                let chunk = job.0 as u64;
+                                self.record(c, s, EventKind::FetchDiscarded { chunk });
                                 self.clusters[c].slaves[s].leases -= 1;
                                 self.resolve(c, Resolution::Released(job));
                                 self.maybe_finish_retiring(ctx, c, s);
@@ -730,26 +711,14 @@ impl World for SimWorld {
                             let prob = self.params.faults.fetch_failure_prob;
                             let failed = prob > 0.0 && self.clusters[c].rngs[s].chance(prob);
                             let fetch_ns = ctx.now().saturating_since(started).as_nanos();
-                            let st = &mut self.clusters[c].slaves[s];
-                            st.stats.retrieval += real(ctx.now() - started);
                             if failed {
-                                self.clusters[c].recovery.fetch_failures += 1;
                                 // The injected fault and its terminal
                                 // failure coincide in the model (the real
                                 // stack separates them by a retry loop).
-                                self.sink.emit(
-                                    Some(c as u32),
-                                    Some(s as u32),
-                                    EventKind::FaultInjected,
-                                );
-                                self.sink.emit(
-                                    Some(c as u32),
-                                    Some(s as u32),
-                                    EventKind::FetchFailed {
-                                        chunk: job.0 as u64,
-                                        ns: fetch_ns,
-                                    },
-                                );
+                                self.record(c, s, EventKind::FaultInjected);
+                                let chunk = job.0 as u64;
+                                let ns = fetch_ns;
+                                self.record(c, s, EventKind::FetchFailed { chunk, ns });
                                 let now = ctx.now();
                                 let st = &mut self.clusters[c].slaves[s];
                                 st.consecutive_failures += 1;
@@ -760,26 +729,15 @@ impl World for SimWorld {
                                     // stall, as in the runtime.
                                     let idle = st.idle_since.take().unwrap_or(SimTime::ZERO);
                                     let stalled = now.saturating_since(idle.max(started));
-                                    st.stats.fetch_stall += real(stalled);
                                     st.idle_since = Some(now);
-                                    self.sink.emit(
-                                        Some(c as u32),
-                                        Some(s as u32),
-                                        EventKind::Stall {
-                                            ns: stalled.as_nanos(),
-                                        },
-                                    );
+                                    let ns = stalled.as_nanos();
+                                    self.record(c, s, EventKind::Stall { ns });
                                 }
                                 let retire = self.clusters[c].slaves[s].consecutive_failures
                                     >= self.params.faults.slave_failure_threshold;
                                 self.resolve(c, Resolution::Failed(job));
                                 if retire {
-                                    self.clusters[c].recovery.slaves_retired += 1;
-                                    self.sink.emit(
-                                        Some(c as u32),
-                                        Some(s as u32),
-                                        EventKind::SlaveRetired { killed: false },
-                                    );
+                                    self.record(c, s, EventKind::SlaveRetired { killed: false });
                                     self.retire_slave(ctx, c, s);
                                 } else {
                                     self.maybe_start_fetch(ctx, c, s);
@@ -787,23 +745,15 @@ impl World for SimWorld {
                                 }
                                 continue;
                             }
-                            self.sink.emit(
-                                Some(c as u32),
-                                Some(s as u32),
-                                EventKind::FetchEnd {
-                                    chunk: job.0 as u64,
-                                    bytes: chunk.len,
-                                    remote: stolen,
-                                    ns: fetch_ns,
-                                },
-                            );
+                            let fetched = EventKind::FetchEnd {
+                                chunk: job.0 as u64,
+                                bytes: chunk.len,
+                                remote: stolen,
+                                ns: fetch_ns,
+                            };
+                            self.record(c, s, fetched);
                             let st = &mut self.clusters[c].slaves[s];
                             st.consecutive_failures = 0;
-                            if stolen {
-                                st.stats.bytes_remote += chunk.len;
-                            } else {
-                                st.stats.bytes_local += chunk.len;
-                            }
                             st.ready.push_back(ReadyJob { job, started });
                             self.maybe_start_fetch(ctx, c, s);
                             self.maybe_start_proc(ctx, c, s);
@@ -816,29 +766,19 @@ impl World for SimWorld {
                 self.arm_link(ctx, link);
             }
             Ev::ProcessDone { c, s, job } => {
-                {
-                    let st = &mut self.clusters[c].slaves[s];
-                    st.stats.jobs += 1;
-                    let chunk = self.params.layout.chunk(job);
-                    let home = self.params.placement.home(chunk.file);
-                    let stolen = home != self.params.clusters[c].location;
-                    if stolen {
-                        st.stats.stolen_jobs += 1;
-                    }
-                    st.proc_busy = false;
-                    st.leases -= 1;
-                    st.idle_since = Some(ctx.now());
-                    self.sink.emit(
-                        Some(c as u32),
-                        Some(s as u32),
-                        EventKind::ProcessEnd {
-                            chunk: job.0 as u64,
-                            units: chunk.units,
-                            ns: st.cur_proc_ns,
-                            stolen,
-                        },
-                    );
-                }
+                let chunk = self.params.layout.chunk(job);
+                let home = self.params.placement.home(chunk.file);
+                let st = &mut self.clusters[c].slaves[s];
+                st.proc_busy = false;
+                st.leases -= 1;
+                st.idle_since = Some(ctx.now());
+                let processed = EventKind::ProcessEnd {
+                    chunk: job.0 as u64,
+                    units: chunk.units,
+                    ns: st.cur_proc_ns,
+                    stolen: home != self.params.clusters[c].location,
+                };
+                self.record(c, s, processed);
                 self.resolve(c, Resolution::Completed(job));
                 if self.clusters[c].slaves[s].retiring {
                     // Retired mid-compute (failure-threshold retire while

@@ -5,18 +5,20 @@
 //! property test pins down that installing a sink never changes the
 //! computation itself.
 
+#[path = "../crates/core/tests/common/mod.rs"]
+mod common;
+
 use cb_apps::gen::{PointMode, PointsSpec, WordsSpec};
 use cb_apps::scenario::{build_hybrid, HybridOpts};
 use cb_apps::selection::{BoxQuery, SelectionApp};
 use cb_apps::wordcount::WordCountApp;
 use cb_storage::layout::LocationId;
 use cloudburst_core::config::{RuntimeConfig, SlaveKill};
-use cloudburst_core::obs::{
-    self, EventKind, EventRecord, EventSink, RecordingSink, SinkHandle, TraceSummary,
-};
+use cloudburst_core::obs::{self, EventKind, EventRecord, RecordingSink, SinkHandle, TraceSummary};
 use cloudburst_core::runtime::run;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use cloudburst_core::RunReport;
+use common::KillGate;
+use std::sync::Arc;
 
 fn points_spec(seed: u64) -> PointsSpec {
     PointsSpec {
@@ -91,55 +93,54 @@ fn live_events_reconcile_with_report() {
     assert_eq!(summary.robj_merges, out.report.clusters.len() as u64);
 }
 
-/// A recording sink that makes a scheduled kill certain: it holds back
-/// every other slave's fetches until the kill's target has completed its
-/// `after_jobs` jobs (or retired). Without it, a loaded host can leave the
-/// target thread unscheduled while its siblings drain every chunk, and the
-/// kill never fires.
-struct KillGate {
-    inner: Arc<RecordingSink>,
-    target: (u32, u32),
-    after_jobs: u64,
-    /// Jobs the target has completed; `u64::MAX` once it retired.
-    done: Mutex<u64>,
-    progressed: Condvar,
-}
+/// `reconcile` is a check that can fail: perturb one field of a reconciled
+/// report at a time and it names that field.
+#[test]
+fn reconcile_names_the_field_that_disagrees() {
+    let spec = words_spec();
+    let env = build_hybrid(
+        spec.layout(),
+        spec.fill(),
+        HybridOpts {
+            frac_local: 0.5,
+            local_cores: 2,
+            cloud_cores: 2,
+            throttle: None,
+        },
+    )
+    .unwrap();
+    let (rec, cfg) = observed_cfg(RuntimeConfig::default());
+    let out = run(
+        &WordCountApp,
+        &(),
+        &env.layout,
+        &env.placement,
+        &env.deployment,
+        &cfg,
+    )
+    .unwrap();
+    let summary = TraceSummary::from_events(&rec.take());
+    summary.reconcile(&out.report, 1e-6).unwrap();
 
-impl KillGate {
-    fn new(inner: Arc<RecordingSink>, kill: SlaveKill) -> Self {
-        KillGate {
-            inner,
-            target: (kill.cluster as u32, kill.slave as u32),
-            after_jobs: kill.after_jobs,
-            done: Mutex::new(0),
-            progressed: Condvar::new(),
-        }
-    }
-}
-
-impl EventSink for KillGate {
-    fn emit(&self, cluster: Option<u32>, slave: Option<u32>, kind: EventKind) {
-        let who = cluster.zip(slave);
-        if who == Some(self.target) {
-            let mut done = self.done.lock().unwrap();
-            match kind {
-                EventKind::ProcessEnd { .. } => *done = done.saturating_add(1),
-                EventKind::SlaveRetired { .. } => *done = u64::MAX,
-                _ => {}
-            }
-            self.progressed.notify_all();
-        } else if who.is_some() && matches!(kind, EventKind::FetchStart { .. }) {
-            // A fetcher emits `FetchStart` holding one lease and no lock,
-            // so the target can still take the rest of its cluster's
-            // work. The timeout only turns a gate bug into a failed
-            // assertion instead of a hang.
-            let done = self.done.lock().unwrap();
-            let _ = self
-                .progressed
-                .wait_timeout_while(done, Duration::from_secs(10), |d| *d < self.after_jobs)
-                .unwrap();
-        }
-        self.inner.emit(cluster, slave, kind);
+    let perturbed = |perturb: &dyn Fn(&mut RunReport)| {
+        let mut report = out.report.clone();
+        perturb(&mut report);
+        report
+    };
+    for (field, report) in [
+        (
+            "processing_s",
+            perturbed(&|r| r.clusters[0].processing_s += 1e-3),
+        ),
+        (
+            "jobs_stolen",
+            perturbed(&|r| r.clusters[1].jobs_stolen += 1),
+        ),
+        ("recovery.retries", perturbed(&|r| r.recovery.retries += 1)),
+        ("net.frames_sent", perturbed(&|r| r.net.frames_sent += 1)),
+    ] {
+        let err = summary.reconcile(&report, 1e-6).unwrap_err();
+        assert!(err.contains(field), "perturbed {field}, got: {err}");
     }
 }
 
@@ -166,16 +167,15 @@ fn faulty_run_events_reconcile_with_recovery_stats() {
         slave: 0,
         after_jobs: 2,
     };
-    let rec = RecordingSink::new();
-    let cfg = RuntimeConfig {
+    let (rec, cfg) = observed_cfg(RuntimeConfig {
         prefetch_depth: 1,
         retrieval_retries: 3,
         retrieval_backoff: std::time::Duration::ZERO,
         kill_schedule: vec![kill],
         slave_failure_threshold: 1_000, // keep retirement out of the picture
-        sink: SinkHandle::new(Arc::new(KillGate::new(Arc::clone(&rec), kill))),
         ..Default::default()
-    };
+    });
+    let cfg = KillGate::install(cfg);
     // Every GET fails twice per key before succeeding: absorbed by retries,
     // each attempt surfacing as a Retry event (plus the FlakyStore's own
     // FaultInjected when observed, as the CLI wires it).
@@ -207,11 +207,11 @@ fn faulty_run_events_reconcile_with_recovery_stats() {
     obs::check_invariants(&events).unwrap();
     let summary = TraceSummary::from_events(&events);
     summary.reconcile(&out.report, 1e-6).unwrap();
-    assert!(summary.retries > 0, "faults must actually fire");
-    assert_eq!(summary.faults_injected, summary.retries);
-    assert_eq!(summary.slaves_killed, 1);
+    assert!(summary.recovery.retries > 0, "faults must actually fire");
+    assert_eq!(summary.faults_injected, summary.recovery.retries);
+    assert_eq!(summary.recovery.slaves_killed, 1);
     assert_eq!(
-        summary.leases_released, out.report.recovery.jobs_reenqueued,
+        summary.recovery.jobs_reenqueued, out.report.recovery.jobs_reenqueued,
         "every re-enqueue is a LeaseReleased event"
     );
 }
@@ -333,8 +333,11 @@ fn sim_events_reconcile_with_sim_report() {
     obs::check_invariants(&events).unwrap();
     let summary = TraceSummary::from_events(&events);
     summary.reconcile(&report, 1e-6).unwrap();
-    assert_eq!(summary.slaves_killed, 1);
-    assert!(summary.fetch_failures > 0, "fault injection must fire");
+    assert_eq!(summary.recovery.slaves_killed, 1);
+    assert!(
+        summary.recovery.fetch_failures > 0,
+        "fault injection must fire"
+    );
 
     // Virtual timestamps are monotone non-decreasing.
     assert!(events.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
