@@ -8,7 +8,8 @@
 //! cluster-index order (the global reduction) and builds the [`RunReport`].
 //!
 //! The in-process runtime puts it behind a mutex as its masters'
-//! [`HeadPort`]: direct calls, no frames. The `cb-net` head drives it from
+//! [`HeadPort`]: direct calls, no frames, and a condvar on which a request
+//! the head cannot answer yet waits. The `cb-net` head drives it from
 //! its event loop and keeps only what is specific to the wire. The
 //! simulator drives it from its event handlers on a virtual [`Clock`]. The
 //! banked payload `B` is what the substrate receives — the reduction object
@@ -23,8 +24,8 @@ use crate::report::{secs, ClusterAccount, ClusterBreakdown, RecoveryStats, RunRe
 use crate::runtime::{HeadPort, Resolution, RunOutcome, RuntimeError};
 use crate::sched::pool::{Grant, JobPool};
 use cb_storage::layout::{DatasetLayout, LocationId, Placement};
-use parking_lot::Mutex;
 use std::io;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// One cluster's result slot.
@@ -110,6 +111,16 @@ impl<B> Head<B> {
         let grant = self.pool.request(loc);
         let exhausted = grant.is_empty() && self.pool.exhausted_for(loc);
         (grant, exhausted)
+    }
+
+    /// Whether a request from `loc` answered `(grant, exhausted)` should be
+    /// held until the pool changes rather than answered now: the grant is
+    /// empty, `loc` is not exhausted, and `loc` holds no lease. A site that
+    /// holds a lease is answered at once. Its master may have sent the
+    /// request while holding the very job the run waits on, and a panicking
+    /// slave's lease resolves only once its cluster is lost.
+    pub fn should_hold(&self, loc: LocationId, (grant, exhausted): &(Grant, bool)) -> bool {
+        grant.is_empty() && !exhausted && !self.pool.holds_lease(loc)
     }
 
     /// Resolve one lease; refused, changing nothing, unless `loc` holds it.
@@ -251,16 +262,77 @@ impl<B> Head<B> {
 }
 
 /// The in-process head port: direct calls under one lock, so a request and
-/// its exhaustion verdict cannot be split by a concurrent fail-back.
-impl<B: Send> HeadPort for Mutex<Head<B>> {
+/// its exhaustion verdict cannot be split by a concurrent fail-back. A
+/// request the head cannot answer yet ([`Head::should_hold`]) waits on a
+/// condvar beside the lock. It is signalled only while a request is held,
+/// and only by what can answer one: a lease handed back, the last
+/// outstanding lease resolving, or [`Head::lose`].
+pub(crate) struct SharedHead<B> {
+    state: Mutex<Shared<B>>,
+    changed: Condvar,
+}
+
+struct Shared<B> {
+    head: Head<B>,
+    /// Requests waiting on `changed`.
+    held: usize,
+}
+
+impl<B> SharedHead<B> {
+    pub(crate) fn new(head: Head<B>) -> Self {
+        SharedHead {
+            state: Mutex::new(Shared { head, held: 0 }),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// Apply `f` to the head, then wake every held request: `f` may have
+    /// returned work to the pool or exhausted it.
+    pub(crate) fn update<T>(&self, f: impl FnOnce(&mut Head<B>) -> T) -> T {
+        let mut state = self.lock();
+        let out = f(&mut state.head);
+        if state.held > 0 {
+            self.changed.notify_all();
+        }
+        out
+    }
+
+    pub(crate) fn into_inner(self) -> Head<B> {
+        let state = self.state.into_inner();
+        state.unwrap_or_else(PoisonError::into_inner).head
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Shared<B>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<B: Send> HeadPort for SharedHead<B> {
     fn request_jobs(&self, loc: LocationId) -> io::Result<(Grant, bool)> {
-        Ok(self.lock().request(loc))
+        let mut state = self.lock();
+        loop {
+            let answer = state.head.request(loc);
+            if !state.head.should_hold(loc, &answer) {
+                return Ok(answer);
+            }
+            state.held += 1;
+            state = self
+                .changed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            state.held -= 1;
+        }
     }
 
     fn resolve(&self, loc: LocationId, what: Resolution) -> io::Result<()> {
-        self.lock()
-            .resolve(loc, what)
-            .expect("an in-process master resolves only leases it holds");
+        let mut state = self.lock();
+        let resolved = state.head.resolve(loc, what);
+        resolved.expect("an in-process master resolves only leases it holds");
+        // A completion can answer a held request only by exhausting the pool.
+        let returned = !matches!(what, Resolution::Completed(_));
+        if state.held > 0 && (returned || state.head.pool().outstanding() == 0) {
+            self.changed.notify_all();
+        }
         Ok(())
     }
 }

@@ -9,10 +9,12 @@
 //! * **master** — not a thread but the cluster's job queue
 //!   ([`MasterPool`]), shared by its slaves behind a lock: a slave takes its
 //!   next lease directly, and the one whose take drops the queue to low water
-//!   sends the cluster's single refill request to the head. Once the slaves
-//!   finish, the calling thread merges their reduction objects in slave-index
-//!   order (local combination) and ships the result to the head through the
-//!   cluster's WAN throttle;
+//!   sends the cluster's single refill request to the head. The head holds a
+//!   request it cannot answer yet; after an empty grant the master asks again
+//!   only once one of its own leases comes back, so no wait runs on a timer.
+//!   Once the slaves finish, the calling thread merges their reduction
+//!   objects in slave-index order (local combination) and ships the result
+//!   to the head through the cluster's WAN throttle;
 //! * **slave** — `cores` threads per cluster; each holds up to
 //!   `1 + prefetch_depth` leases, retrieving the next chunk on a background
 //!   fetcher thread (through the data fabric; multi-threaded ranged GETs
@@ -60,7 +62,7 @@
 use crate::api::{GRApp, ReductionObject};
 use crate::config::RuntimeConfig;
 use crate::deploy::{ClusterSpec, DataFabric, Deployment};
-use crate::head::Head;
+use crate::head::{Head, SharedHead};
 use crate::obs::{Clock, EventKind};
 use crate::report::{ClusterAccount, RecoveryStats, RunReport, SlaveStats};
 use crate::sched::master::{MasterJob, MasterPool};
@@ -74,13 +76,8 @@ use std::any::Any;
 use std::io;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, PoisonError};
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-/// After the head answers "nothing right now" (an empty grant that is not
-/// exhausted: a job leased elsewhere may still fail back), a cluster asks
-/// again at most this often.
-const MASTER_POLL: Duration = Duration::from_millis(2);
 
 /// Data units per synthetic-compute slice. The paper folds in unit groups
 /// sized to the processor cache; here the fold reads the chunk in place,
@@ -148,18 +145,26 @@ pub enum Resolution {
 /// The master's view of the head node.
 ///
 /// [`run`] talks to the in-process head core through this trait (the
-/// loopback special case, implemented directly on `Mutex<Head>`); the
-/// `cb-net` crate implements it over a TCP connection so the identical
-/// master/slave machinery drives a remote head. Errors mean "the head is
-/// unreachable" — the master winds its cluster down cleanly and lets the
-/// head's own peer-loss handling reclaim the leases. A cluster's slaves
-/// call it from their own threads: `resolve` concurrently, `request_jobs`
-/// at most one at a time per cluster.
+/// loopback special case: the head behind a lock); the `cb-net` crate
+/// implements it over a TCP connection so the identical master/slave
+/// machinery drives a remote head. Errors mean "the head is unreachable" —
+/// the master winds its cluster down cleanly and lets the head's own
+/// peer-loss handling reclaim the leases. A cluster's slaves call it from
+/// their own threads: `resolve` concurrently, `request_jobs` at most one at
+/// a time per cluster.
 pub trait HeadPort: Sync {
     /// Request a job batch for the cluster at `loc`. The boolean is the
     /// head's exhaustion verdict, observed atomically with the (possibly
     /// empty) grant: once `true`, no job this location could run will ever
     /// become available again and the master may shut down.
+    ///
+    /// It may block. A head holds a request whose grant would be empty and
+    /// not exhausted while `loc` holds no lease, until the pool changes
+    /// ([`Head::should_hold`]). So an empty, non-exhausted answer comes
+    /// either at once, to a cluster that still holds leases, or at the
+    /// head's hold bound (the wire's half `io_timeout`). The master asks
+    /// again once it hands a lease back or its last one resolves, or at
+    /// once if it holds none.
     fn request_jobs(&self, loc: LocationId) -> io::Result<(Grant, bool)>;
 
     /// Report the outcome of one lease.
@@ -233,7 +238,7 @@ pub fn run<A: GRApp>(
     deployment
         .validate(&data_sites)
         .map_err(RuntimeError::Validation)?;
-    let head = Mutex::new(head);
+    let head = SharedHead::new(head);
 
     // Each cluster banks its result as it finishes; a cluster that panics
     // is lost, so every slot is banked or lost once the scope closes.
@@ -247,8 +252,7 @@ pub fn run<A: GRApp>(
                         app, params, layout, placement, fabric, cluster, ci, cfg, head, t0,
                     )
                 }));
-                let mut head = head.lock();
-                match out {
+                head.update(|head| match out {
                     Ok(out) => {
                         let done = out.account.wall;
                         head.bank(ci, out.robj, out.account, done);
@@ -258,7 +262,7 @@ pub fn run<A: GRApp>(
                         head.note_error(format!("cluster {}: panicked: {why}", cluster.name));
                         head.lose(ci);
                     }
-                }
+                });
             });
         }
     });
@@ -281,7 +285,8 @@ fn panic_message(panic: &(dyn Any + Send)) -> &str {
 /// on `ready` while the queue is empty.
 struct Master<'a> {
     queue: std::sync::Mutex<Queue>,
-    /// Signalled whenever a head reply lands in the queue.
+    /// Signalled whenever a head reply lands in the queue, and by the
+    /// resolution that ends a stall.
     ready: Condvar,
     head: &'a dyn HeadPort,
     cluster: &'a ClusterSpec,
@@ -298,8 +303,14 @@ struct Master<'a> {
 
 struct Queue {
     pool: MasterPool,
-    /// When the head last answered "nothing right now".
-    empty_at: Option<Instant>,
+    /// Leases granted to this cluster and not yet resolved.
+    held: usize,
+    /// Leases this cluster has handed back unfinished (failed or released).
+    returned: u64,
+    /// The head answered the last request empty, not exhausted, while this
+    /// cluster holds leases: ask again once one is handed back or the last
+    /// resolves, as only that can change the answer.
+    stalled: bool,
 }
 
 impl Master<'_> {
@@ -312,28 +323,25 @@ impl Master<'_> {
             if job.is_none() && q.pool.finished() {
                 return None;
             }
-            let since_empty = q.empty_at.map_or(MASTER_POLL, |t| t.elapsed());
-            let not_before = MASTER_POLL.saturating_sub(since_empty);
-            if q.pool.should_request() && not_before.is_zero() {
-                q.pool.mark_requested();
-                drop(q);
-                self.refill();
+            if q.pool.should_request() && !q.stalled {
+                q = self.refill(q);
                 if job.is_some() {
                     return job;
                 }
-                q = self.queue.lock().unwrap();
             } else if job.is_some() {
                 return job;
-            } else if q.pool.request_in_flight() {
-                q = self.ready.wait(q).unwrap();
             } else {
-                q = self.ready.wait_timeout(q, not_before).unwrap().0;
+                q = self.ready.wait(q).unwrap();
             }
         }
     }
 
-    /// Send the request the caller marked, and queue the head's reply.
-    fn refill(&self) {
+    /// Send the cluster's refill request outside the lock `q` holds, and
+    /// queue the head's reply.
+    fn refill<'q>(&'q self, mut q: MutexGuard<'q, Queue>) -> MutexGuard<'q, Queue> {
+        q.pool.mark_requested();
+        let sent_at = q.returned;
+        drop(q);
         // The request/grant exchange crosses the master↔head network.
         if !self.cluster.head_rtt.is_zero() {
             std::thread::sleep(self.cluster.head_rtt);
@@ -342,7 +350,9 @@ impl Master<'_> {
         let mut q = self.queue.lock().unwrap();
         match reply {
             Ok((grant, exhausted)) => {
-                q.empty_at = (grant.is_empty() && !exhausted).then(Instant::now);
+                let empty = grant.is_empty() && !exhausted;
+                q.stalled = empty && q.held > 0 && q.returned == sent_at;
+                q.held += grant.jobs.len();
                 q.pool.on_grant(grant.jobs, grant.stolen);
                 if exhausted {
                     q.pool.mark_exhausted();
@@ -356,8 +366,8 @@ impl Master<'_> {
                 q.pool.mark_exhausted();
             }
         }
-        drop(q);
         self.ready.notify_all();
+        q
     }
 
     /// Report one lease to the head. An unreachable head (only possible
@@ -365,6 +375,15 @@ impl Master<'_> {
     fn resolve(&self, what: Resolution) {
         if let Err(e) = self.head.resolve(self.cluster.location, what) {
             self.note_error(format!("head unreachable: {e}"));
+        }
+        let mut q = self.queue.lock().unwrap();
+        q.held -= 1;
+        let returned = !matches!(what, Resolution::Completed(_));
+        q.returned += u64::from(returned);
+        if q.stalled && (returned || q.held == 0) {
+            q.stalled = false;
+            drop(q);
+            self.ready.notify_all();
         }
     }
 
@@ -401,7 +420,7 @@ struct Tally {
 /// against a head reached through `head`.
 ///
 /// This is the unit [`run`] composes in-process (one call per cluster, all
-/// sharing a `Mutex<Head>` loopback head) and `cb-net` runs standalone
+/// sharing one loopback head) and `cb-net` runs standalone
 /// in a worker process (with a TCP-backed port). The cluster's reduction
 /// object is shipped through the WAN throttle before returning. The
 /// account's wall time runs from `t0`, the run's start.
@@ -422,7 +441,9 @@ pub fn run_cluster<A: GRApp>(
         MasterPool::new(cfg.master_low_water).with_sink(cfg.sink.clone(), cluster_idx as u32);
     let queue = Queue {
         pool,
-        empty_at: None,
+        held: 0,
+        returned: 0,
+        stalled: false,
     };
     let master = Master {
         queue: std::sync::Mutex::new(queue),

@@ -89,19 +89,14 @@ impl MasterPool {
         );
     }
 
-    /// Whether a refill request is currently outstanding. While true, an
-    /// empty queue means "wait", not "finished".
-    pub fn request_in_flight(&self) -> bool {
-        self.request_in_flight
-    }
-
     /// Absorb a grant from the head.
     ///
     /// An empty grant no longer implies exhaustion: it can also mean
     /// "nothing available *right now*" while jobs leased to other clusters
     /// could still fail back into the head pool. Drivers receiving an empty
     /// grant must consult the head (`JobPool::exhausted_for`) and either
-    /// call [`MasterPool::mark_exhausted`] or poll again later.
+    /// call [`MasterPool::mark_exhausted`] or ask again once the pool can
+    /// have changed.
     pub fn on_grant(&mut self, jobs: impl IntoIterator<Item = ChunkId>, stolen: bool) {
         self.request_in_flight = false;
         for chunk in jobs {
@@ -205,10 +200,10 @@ mod tests {
     #[test]
     fn in_flight_state_visible() {
         let mut m = MasterPool::new(0);
-        assert!(!m.request_in_flight());
+        assert!(m.should_request(), "empty, at low water, not in flight");
         m.mark_requested();
-        assert!(m.request_in_flight());
-        m.on_grant(ids(&[1]), false);
-        assert!(!m.request_in_flight());
+        assert!(!m.should_request(), "in flight");
+        m.on_grant(ids(&[]), false);
+        assert!(m.should_request(), "the grant ended the flight");
     }
 }

@@ -247,7 +247,7 @@ impl JobPool {
     /// True when `loc` can never receive another grant: every job it could
     /// be offered is completed or dead. While jobs it could run are merely
     /// *outstanding* at some cluster, this stays `false` — a failure could
-    /// return them to the pool, so masters must keep polling rather than
+    /// return them to the pool, so masters must keep asking rather than
     /// shut down.
     pub fn exhausted_for(&self, loc: LocationId) -> bool {
         if self.cfg.allow_stealing {
@@ -258,6 +258,11 @@ impl JobPool {
                 .files_at(loc)
                 .all(|f| self.pending[f.0 as usize].is_empty() && self.readers[f.0 as usize] == 0)
         }
+    }
+
+    /// True while `loc` holds at least one lease.
+    pub fn holds_lease(&self, loc: LocationId) -> bool {
+        self.n_outstanding > 0 && self.state.contains(&JobState::Assigned(loc))
     }
 
     /// Per-location counters (Table I inputs).

@@ -8,6 +8,7 @@ use cb_storage::store::{MemStore, ObjectStore};
 use cloudburst_core::api::{GRApp, ReductionObject};
 use cloudburst_core::config::RuntimeConfig;
 use cloudburst_core::deploy::{ClusterSpec, DataFabric, Deployment};
+use cloudburst_core::obs::{EventKind, EventRecord, EventSink, RecordingSink, SinkHandle};
 use cloudburst_core::runtime::{
     run, run_cluster, ClusterOutcome, HeadPort, Resolution, RuntimeError,
 };
@@ -15,7 +16,7 @@ use cloudburst_core::sched::pool::Grant;
 use std::collections::BTreeMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 const LOCAL: LocationId = LocationId(0);
@@ -353,15 +354,125 @@ fn synthetic_compute_slows_processing() {
     );
 }
 
+/// Holds cluster 0's fetches back until cluster 1 has started folding, so
+/// that cluster 1 certainly holds a slow chunk while cluster 0 drains the
+/// rest; passes every event on to `inner`. The timeout only turns a gate
+/// bug into a failed assertion instead of a hang.
+struct SlowClusterFirst {
+    started: Mutex<bool>,
+    ready: Condvar,
+    inner: SinkHandle,
+}
+
+impl EventSink for SlowClusterFirst {
+    fn emit(&self, cluster: Option<u32>, slave: Option<u32>, kind: EventKind) {
+        match (cluster, &kind) {
+            (Some(1), EventKind::ProcessStart { .. }) => {
+                *self.started.lock().unwrap() = true;
+                self.ready.notify_all();
+            }
+            (Some(0), EventKind::FetchStart { .. }) => {
+                let started = self.started.lock().unwrap();
+                let wait = self
+                    .ready
+                    .wait_timeout_while(started, Duration::from_secs(10), |s| !*s);
+                assert!(*wait.unwrap().0, "cluster 1 never started folding");
+            }
+            _ => {}
+        }
+        self.inner.emit(cluster, slave, kind);
+    }
+}
+
+/// A cluster that runs dry while another still folds waits for the head's
+/// answer instead of asking again on a timer: cluster 0 emits at most 3
+/// refills after its last chunk while cluster 1 folds ~320 ms chunks.
+#[test]
+fn a_dry_cluster_waits_for_the_head_instead_of_reasking() {
+    let (layout, placement, stores) = setup(2, 0.5);
+    let fabric = DataFabric::direct(&stores);
+    let slow = ClusterSpec::new("EC2", CLOUD, 1).with_compute_ns(5_000_000);
+    let deployment = Deployment::new(vec![ClusterSpec::new("local", LOCAL, 2), slow], fabric);
+    let rec = RecordingSink::new();
+    let gate = SlowClusterFirst {
+        started: Mutex::new(false),
+        ready: Condvar::new(),
+        inner: SinkHandle::new(Arc::clone(&rec) as _),
+    };
+    let mut cfg = RuntimeConfig {
+        prefetch_depth: 0,
+        master_low_water: 0,
+        sink: SinkHandle::new(Arc::new(gate)),
+        ..Default::default()
+    };
+    (cfg.pool.local_batch, cfg.pool.remote_batch) = (1, 1);
+    let out = run(&SumApp, &(), &layout, &placement, &deployment, &cfg).unwrap();
+    assert_eq!(out.result.0, expected_sum(&layout));
+    let events = rec.snapshot();
+    let of_0 = |e: &&EventRecord| e.cluster == Some(0);
+    let last_end = events
+        .iter()
+        .filter(of_0)
+        .filter(|e| matches!(e.kind, EventKind::ProcessEnd { .. }))
+        .map(|e| e.t_ns)
+        .max()
+        .expect("cluster 0 processed chunks");
+    let last_fold = events
+        .iter()
+        .filter(|e| e.cluster == Some(1) && matches!(e.kind, EventKind::ProcessEnd { .. }))
+        .map(|e| e.t_ns)
+        .max()
+        .expect("cluster 1 processed chunks");
+    assert!(
+        last_fold >= last_end + 200_000_000,
+        "cluster 0 was dry for only {} ms",
+        (last_fold.saturating_sub(last_end)) / 1_000_000
+    );
+    let refills = events
+        .iter()
+        .filter(of_0)
+        .filter(|e| e.t_ns > last_end && matches!(e.kind, EventKind::MasterRefill { .. }))
+        .count();
+    assert!(refills <= 3, "{refills} refills after cluster 0 ran dry");
+}
+
+/// The head never holds a request from a cluster that holds a lease: one
+/// slave at depth 1 asks for more while it still holds the run's last
+/// chunk, and the run ends. A watchdog turns a hang into a failure.
+#[test]
+fn a_lease_holder_is_never_held() {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let (layout, placement, stores) = setup(2, 1.0);
+        let fabric = DataFabric::direct(&stores);
+        let deployment = Deployment::new(vec![ClusterSpec::new("local", LOCAL, 1)], fabric);
+        let cfg = RuntimeConfig {
+            prefetch_depth: 1,
+            ..Default::default()
+        };
+        let out = run(&SumApp, &(), &layout, &placement, &deployment, &cfg).unwrap();
+        let _ = done.send(out.result.0 == expected_sum(&layout));
+    });
+    let exact = finished
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the run ended within 30 s");
+    assert!(exact, "the run's sum is exact");
+}
+
 // --- The shared master: `run_cluster` against a scripted head. ---
 
-/// A head for one cluster that grants `todo` two chunks at a time after
-/// staying "empty, not exhausted" until `quiet_until`, and records how the
-/// cluster drives it.
+/// A head for one cluster that grants `todo` two chunks at a time, except
+/// that from request `quiet_after` on it answers "empty, not exhausted" for
+/// `quiet`. Like the real head, it holds a request it cannot answer while
+/// the cluster holds no lease, here until the quiet spell ends. It records
+/// how the cluster drives it.
 #[derive(Default)]
 struct FakeHead {
     todo: Mutex<Vec<ChunkId>>,
-    quiet_until: Option<Instant>,
+    quiet_after: usize,
+    quiet: Duration,
+    /// When the quiet spell ends; set by request `quiet_after`.
+    quiet_until: Mutex<Option<Instant>>,
     in_request: AtomicBool,
     overlapped: AtomicBool,
     requests: AtomicUsize,
@@ -370,13 +481,18 @@ struct FakeHead {
 }
 
 impl FakeHead {
-    fn new(todo: Vec<ChunkId>, quiet: Duration) -> Self {
-        let (todo, quiet_until) = (Mutex::new(todo), Some(Instant::now() + quiet));
+    fn new(todo: Vec<ChunkId>, quiet_after: usize, quiet: Duration) -> Self {
         FakeHead {
-            todo,
-            quiet_until,
+            todo: Mutex::new(todo),
+            quiet_after,
+            quiet,
             ..Default::default()
         }
+    }
+
+    fn holds_lease(&self) -> bool {
+        let resolved = self.resolved.lock().unwrap().len();
+        resolved < self.granted.lock().unwrap().len()
     }
 }
 
@@ -385,10 +501,19 @@ impl HeadPort for FakeHead {
         if self.in_request.swap(true, Ordering::SeqCst) {
             self.overlapped.store(true, Ordering::SeqCst);
         }
-        self.requests.fetch_add(1, Ordering::SeqCst);
+        if self.requests.fetch_add(1, Ordering::SeqCst) == self.quiet_after {
+            *self.quiet_until.lock().unwrap() = Some(Instant::now() + self.quiet);
+        }
         // Widen the window a concurrent request would land in.
         std::thread::sleep(Duration::from_micros(200));
-        let quiet = self.quiet_until.is_some_and(|t| Instant::now() < t);
+        let mut quiet = *self.quiet_until.lock().unwrap();
+        quiet = quiet.filter(|&t| Instant::now() < t);
+        // Hold a request it cannot answer while the cluster holds no lease.
+        if let Some(t) = quiet.filter(|_| !self.holds_lease()) {
+            std::thread::sleep(t.saturating_duration_since(Instant::now()));
+            quiet = None;
+        }
+        let quiet = quiet.is_some();
         let mut todo = self.todo.lock().unwrap();
         let n = if quiet { 0 } else { todo.len().min(2) };
         let mut grant = Grant::empty();
@@ -409,15 +534,17 @@ impl HeadPort for FakeHead {
 }
 
 /// Run one 4-slave, depth-1 cluster over `layout`'s local data against
-/// `head`.
+/// `head`, folding each unit for `compute_ns`.
 fn drive(
     layout: &cb_storage::layout::DatasetLayout,
     placement: &Placement,
     stores: &StoreMap,
     head: &FakeHead,
+    compute_ns: u64,
 ) -> ClusterOutcome<Sum> {
     let cfg = RuntimeConfig {
         prefetch_depth: 1,
+        synthetic_compute_ns_per_unit: compute_ns,
         ..Default::default()
     };
     let fabric = DataFabric::direct(stores);
@@ -444,8 +571,8 @@ fn all_chunks(layout: &cb_storage::layout::DatasetLayout) -> Vec<ChunkId> {
 #[test]
 fn one_cluster_never_overlaps_head_requests() {
     let (layout, placement, stores) = setup(4, 1.0);
-    let head = FakeHead::new(all_chunks(&layout), Duration::ZERO);
-    let out = drive(&layout, &placement, &stores, &head);
+    let head = FakeHead::new(all_chunks(&layout), 0, Duration::ZERO);
+    let out = drive(&layout, &placement, &stores, &head, 0);
     assert_eq!(out.robj.unwrap().0, expected_sum(&layout));
     assert!(head.requests.load(Ordering::SeqCst) > 1);
     assert!(
@@ -454,28 +581,36 @@ fn one_cluster_never_overlaps_head_requests() {
     );
 }
 
+/// While the head answers "empty, not exhausted" to a cluster that holds
+/// leases, the cluster asks again only once a lease resolves: two slow
+/// chunks (~256 ms each) outlast a 200 ms quiet spell with a handful of
+/// requests, not one per timer tick.
 #[test]
-fn empty_grants_are_repolled_once_per_poll_interval() {
+fn empty_grants_are_reasked_only_after_a_resolution() {
     let (layout, placement, stores) = setup(2, 1.0);
+    let two = all_chunks(&layout)[..2].to_vec();
+    let want: u64 = layout.chunks[..2]
+        .iter()
+        .map(|c| (c.id.0 + 1) as u64 * c.units)
+        .sum();
     let quiet = Duration::from_millis(200);
-    let head = FakeHead::new(Vec::new(), quiet);
-    let t = Instant::now();
-    let out = drive(&layout, &placement, &stores, &head);
-    assert!(
-        t.elapsed() >= quiet,
-        "finished before the head said exhausted"
-    );
-    assert_eq!(out.robj.unwrap().0, 0);
-    // The runtime re-polls an empty grant at most every 2 ms per cluster.
+    let head = FakeHead::new(two, 1, quiet);
+    let out = drive(&layout, &placement, &stores, &head, 4_000_000);
+    assert_eq!(out.robj.unwrap().0, want);
     let requests = head.requests.load(Ordering::SeqCst);
-    assert!(requests <= 200 / 2 + 5, "{requests} requests in 200 ms");
+    let resolutions = head.resolved.lock().unwrap().len();
+    assert_eq!(resolutions, 2);
+    assert!(
+        requests <= resolutions + 2,
+        "{requests} requests for {resolutions} resolutions"
+    );
 }
 
 #[test]
 fn every_granted_chunk_is_resolved_exactly_once() {
     let (layout, placement, stores) = setup(4, 1.0);
-    let head = FakeHead::new(all_chunks(&layout), Duration::from_millis(10));
-    drive(&layout, &placement, &stores, &head);
+    let head = FakeHead::new(all_chunks(&layout), 0, Duration::from_millis(10));
+    drive(&layout, &placement, &stores, &head, 0);
     let resolved = head.resolved.lock().unwrap();
     let completed = resolved.iter().map(|r| match r {
         Resolution::Completed(c) => *c,

@@ -11,12 +11,17 @@
 //! heartbeats and loss detection, frame counting, and decoding the banked
 //! robjs (after the event loop, so decoding never stalls request serving).
 //!
-//! Every wait ends on an event. Each peer's reader is a plain thread that
-//! owns its receive half, blocks until a frame arrives and exits on EOF,
-//! `Goodbye`, a link error or when the head loop is gone. The head loop
-//! waits for the next frame or the earliest open peer's loss deadline.
-//! When the run ends, the head closes every link, which wakes any reader
-//! still blocked on a silent peer. Nothing joins the readers.
+//! Every wait ends on an event. Joining blocks in `accept` on a scoped
+//! thread, woken by one self-dial when joining ends. Each peer's reader is
+//! a plain thread that owns its receive half, blocks until a frame arrives
+//! and exits on EOF, `Goodbye`, a link error or when the head loop is gone.
+//! The head loop waits for the next frame, the earliest open peer's loss
+//! deadline or the earliest held request's bound. A `JobRequest` the head
+//! cannot answer yet (`Head::should_hold`) is held and answered after the
+//! `Resolve` or peer loss that changes the pool's answer, or empty at half
+//! of `io_timeout`. When the run ends, the head closes every link, which
+//! wakes any reader still blocked on a silent peer. Nothing joins the
+//! readers.
 //!
 //! # Failure semantics
 //!
@@ -49,7 +54,8 @@ use cloudburst_core::report::NetStats;
 use cloudburst_core::{ClusterSpec, Head, RunOutcome, RuntimeError};
 use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use std::io;
-use std::net::TcpListener;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// What a worker declared about itself at handshake.
@@ -95,6 +101,9 @@ struct Link {
     spec: PeerSpec,
     tx: LinkTx,
     last_seen: Instant,
+    /// The `JobRequest` not yet answered ([`Head::should_hold`]): its
+    /// `seq`, and when it is answered empty if nothing changes first.
+    held: Option<(u64, Instant)>,
 }
 
 /// Accept and handshake exactly `expected` workers, then run the job-pool
@@ -118,24 +127,22 @@ pub fn serve_head<R: ReductionObject + RobjCodec>(
     run_head(peers, layout, placement, cfg, net)
 }
 
-/// How long the accept loop waits for a `Hello` before it checks the
-/// non-blocking listener for new dialers again.
-const LISTEN_POLL: Duration = Duration::from_millis(10);
-
-/// Accept loop: takes every queued connection off a non-blocking listener,
-/// then waits up to 10 ms for a `Hello`, until `expected` workers
-/// have handshaken or [`NetConfig::accept_timeout`] expires. A `Hello` is
-/// admitted the moment it lands. Rejected dialers (version/fingerprint/app
-/// mismatch, duplicate cluster or location) get a `Reject { reason }` frame
-/// and are dropped without counting; so is a dialer whose `Hello` never
-/// came. Dialers still pending when the complement is full are dropped.
+/// Accept loop: admits `Hello`s until `expected` workers have handshaken or
+/// [`NetConfig::accept_timeout`] expires. A `Hello` is admitted the moment
+/// it lands. Rejected dialers (version/fingerprint/app mismatch, duplicate
+/// cluster or location) get a `Reject { reason }` frame and are dropped
+/// without counting; so is a dialer whose `Hello` never came.
 ///
-/// Each accepted connection's `Hello` is read on a short-lived thread, so
-/// a dialer that connects but never speaks (a port-scanner, a stalled
-/// client) ties up only its own thread for `io_timeout` instead of
-/// stalling every legitimate join behind it. Validation and the
-/// `Welcome`/`Reject` reply stay on this thread, serialized against
-/// `peers`, so duplicate-slot checks cannot race.
+/// A scoped thread blocks in `accept` on `listener` (which must be in
+/// blocking mode, the default) and reads each dialer's `Hello` on a
+/// short-lived thread of its own, so a dialer that connects but never
+/// speaks (a port-scanner, a stalled client) ties up only its own thread
+/// for `io_timeout` instead of stalling every legitimate join behind it.
+/// Validation and the `Welcome`/`Reject` reply stay on this thread,
+/// serialized against `peers`, so duplicate-slot checks cannot race. When
+/// joining ends, this thread dials the listener once: the accept thread
+/// drops every dialer it accepts from then on and exits at that dial, so
+/// the listener is left with no thread and no connection of this call's.
 pub fn accept_workers(
     listener: &TcpListener,
     expected: usize,
@@ -144,62 +151,86 @@ pub fn accept_workers(
     fingerprint: u64,
     app_tag: &str,
 ) -> io::Result<Vec<HeadPeer>> {
-    listener.set_nonblocking(true)?;
     let deadline = Instant::now() + net.accept_timeout;
-    let mut peers: Vec<HeadPeer> = Vec::with_capacity(expected);
-    type PendingHello = (LinkTx, LinkRx, Result<Message, String>);
-    let (hello_tx, hello_rx) = unbounded::<PendingHello>();
-    while peers.len() < expected {
-        loop {
-            let stream = match listener.accept() {
-                Ok((stream, _)) => stream,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) => return Err(e),
-            };
-            stream.set_nonblocking(false)?;
-            let hello_tx = hello_tx.clone();
-            let net = net.clone();
-            std::thread::spawn(move || {
-                let Ok((tx, mut rx)) = split_tcp(stream, &net) else {
-                    return;
+    // Each dialer's halves and first frame, or the error that ended accepting.
+    let (dialer_tx, dialers) = unbounded::<io::Result<(LinkTx, LinkRx, Result<Message, String>)>>();
+    let joining_over = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let (waker_tx, waker) = unbounded::<SocketAddr>();
+        let over = &joining_over;
+        // The accept thread: hands each dialer to a `Hello` reader until an
+        // accept fails or joining is over. From then on it drops what it
+        // accepts, and exits once it accepted the dial from `waker`.
+        let accepting = scope.spawn(move || {
+            let mut waker_addr = None;
+            loop {
+                let stream = match listener.accept() {
+                    Ok((stream, _)) => stream,
+                    Err(e) => {
+                        let _ = dialer_tx.send(Err(e));
+                        return;
+                    }
                 };
-                let hello = read_hello(&mut rx, &net);
-                // The accept loop may be gone (deadline, or complement
-                // already full) — then the send fails and the dialer's
-                // socket just drops.
-                let _ = hello_tx.send((tx, rx, hello));
-            });
-        }
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!("only {} of {expected} worker(s) joined", peers.len()),
-            ));
-        }
-        // Admit a Hello the moment it lands.
-        let Ok((tx, rx, hello)) = hello_rx.recv_timeout(left.min(LISTEN_POLL)) else {
-            continue;
-        };
-        let admitted =
-            hello.and_then(|hello| admit_hello(tx, rx, hello, &peers, net, fingerprint, app_tag));
-        match admitted {
-            Ok(peer) => {
-                cfg.sink.emit(
-                    Some(peer.spec.cluster),
-                    None,
-                    EventKind::PeerJoined {
-                        cores: peer.spec.cores as u64,
-                    },
-                );
-                peers.push(peer);
+                if over.load(Ordering::SeqCst) {
+                    let waker = *waker_addr.get_or_insert_with(|| waker.recv().ok());
+                    if waker.is_none() || stream.peer_addr().ok() == waker {
+                        return;
+                    }
+                    continue;
+                }
+                let (dialers, net) = (dialer_tx.clone(), net.clone());
+                std::thread::spawn(move || {
+                    let Ok((tx, mut rx)) = split_tcp(stream, &net) else {
+                        return;
+                    };
+                    let hello = read_hello(&mut rx, &net);
+                    // Joining may be over (deadline, or complement already
+                    // full): then the send fails and the socket just drops.
+                    let _ = dialers.send(Ok((tx, rx, hello)));
+                });
             }
-            // A rejection was already sent (best-effort); keep waiting for
-            // a valid worker on this slot.
-            Err(reason) => eprintln!("head: turned away dialer: {reason}"),
-        }
-    }
-    Ok(peers)
+        });
+        let mut peers: Vec<HeadPeer> = Vec::with_capacity(expected);
+        let joined = loop {
+            if peers.len() == expected {
+                break Ok(peers);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            let (tx, rx, hello) = match dialers.recv_timeout(left) {
+                Ok(Ok(dialer)) => dialer,
+                // The accept thread has ended on this error.
+                Ok(Err(e)) => return Err(e),
+                Err(_) => {
+                    let joined = peers.len();
+                    let why = format!("only {joined} of {expected} worker(s) joined");
+                    break Err(io::Error::new(io::ErrorKind::TimedOut, why));
+                }
+            };
+            let admitted = hello
+                .and_then(|hello| admit_hello(tx, rx, hello, &peers, net, fingerprint, app_tag));
+            match admitted {
+                Ok(peer) => {
+                    cfg.sink.emit(
+                        Some(peer.spec.cluster),
+                        None,
+                        EventKind::PeerJoined {
+                            cores: peer.spec.cores as u64,
+                        },
+                    );
+                    peers.push(peer);
+                }
+                // A rejection was already sent (best-effort); keep waiting
+                // for a valid worker on this slot.
+                Err(reason) => eprintln!("head: turned away dialer: {reason}"),
+            }
+        };
+        joining_over.store(true, Ordering::SeqCst);
+        // Dialling the unspecified address reaches this host on Linux.
+        let waker = TcpStream::connect_timeout(&listener.local_addr()?, net.io_timeout)?;
+        let _ = waker_tx.send(waker.local_addr()?);
+        accepting.join().expect("the accept thread does not panic");
+        joined
+    })
 }
 
 /// Validate one dialer's `Hello`; answer `Welcome` or `Reject`. Public so
@@ -334,6 +365,7 @@ pub fn run_head<R: ReductionObject + RobjCodec>(
     let mut wire = WireHead {
         head: Head::new(layout, placement, cfg, clusters.collect(), Clock::Wall(now))?,
         cfg,
+        hold: net.io_timeout / 2,
         stats: NetStats {
             peers_joined: peers.len() as u64,
             ..Default::default()
@@ -351,17 +383,23 @@ pub fn run_head<R: ReductionObject + RobjCodec>(
             spec,
             tx,
             last_seen,
+            held: None,
         });
     }
     drop(event_tx);
 
     // --- Head loop: serve the pool until every peer shipped or lost. It
-    // wakes on the next frame or the earliest open peer's loss deadline. ---
+    // wakes on the next frame, the earliest open peer's loss deadline or
+    // the earliest held request's bound. ---
     loop {
         let open = (0..links.len()).filter(|&peer| wire.head.is_open(peer));
-        let Some(deadline) = open.map(|peer| links[peer].last_seen + grace).min() else {
+        let Some(lost_at) = open.map(|peer| links[peer].last_seen + grace).min() else {
             break;
         };
+        let bounds = links
+            .iter()
+            .filter_map(|link| link.held.map(|(_, until)| until));
+        let deadline = bounds.fold(lost_at, Instant::min);
         match event_rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
             Ok((peer, Ok((msg, bytes)))) => {
                 let bytes = bytes as u64;
@@ -373,13 +411,16 @@ pub fn run_head<R: ReductionObject + RobjCodec>(
                 // and resolving its late leases would corrupt the
                 // pool. Count the bytes, drop the frame.
                 if wire.head.is_lost(peer) {
+                    let name = &links[peer].spec.name;
                     match msg {
                         Message::Goodbye | Message::Heartbeat { .. } => {}
-                        dropped => eprintln!(
-                            "head: dropping late {} from lost worker {}",
-                            frame_name(&dropped),
-                            links[peer].spec.name
-                        ),
+                        // Its `Debug` form would dump the encoded robj.
+                        Message::RobjShip { .. } => {
+                            eprintln!("head: dropping late RobjShip from lost worker {name}")
+                        }
+                        dropped => {
+                            eprintln!("head: dropping late {dropped:?} from lost worker {name}")
+                        }
                     }
                     // Fall through to the loss sweep so a frame flood
                     // from a lost peer cannot delay detecting *other*
@@ -410,6 +451,7 @@ pub fn run_head<R: ReductionObject + RobjCodec>(
                 wire.lose(peer, format!("worker {name} missed {misses} heartbeat(s)"));
             }
         }
+        wire.answer_held(&mut links, now);
     }
     // Wake every reader still blocked on a silent peer.
     for link in &links {
@@ -441,6 +483,8 @@ pub fn run_head<R: ReductionObject + RobjCodec>(
 struct WireHead<'a> {
     head: Head<Vec<u8>>,
     cfg: &'a RuntimeConfig,
+    /// The longest a request is held: half the worker's grant deadline.
+    hold: Duration,
     stats: NetStats,
 }
 
@@ -448,16 +492,8 @@ impl WireHead<'_> {
     /// One protocol frame from live (non-lost) peer `peer`.
     fn handle(&mut self, peer: usize, link: &mut Link, msg: Message) {
         match msg {
-            Message::JobRequest { seq } => {
-                let (grant, exhausted) = self.head.request(link.spec.location);
-                let reply = Message::JobGrant {
-                    seq,
-                    jobs: grant.jobs.iter().map(|c| c.0).collect(),
-                    stolen: grant.stolen,
-                    exhausted,
-                };
-                self.send(peer, link, &reply);
-            }
+            // Answered, or held, by `answer_held` straight after.
+            Message::JobRequest { seq } => link.held = Some((seq, Instant::now() + self.hold)),
             Message::Resolve(what) => {
                 // This input crosses a process boundary, so a violated
                 // invariant is the *peer's* bug — record it, don't panic.
@@ -479,6 +515,33 @@ impl WireHead<'_> {
                 self.head
                     .note_error(format!("peer {name} sent unexpected {other:?}"));
             }
+        }
+    }
+
+    /// Answer each open peer's request that the pool can answer now, or
+    /// whose hold bound has passed by `now` (then empty, not exhausted).
+    /// Only a `Resolve` or a loss changes what the pool can answer.
+    fn answer_held(&mut self, links: &mut [Link], now: Instant) {
+        for (peer, link) in links.iter_mut().enumerate() {
+            let Some((seq, until)) = link.held.take() else {
+                continue;
+            };
+            if !self.head.is_open(peer) {
+                continue;
+            }
+            let answer = self.head.request(link.spec.location);
+            if now < until && self.head.should_hold(link.spec.location, &answer) {
+                link.held = Some((seq, until));
+                continue;
+            }
+            let (grant, exhausted) = answer;
+            let reply = Message::JobGrant {
+                seq,
+                jobs: grant.jobs.iter().map(|c| c.0).collect(),
+                stolen: grant.stolen,
+                exhausted,
+            };
+            self.send(peer, link, &reply);
         }
     }
 
@@ -505,22 +568,5 @@ impl WireHead<'_> {
         self.head.note_error(why);
         let jobs = self.head.lose(peer) as u64;
         self.record(peer, EventKind::PeerLost { jobs });
-    }
-}
-
-/// Short display name of a message for drop logging (a `RobjShip`'s full
-/// `Debug` form would dump the encoded reduction object).
-fn frame_name(msg: &Message) -> &'static str {
-    match msg {
-        Message::Hello { .. } => "Hello",
-        Message::Welcome { .. } => "Welcome",
-        Message::Reject { .. } => "Reject",
-        Message::JobRequest { .. } => "JobRequest",
-        Message::JobGrant { .. } => "JobGrant",
-        Message::Resolve { .. } => "Resolve",
-        Message::Heartbeat { .. } => "Heartbeat",
-        Message::RobjShip { .. } => "RobjShip",
-        Message::ShipAck => "ShipAck",
-        Message::Goodbye => "Goodbye",
     }
 }

@@ -21,7 +21,7 @@
 //!   TCP-backed [`cloudburst_core::HeadPort`].
 //!
 //! The in-process runtime is the loopback special case: `run_cluster`
-//! cannot tell a `Mutex<Head>` from a socket — both are just a
+//! cannot tell a lock around the head from a socket — both are just a
 //! [`cloudburst_core::HeadPort`] in front of the same head core.
 
 pub mod head;

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 pub struct NetConfig {
     /// Read/write deadline on blocking socket operations, and how long a
     /// worker waits for a `JobGrant` or `ShipAck` before declaring the head
-    /// unreachable.
+    /// unreachable. The head holds a job request for at most half of it.
     pub io_timeout: Duration,
     /// Connection attempts before a worker gives up on the head.
     pub connect_attempts: u32,

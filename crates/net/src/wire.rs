@@ -23,8 +23,9 @@ use std::time::Duration;
 /// is interpreted.
 pub const MAGIC: [u8; 4] = *b"CBW1";
 
-/// Bumped on any incompatible change to the message set or field layout.
-pub const PROTOCOL_VERSION: u16 = 1;
+/// Bumped on any incompatible change to the messages or the exchange; in 2,
+/// a worker relies on the head holding a `JobRequest` it cannot answer yet.
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Upper bound on a frame's payload size. Larger announced lengths are
 /// rejected before allocation: a corrupt or hostile length prefix must not

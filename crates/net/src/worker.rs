@@ -88,8 +88,10 @@ pub struct WorkerOutcome<R> {
 /// is fire-and-forget. The transmit half is shared with the heartbeat
 /// thread behind a mutex.
 ///
-/// Requests and grants are paired by sequence number. If the grant for a
-/// request does not arrive within `io_timeout`, the link is **poisoned**:
+/// Requests and grants are paired by sequence number. The head may hold a
+/// request it cannot answer yet, for at most half of its `io_timeout`, and
+/// then answers it empty. If the grant for a request does not arrive
+/// within `io_timeout`, the link is **poisoned**:
 /// the head may by then hold leases this worker will never run, and the
 /// only recovery that preserves the result contract is to die visibly —
 /// stop heartbeating, never ship, never say goodbye — so the head declares

@@ -343,6 +343,176 @@ fn stale_grant_is_skipped_not_consumed() {
     assert_eq!(slaves.iter().map(|s| s.units).sum::<u64>(), 800);
 }
 
+/// The head holds a `JobRequest` it cannot answer yet. Peer B, holding no
+/// lease while peer A holds every job, gets no answer until A fails a job
+/// back, and then gets that job. Its next request, with nothing changing,
+/// is answered empty, not exhausted, at the hold bound (half `io_timeout`).
+#[test]
+fn a_held_request_is_answered_by_a_fail_back_or_at_the_hold_bound() {
+    let spec = WordsSpec {
+        vocabulary: 50,
+        n_files: 1,
+        words_per_file: 800,
+        words_per_chunk: 200,
+        seed: 23,
+    };
+    let env = env_for(&spec, 1.0, 1, 1);
+    let cfg = RuntimeConfig::default();
+    let net = NetConfig {
+        io_timeout: Duration::from_millis(400),
+        ..NetConfig::default()
+    };
+    let hold = net.io_timeout / 2;
+    let fp = fingerprint(&env.layout, &env.placement, APP);
+    let (mut ends, mut peers) = (Vec::new(), Vec::new());
+    for (ci, name) in ["a", "b"].into_iter().enumerate() {
+        let (head_end, mut worker_end) = loopback_pair();
+        let hello = Message::Hello {
+            version: PROTOCOL_VERSION,
+            cluster: ci as u32,
+            location: ci as u16,
+            cores: 1,
+            name: name.into(),
+            app: APP.into(),
+            fingerprint: fp,
+        };
+        worker_end.tx.send(&hello).unwrap();
+        let peer = handshake_one(head_end.tx, head_end.rx, &peers, &net, fp, APP).unwrap();
+        peers.push(peer);
+        let (welcome, _) = worker_end.rx.recv(Duration::from_secs(5)).unwrap().unwrap();
+        assert!(
+            matches!(welcome, Message::Welcome { .. }),
+            "got {welcome:?}"
+        );
+        ends.push(worker_end);
+    }
+    let (layout, placement) = (&env.layout, &env.placement);
+    std::thread::scope(|scope| {
+        let (cfg, net) = (&cfg, &net);
+        let head = scope.spawn(move || run_head::<KeyedSum>(peers, layout, placement, cfg, net));
+        let [a, b] = &mut ends[..] else {
+            unreachable!()
+        };
+        let answer =
+            |end: &mut cb_net::Endpoint, within: Duration| match end.rx.recv(within).unwrap() {
+                Some((
+                    Message::JobGrant {
+                        seq,
+                        jobs,
+                        exhausted,
+                        ..
+                    },
+                    _,
+                )) => Some((seq, jobs, exhausted)),
+                Some((other, _)) => panic!("expected JobGrant, got {other:?}"),
+                None => None,
+            };
+        a.tx.send(&Message::JobRequest { seq: 1 }).unwrap();
+        let (_, held_by_a, _) = answer(a, Duration::from_secs(5)).expect("A's grant");
+        assert_eq!(held_by_a.len(), env.layout.n_jobs(), "A holds every job");
+
+        b.tx.send(&Message::JobRequest { seq: 1 }).unwrap();
+        assert_eq!(answer(b, hold / 4), None, "B's request is held");
+        let failed = ChunkId(held_by_a[0]);
+        a.tx.send(&Message::Resolve(Resolution::Failed(failed)))
+            .unwrap();
+        let got = answer(b, Duration::from_secs(5)).expect("B's held request answered");
+        assert_eq!(
+            got,
+            (1, vec![failed.0], false),
+            "B gets the failed-back job"
+        );
+
+        b.tx.send(&Message::Resolve(Resolution::Completed(failed)))
+            .unwrap();
+        let t = Instant::now();
+        b.tx.send(&Message::JobRequest { seq: 2 }).unwrap();
+        let got = answer(b, net.io_timeout).expect("answered within io_timeout");
+        let waited = t.elapsed();
+        assert_eq!(got, (2, vec![], false), "answered empty, not exhausted");
+        assert!(
+            waited >= hold - Duration::from_millis(20),
+            "answered after {waited:?}, before the {hold:?} hold bound"
+        );
+        // Hanging up loses both peers and ends the run.
+        ends.clear();
+        assert!(
+            head.join().unwrap().is_err(),
+            "forfeited work fails the run"
+        );
+    });
+}
+
+/// One listener serves three consecutive runs (as a benchmark that reuses
+/// its listener does). Each run admits every worker, joining blocks in
+/// `accept` rather than on a poll tick, and no run leaves a thread or a
+/// connection behind on the listener.
+#[test]
+fn one_listener_serves_consecutive_runs_without_a_poll_tick() {
+    let spec = WordsSpec {
+        vocabulary: 100,
+        n_files: 2,
+        words_per_file: 1_000,
+        words_per_chunk: 500,
+        seed: 19,
+    };
+    let env = env_for(&spec, 0.5, 1, 1);
+    let net = NetConfig::default();
+    let expected = single_process_bytes(&env, &RuntimeConfig::default());
+    let fp = fingerprint(&env.layout, &env.placement, APP);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (layout, placement, fabric) = (&env.layout, &env.placement, &env.deployment.fabric);
+    let mut join = Duration::MAX;
+    for _ in 0..3 {
+        let rec = cloudburst_core::obs::RecordingSink::new();
+        let cfg = RuntimeConfig {
+            sink: cloudburst_core::obs::SinkHandle::new(std::sync::Arc::clone(&rec) as _),
+            ..RuntimeConfig::default()
+        };
+        let out = std::thread::scope(|scope| {
+            for (ci, cluster) in env.deployment.clusters.iter().enumerate() {
+                let (net, cfg) = (&net, &cfg);
+                scope.spawn(move || {
+                    let wspec = worker_spec(ci, cluster, fp);
+                    run_worker(
+                        &WordCountApp,
+                        &(),
+                        layout,
+                        placement,
+                        fabric,
+                        cluster,
+                        &wspec,
+                        cfg,
+                        net,
+                        addr,
+                    )
+                    .expect("worker run");
+                });
+            }
+            serve_head::<KeyedSum>(&listener, 2, layout, placement, &cfg, &net, fp, APP)
+        })
+        .expect("head run");
+        assert_eq!(out.report.net.peers_joined, 2);
+        assert_eq!(out.result.encode_robj(), expected);
+        let joined = rec.snapshot().into_iter().filter_map(|e| match e.kind {
+            cloudburst_core::obs::EventKind::PeerJoined { .. } => Some(e.t_ns),
+            _ => None,
+        });
+        join = join.min(Duration::from_nanos(joined.max().unwrap()));
+    }
+    assert!(
+        join < Duration::from_millis(5),
+        "joining took {join:?} at best"
+    );
+    listener.set_nonblocking(true).unwrap();
+    let left = listener.accept().map(|(_, from)| from);
+    assert!(
+        matches!(&left, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+        "a connection was left on the listener: {left:?}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 

@@ -12,11 +12,7 @@
 //! 10 MB/s throttle observe ~1 MB/s each, exactly like a shared uplink.
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
-
-/// Granularity of the abort poll in [`Throttle::acquire_abortable`].
-const ABORT_POLL: Duration = Duration::from_millis(5);
 
 /// Shared-bottleneck wall-clock throttle.
 #[derive(Debug)]
@@ -98,63 +94,6 @@ impl Throttle {
         sleep_for
     }
 
-    /// Like [`acquire`](Self::acquire), but wakes early (in ≤5 ms slices)
-    /// when `abort` is raised — e.g. a sibling retrieval connection failed
-    /// permanently and the transfer's result will be thrown away.
-    ///
-    /// On abort, the un-transferred remainder is *refunded*: the bytes that
-    /// never moved are deducted from the byte counter, and — when this
-    /// reservation is still the tail of the queue — `next_free` is pulled
-    /// back so later callers don't queue behind wire time nobody is using.
-    /// (A mid-queue abort cannot un-reserve its slice without rewriting
-    /// reservations already promised to callers behind it; the refund is
-    /// then accounting-only, which is the conservative direction.)
-    ///
-    /// Returns `Some(slept)` on completion, `None` if aborted early.
-    pub fn acquire_abortable(&self, bytes: u64, abort: &AtomicBool) -> Option<Duration> {
-        let now = Instant::now();
-        let xfer = if self.bytes_per_sec.is_finite() {
-            Duration::from_secs_f64(bytes as f64 / self.bytes_per_sec)
-        } else {
-            Duration::ZERO
-        };
-        let (start, end) = {
-            let mut st = self.state.lock();
-            st.total_bytes += bytes;
-            st.total_requests += 1;
-            let start = match st.next_free {
-                Some(nf) if nf > now => nf,
-                _ => now,
-            };
-            let end = start + xfer;
-            st.next_free = Some(end);
-            (start, end)
-        };
-        let wake = end + self.latency;
-        loop {
-            if abort.load(Ordering::Relaxed) {
-                let now = Instant::now();
-                let mut st = self.state.lock();
-                // How much of our slice lies in the future — nothing of it
-                // will be transferred now.
-                let unused = end.saturating_duration_since(now.max(start));
-                if !xfer.is_zero() {
-                    let refund = (bytes as f64 * unused.as_secs_f64() / xfer.as_secs_f64()) as u64;
-                    st.total_bytes -= refund.min(bytes);
-                }
-                if st.next_free == Some(end) {
-                    st.next_free = Some(end - unused);
-                }
-                return None;
-            }
-            let left = wake.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Some(wake.saturating_duration_since(now));
-            }
-            std::thread::sleep(left.min(ABORT_POLL));
-        }
-    }
-
     /// Total bytes acquired through this throttle so far.
     pub fn total_bytes(&self) -> u64 {
         self.state.lock().total_bytes
@@ -200,79 +139,6 @@ mod tests {
         let start = Instant::now();
         t.acquire(1);
         assert!(start.elapsed() >= Duration::from_millis(18));
-    }
-
-    #[test]
-    fn abortable_acquire_completes_when_not_aborted() {
-        let t = Throttle::new(f64::INFINITY, Duration::from_millis(20));
-        let abort = AtomicBool::new(false);
-        let slept = t.acquire_abortable(1000, &abort).expect("not aborted");
-        assert!(slept >= Duration::from_millis(18));
-        assert_eq!(t.total_bytes(), 1000);
-    }
-
-    #[test]
-    fn aborted_acquire_returns_early_and_refunds_the_wire() {
-        // 100 KB/s, 100 KB transfer => a full second reserved. Abort ~50 ms
-        // in: the caller must wake promptly, the unused reservation must be
-        // released so the next caller isn't queued behind a ghost transfer,
-        // and the bytes that never moved must not be counted as served.
-        let t = Arc::new(Throttle::new(100_000.0, Duration::ZERO));
-        let abort = Arc::new(AtomicBool::new(false));
-        let start = Instant::now();
-        let handle = {
-            let (t, abort) = (Arc::clone(&t), Arc::clone(&abort));
-            std::thread::spawn(move || t.acquire_abortable(100_000, &abort))
-        };
-        std::thread::sleep(Duration::from_millis(50));
-        abort.store(true, Ordering::Relaxed);
-        assert_eq!(handle.join().unwrap(), None, "must report the abort");
-        assert!(
-            start.elapsed() < Duration::from_millis(500),
-            "abort must not wait out the full transfer: {:?}",
-            start.elapsed()
-        );
-        assert!(
-            t.total_bytes() < 50_000,
-            "un-transferred bytes must be refunded, counted {}",
-            t.total_bytes()
-        );
-        // The wire is free again: a tiny transfer completes immediately
-        // instead of queueing behind the aborted second.
-        let t1 = Instant::now();
-        t.acquire(100);
-        assert!(
-            t1.elapsed() < Duration::from_millis(300),
-            "reservation not released: next caller waited {:?}",
-            t1.elapsed()
-        );
-    }
-
-    #[test]
-    fn mid_queue_abort_refunds_bytes_without_rewriting_later_reservations() {
-        // A queued behind nothing, B queued behind A. A aborts after B has
-        // reserved: A's slice cannot be un-promised (B's start is fixed) but
-        // A's bytes still come off the counter.
-        let t = Arc::new(Throttle::new(1_000_000.0, Duration::ZERO));
-        let abort_a = Arc::new(AtomicBool::new(false));
-        let a = {
-            let (t, abort_a) = (Arc::clone(&t), Arc::clone(&abort_a));
-            std::thread::spawn(move || t.acquire_abortable(300_000, &abort_a))
-        };
-        std::thread::sleep(Duration::from_millis(30));
-        let b = {
-            let t = Arc::clone(&t);
-            std::thread::spawn(move || t.acquire(50_000))
-        };
-        std::thread::sleep(Duration::from_millis(30));
-        abort_a.store(true, Ordering::Relaxed);
-        assert_eq!(a.join().unwrap(), None);
-        b.join().unwrap();
-        assert!(
-            t.total_bytes() < 200_000,
-            "A's unused bytes refunded even mid-queue, counted {}",
-            t.total_bytes()
-        );
     }
 
     #[test]

@@ -12,8 +12,7 @@ use crate::store::ObjectStore;
 use bytes::{Bytes, BytesMut};
 use cb_simnet::DetRng;
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The sleep before retry `attempt` (1-based): exponential growth from
@@ -33,22 +32,31 @@ pub fn backoff_schedule(base: Duration, cap: Duration, seed: u64, attempt: u32) 
     raw.mul_f64(jitter)
 }
 
-/// Sleep `total`, but wake early (in ≤10 ms slices) if `abort` is raised —
-/// a backoff sleep must not delay a fetch that is already doomed.
-fn sleep_unless_aborted(total: Duration, abort: Option<&AtomicBool>) {
-    let Some(flag) = abort else {
-        std::thread::sleep(total);
-        return;
-    };
-    const SLICE: Duration = Duration::from_millis(10);
-    let mut left = total;
-    while !left.is_zero() {
-        if flag.load(Ordering::Relaxed) {
-            return;
-        }
-        let step = left.min(SLICE);
-        std::thread::sleep(step);
-        left -= step;
+/// Raised when one sub-range of a chunk fails for good: its siblings stop
+/// retrying, and a sibling asleep in a retry backoff wakes at once — a
+/// backoff sleep must not delay a fetch that is already doomed.
+#[derive(Default)]
+struct Abort {
+    raised: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl Abort {
+    fn raise(&self) {
+        *self.lock() = true;
+        self.wake.notify_all();
+    }
+
+    /// Sleep `total`, or until the abort is raised.
+    fn sleep(&self, total: Duration) {
+        let raised = self.lock();
+        let _ = self
+            .wake
+            .wait_timeout_while(raised, total, |raised| !*raised);
+    }
+
+    fn lock(&self) -> MutexGuard<'_, bool> {
+        self.raised.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -171,28 +179,18 @@ impl Retriever {
         self
     }
 
-    /// One ranged GET with this retriever's retry policy.
+    /// One ranged GET with this retriever's retry policy. It short-circuits
+    /// (attempts and backoff sleeps alike) once `abort` is raised, and
+    /// raises it on any final failure — so sibling sub-fetches of one chunk
+    /// stop burning their retry budgets the moment any part has failed for
+    /// good.
     fn get_with_retry(
         &self,
         store: &dyn ObjectStore,
         key: &str,
         offset: u64,
         len: u64,
-    ) -> io::Result<Bytes> {
-        self.get_with_retry_aborting(store, key, offset, len, None)
-    }
-
-    /// Like [`Self::get_with_retry`], but short-circuits (attempts and
-    /// backoff sleeps alike) once `abort` is raised, and raises it on any
-    /// final failure — so sibling sub-fetches of one chunk stop burning
-    /// their retry budgets the moment any part has failed for good.
-    fn get_with_retry_aborting(
-        &self,
-        store: &dyn ObjectStore,
-        key: &str,
-        offset: u64,
-        len: u64,
-        abort: Option<&AtomicBool>,
+        abort: &Abort,
     ) -> io::Result<Bytes> {
         let aborted = || {
             io::Error::new(
@@ -202,10 +200,8 @@ impl Retriever {
         };
         let mut attempt = 0u32;
         loop {
-            if let Some(flag) = abort {
-                if flag.load(Ordering::Relaxed) {
-                    return Err(aborted());
-                }
+            if *abort.lock() {
+                return Err(aborted());
             }
             let t0 = Instant::now();
             let mut result = store.get_range(key, offset, len);
@@ -241,16 +237,12 @@ impl Retriever {
                         self.jitter_seed,
                         attempt,
                     );
-                    if !sleep.is_zero() {
-                        sleep_unless_aborted(sleep, abort);
-                    }
+                    abort.sleep(sleep);
                 }
                 Err(e) => {
                     // Final failure (permanent kind, or retries exhausted):
                     // tell sibling sub-fetches to stand down.
-                    if let Some(flag) = abort {
-                        flag.store(true, Ordering::Relaxed);
-                    }
+                    abort.raise();
                     return Err(e);
                 }
             }
@@ -274,19 +266,17 @@ impl Retriever {
             return Ok(Bytes::new());
         }
         if self.threads == 1 || len < self.min_split_bytes {
-            return self.get_with_retry(store, key, offset, len);
+            return self.get_with_retry(store, key, offset, len, &Abort::default());
         }
         let parts = self.split(offset, len);
-        let abort = AtomicBool::new(false);
+        let abort = Abort::default();
         let mut results: Vec<io::Result<Bytes>> = Vec::with_capacity(parts.len());
         std::thread::scope(|scope| {
             let handles: Vec<_> = parts
                 .iter()
                 .map(|&(off, l)| {
                     let abort = &abort;
-                    scope.spawn(move || {
-                        self.get_with_retry_aborting(store, key, off, l, Some(abort))
-                    })
+                    scope.spawn(move || self.get_with_retry(store, key, off, l, abort))
                 })
                 .collect();
             for h in handles {
@@ -331,8 +321,7 @@ mod tests {
     use super::*;
     use crate::s3sim::{RemoteProfile, RemoteStore};
     use crate::store::MemStore;
-    use std::sync::atomic::AtomicU64;
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
     fn patterned(n: usize) -> Bytes {
