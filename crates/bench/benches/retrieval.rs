@@ -1,6 +1,7 @@
 //! Retrieval benchmarks: multi-threaded ranged GETs against a
 //! wall-clock-throttled remote store (the §III-B "multiple retrieval
-//! threads" optimization), plus raw store throughput.
+//! threads" optimization), the same fetch against an unthrottled store
+//! (what a split fetch costs beyond its GETs), plus raw store throughput.
 
 use bytes::Bytes;
 use cb_storage::retrieve::Retriever;
@@ -13,6 +14,7 @@ use std::time::Duration;
 
 const OBJ: usize = 4 << 20; // 4 MiB object
 const FETCH: u64 = 2 << 20; // 2 MiB fetched per iteration
+const CHUNK: u64 = 256 << 10; // one 256 KiB chunk, above the 64 KiB split floor
 
 fn backing() -> Arc<MemStore> {
     let s = Arc::new(MemStore::new("backing"));
@@ -22,8 +24,8 @@ fn backing() -> Arc<MemStore> {
 
 /// Throttled like a fast-ish remote: per-connection cap makes parallel
 /// streams pay off, as on real S3.
-fn remote() -> RemoteStore {
-    RemoteStore::new(
+fn remote() -> Arc<dyn ObjectStore> {
+    Arc::new(RemoteStore::new(
         "bench-remote",
         backing(),
         RemoteProfile {
@@ -31,7 +33,7 @@ fn remote() -> RemoteStore {
             aggregate_bps: 4.0e9,
             per_conn_bps: 400.0e6,
         },
-    )
+    ))
 }
 
 fn bench_parallel_retrieval(c: &mut Criterion) {
@@ -43,6 +45,21 @@ fn bench_parallel_retrieval(c: &mut Criterion) {
         let r = Retriever::new(threads).with_min_split(1);
         g.bench_function(BenchmarkId::from_parameter(threads), |b| {
             b.iter(|| black_box(r.fetch(&store, "obj", 0, FETCH).unwrap()))
+        });
+    }
+    g.finish();
+}
+
+/// No throttle, so the time is the split fetch's own: handing sub-ranges
+/// out, waiting for them and reassembling the chunk.
+fn bench_split_overhead(c: &mut Criterion) {
+    let store: Arc<dyn ObjectStore> = backing();
+    let mut g = c.benchmark_group("memstore_fetch_256KiB");
+    g.throughput(Throughput::Bytes(CHUNK));
+    for threads in [1usize, 4] {
+        let r = Retriever::new(threads);
+        g.bench_function(BenchmarkId::from_parameter(threads), |b| {
+            b.iter(|| black_box(r.fetch(&store, "obj", 0, CHUNK).unwrap()))
         });
     }
     g.finish();
@@ -74,6 +91,7 @@ fn bench_index_roundtrip(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_parallel_retrieval,
+    bench_split_overhead,
     bench_memstore,
     bench_index_roundtrip
 );

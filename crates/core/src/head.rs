@@ -53,10 +53,10 @@ pub struct Head<B> {
 }
 
 impl<B> Head<B> {
-    /// Validate the run — the config, the layout, and the kill schedule
-    /// against `clusters` — then build the job pool from the dataset index;
-    /// `clusters[i]` is report slot `i`. Every report time is read from
-    /// `clock`.
+    /// Validate the run — the config, the layout, the kill schedule
+    /// against `clusters`, and one location per cluster — then build the
+    /// job pool from the dataset index; `clusters[i]` is report slot `i`.
+    /// Every report time is read from `clock`.
     pub fn new(
         layout: &DatasetLayout,
         placement: &Placement,
@@ -80,6 +80,17 @@ impl<B> Head<B> {
                 return Err(RuntimeError::Validation(format!(
                     "kill_schedule names slave {} of cluster {} but it has {} core(s)",
                     kill.slave, kill.cluster, c.cores
+                )));
+            }
+        }
+        // Leases are tracked per location (`JobPool::holds_lease`,
+        // `should_hold`), so two clusters at one location would hold each
+        // other's requests.
+        for (i, c) in clusters.iter().enumerate() {
+            if let Some(first) = clusters[..i].iter().find(|o| o.location == c.location) {
+                return Err(RuntimeError::Validation(format!(
+                    "clusters {} and {} share location {}; each cluster needs its own",
+                    first.name, c.name, c.location
                 )));
             }
         }

@@ -549,6 +549,8 @@ fn slave_loop<A: GRApp>(
             .with_jitter_seed(jitter_seed)
             .with_retry_hook(Arc::clone(&retry_hook))
     };
+    // The remote retriever's `retrieval_threads − 1` workers start on this
+    // slave's first split fetch and end with it.
     let (local_retriever, remote_retriever) = (retriever(1), retriever(cfg.retrieval_threads));
     let compute_ns = cluster
         .compute_ns_per_unit
@@ -617,14 +619,10 @@ fn slave_loop<A: GRApp>(
                     local_retriever
                 };
                 let t_r = Instant::now();
-                let result = retriever
-                    .fetch(store.as_ref(), file, off, len)
-                    .map_err(|e| {
-                        let (name, store) = (&cluster.name, store.name());
-                        format!(
-                            "slave {slave}@{name}: fetching {file} [{off}+{len}] from {store}: {e}"
-                        )
-                    });
+                let result = retriever.fetch(store, file, off, len).map_err(|e| {
+                    let (name, store) = (&cluster.name, store.name());
+                    format!("slave {slave}@{name}: fetching {file} [{off}+{len}] from {store}: {e}")
+                });
                 let took = t_r.elapsed();
                 let _ = fetch_tx.send(Fetched::Data(Fetch {
                     job,

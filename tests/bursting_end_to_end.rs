@@ -338,8 +338,8 @@ fn failure_injection_missing_remote_file() {
 }
 
 /// The head validates a run whichever substrate drives it, so the
-/// in-process runtime and the simulator reject the same configurations —
-/// both on 4 + 4 cores.
+/// in-process runtime and the simulator reject the same configurations and
+/// deployments — both on 4 + 4 cores.
 #[test]
 fn every_substrate_rejects_the_same_invalid_config() {
     fn kill(cluster: usize, slave: usize) -> Vec<SlaveKill> {
@@ -354,16 +354,24 @@ fn every_substrate_rejects_the_same_invalid_config() {
         edit(&mut cfg);
         cfg
     };
+    // (case, config, whether the two clusters share one location)
     let cases = [
-        ("local_batch = 0", with(|c| c.pool.local_batch = 0)),
-        ("remote_batch = 0", with(|c| c.pool.remote_batch = 0)),
+        ("local_batch = 0", with(|c| c.pool.local_batch = 0), false),
+        ("remote_batch = 0", with(|c| c.pool.remote_batch = 0), false),
         (
             "a kill naming a missing cluster",
             with(|c| c.kill_schedule = kill(2, 0)),
+            false,
         ),
         (
             "a kill naming slave 4 of 4",
             with(|c| c.kill_schedule = kill(1, 4)),
+            false,
+        ),
+        (
+            "two clusters at one location",
+            RuntimeConfig::default(),
+            true,
         ),
     ];
     let spec = words_spec();
@@ -380,15 +388,20 @@ fn every_substrate_rejects_the_same_invalid_config() {
         local_cores: 4,
         cloud_cores: 4,
     };
-    for (case, cfg) in cases {
+    for (case, cfg, shared) in cases {
         let (layout, placement) = (&env.layout, &env.placement);
-        let real = run(&WordCountApp, &(), layout, placement, &env.deployment, &cfg);
+        let mut deployment = env.deployment.clone();
+        let mut params = calib::build_params(App::Knn, &sim_env, &NetConstants::default(), 7);
+        if shared {
+            deployment.clusters[1].location = deployment.clusters[0].location;
+            params.clusters[1].location = params.clusters[0].location;
+        }
+        let real = run(&WordCountApp, &(), layout, placement, &deployment, &cfg);
         let real = real.map(|out| out.report);
         assert!(
             matches!(real, Err(RuntimeError::Validation(_))),
             "run with {case}: {real:?}"
         );
-        let mut params = calib::build_params(App::Knn, &sim_env, &NetConstants::default(), 7);
         params.pool = cfg.pool;
         params.faults.kill_schedule = cfg.kill_schedule;
         let sim = cb_sim::simulate(params);
