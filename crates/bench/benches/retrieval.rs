@@ -1,11 +1,12 @@
-//! Retrieval benchmarks: multi-threaded ranged GETs against a
+//! Retrieval benchmarks: a split ranged-GET fetch against a
 //! wall-clock-throttled remote store (the §III-B "multiple retrieval
-//! threads" optimization), the same fetch against an unthrottled store
-//! (what a split fetch costs beyond its GETs), plus raw store throughput.
+//! threads" optimization) and against an unthrottled store (where the
+//! store asks for one stream, so the fetch is one GET), each next to the
+//! raw `get_range` it replaces, plus raw store throughput.
 
 use bytes::Bytes;
 use cb_storage::retrieve::Retriever;
-use cb_storage::s3sim::{RemoteProfile, RemoteStore};
+use cb_storage::s3sim::{RemoteProfile, RemoteStore, REMOTE_STREAMS};
 use cb_storage::store::{MemStore, ObjectStore};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -14,7 +15,7 @@ use std::time::Duration;
 
 const OBJ: usize = 4 << 20; // 4 MiB object
 const FETCH: u64 = 2 << 20; // 2 MiB fetched per iteration
-const CHUNK: u64 = 256 << 10; // one 256 KiB chunk, above the 64 KiB split floor
+const CHUNK: u64 = 256 << 10; // one 256 KiB chunk
 
 fn backing() -> Arc<MemStore> {
     let s = Arc::new(MemStore::new("backing"));
@@ -22,10 +23,10 @@ fn backing() -> Arc<MemStore> {
     s
 }
 
-/// Throttled like a fast-ish remote: per-connection cap makes parallel
-/// streams pay off, as on real S3.
-fn remote() -> Arc<dyn ObjectStore> {
-    Arc::new(RemoteStore::new(
+/// Throttled like a fast-ish remote: the per-connection cap makes parallel
+/// streams pay off, as on real S3, so the store asks for `REMOTE_STREAMS`.
+fn remote() -> RemoteStore {
+    RemoteStore::new(
         "bench-remote",
         backing(),
         RemoteProfile {
@@ -33,35 +34,38 @@ fn remote() -> Arc<dyn ObjectStore> {
             aggregate_bps: 4.0e9,
             per_conn_bps: 400.0e6,
         },
-    ))
+    )
 }
 
+/// One capped connection against a fetch split over the store's streams.
 fn bench_parallel_retrieval(c: &mut Criterion) {
     let store = remote();
     let mut g = c.benchmark_group("remote_fetch_2MiB");
     g.throughput(Throughput::Bytes(FETCH));
     g.sample_size(20);
-    for threads in [1usize, 2, 4, 8] {
-        let r = Retriever::new(threads).with_min_split(1);
-        g.bench_function(BenchmarkId::from_parameter(threads), |b| {
-            b.iter(|| black_box(r.fetch(&store, "obj", 0, FETCH).unwrap()))
-        });
-    }
+    g.bench_function("get_range", |b| {
+        b.iter(|| black_box(store.get_range("obj", 0, FETCH).unwrap()))
+    });
+    let r = Retriever::new();
+    g.bench_function(BenchmarkId::new("fetch", REMOTE_STREAMS), |b| {
+        b.iter(|| black_box(r.fetch(&store, "obj", 0, FETCH).unwrap()))
+    });
     g.finish();
 }
 
-/// No throttle, so the time is the split fetch's own: handing sub-ranges
-/// out, waiting for them and reassembling the chunk.
-fn bench_split_overhead(c: &mut Criterion) {
-    let store: Arc<dyn ObjectStore> = backing();
+/// No throttle, so the store asks for one stream: the fetch's cost beyond
+/// its one GET is the retry wrapper's.
+fn bench_unthrottled_fetch(c: &mut Criterion) {
+    let store = backing();
     let mut g = c.benchmark_group("memstore_fetch_256KiB");
     g.throughput(Throughput::Bytes(CHUNK));
-    for threads in [1usize, 4] {
-        let r = Retriever::new(threads);
-        g.bench_function(BenchmarkId::from_parameter(threads), |b| {
-            b.iter(|| black_box(r.fetch(&store, "obj", 0, CHUNK).unwrap()))
-        });
-    }
+    g.bench_function("get_range", |b| {
+        b.iter(|| black_box(store.get_range("obj", 0, CHUNK).unwrap()))
+    });
+    let r = Retriever::new();
+    g.bench_function("fetch", |b| {
+        b.iter(|| black_box(r.fetch(&*store, "obj", 0, CHUNK).unwrap()))
+    });
     g.finish();
 }
 
@@ -91,7 +95,7 @@ fn bench_index_roundtrip(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_parallel_retrieval,
-    bench_split_overhead,
+    bench_unthrottled_fetch,
     bench_memstore,
     bench_index_roundtrip
 );

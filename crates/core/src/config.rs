@@ -29,9 +29,6 @@ pub struct RuntimeConfig {
     pub pool: PoolConfig,
     /// Master refills from the head when its queue drops to this size.
     pub master_low_water: usize,
-    /// Parallel connections each slave uses for *remote* chunk retrieval
-    /// (the paper's "multiple retrieval threads").
-    pub retrieval_threads: usize,
     /// Extra attempts per ranged GET after the first (transient remote
     /// failures happen against real object services).
     pub retrieval_retries: u32,
@@ -78,7 +75,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             pool: PoolConfig::default(),
             master_low_water: 2,
-            retrieval_threads: 4,
             retrieval_retries: 2,
             retrieval_backoff: std::time::Duration::from_millis(5),
             synthetic_compute_ns_per_unit: 0,
@@ -101,9 +97,6 @@ impl RuntimeConfig {
         }
         if self.pool.remote_batch == 0 {
             return Err("pool.remote_batch must be >= 1".into());
-        }
-        if self.retrieval_threads == 0 {
-            return Err("retrieval_threads must be >= 1".into());
         }
         if self.slave_failure_threshold == 0 {
             return Err("slave_failure_threshold must be >= 1".into());
@@ -128,12 +121,6 @@ mod tests {
 
     #[test]
     fn zero_knobs_rejected() {
-        let c = RuntimeConfig {
-            retrieval_threads: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-
         for (local, remote) in [(0, 1), (1, 0)] {
             let mut c = RuntimeConfig::default();
             c.pool.local_batch = local;

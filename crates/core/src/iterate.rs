@@ -347,7 +347,7 @@ mod tests {
     fn runtime_errors_propagate() {
         let (layout, placement, deployment) = env();
         let cfg = RuntimeConfig {
-            retrieval_threads: 0, // invalid
+            slave_failure_threshold: 0, // invalid
             ..Default::default()
         };
         let err = run_iterative(

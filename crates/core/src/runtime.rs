@@ -17,10 +17,11 @@
 //!   to the head through the cluster's WAN throttle;
 //! * **slave** — `cores` threads per cluster; each holds up to
 //!   `1 + prefetch_depth` leases, retrieving the next chunk on a background
-//!   fetcher thread (through the data fabric; multi-threaded ranged GETs
-//!   when the data is remote — "job stealing") *while* folding the current
-//!   one into its private reduction object through [`GRApp::fold_chunk`],
-//!   so retrieval overlaps computation. [`RuntimeConfig::prefetch_depth`]` = 0`
+//!   fetcher thread (through the data fabric, over as many parallel ranged
+//!   GETs as the path's store asks for; reading another site's data is
+//!   "job stealing") *while* folding the current one into its private
+//!   reduction object through [`GRApp::fold_chunk`], so retrieval
+//!   overlaps computation. [`RuntimeConfig::prefetch_depth`]` = 0`
 //!   restores the strictly serial fetch-then-fold loop.
 //!
 //! The scheduling behaviour (locality, consecutive grants, contention-aware
@@ -542,16 +543,12 @@ fn slave_loop<A: GRApp>(
     };
     // Jitter-decorrelate retries across slaves while staying deterministic.
     let jitter_seed = ((cluster_idx as u64) << 32) ^ (slave as u64 + 1);
-    let retriever = |threads: usize| {
-        Retriever::new(threads)
-            .with_retries(cfg.retrieval_retries, cfg.retrieval_backoff)
-            .with_deadline(cfg.retrieval_deadline)
-            .with_jitter_seed(jitter_seed)
-            .with_retry_hook(Arc::clone(&retry_hook))
-    };
-    // The remote retriever's `retrieval_threads − 1` workers start on this
-    // slave's first split fetch and end with it.
-    let (local_retriever, remote_retriever) = (retriever(1), retriever(cfg.retrieval_threads));
+    // Each path's store sets how many parallel GETs a fetch through it uses.
+    let retriever = Retriever::new()
+        .with_retries(cfg.retrieval_retries, cfg.retrieval_backoff)
+        .with_deadline(cfg.retrieval_deadline)
+        .with_jitter_seed(jitter_seed)
+        .with_retry_hook(retry_hook);
     let compute_ns = cluster
         .compute_ns_per_unit
         .unwrap_or(cfg.synthetic_compute_ns_per_unit);
@@ -583,7 +580,7 @@ fn slave_loop<A: GRApp>(
         let (credit_tx, credits) = unbounded::<()>();
         let (fetch_tx, fetch_rx) = unbounded::<Fetched>();
         let shutting_down = &shutting_down;
-        let (local_retriever, remote_retriever) = (&local_retriever, &remote_retriever);
+        let retriever = &retriever;
 
         // --- Background fetcher: takes leases from the master. ---
         fs.spawn(move || {
@@ -611,13 +608,9 @@ fn slave_loop<A: GRApp>(
                 let home = placement.home(chunk.file);
                 let store = fabric
                     .store_for(my_loc, home)
-                    .expect("deployment validated");
+                    .expect("deployment validated")
+                    .as_ref();
                 let remote = home != my_loc;
-                let retriever = if remote {
-                    remote_retriever
-                } else {
-                    local_retriever
-                };
                 let t_r = Instant::now();
                 let result = retriever.fetch(store, file, off, len).map_err(|e| {
                     let (name, store) = (&cluster.name, store.name());

@@ -172,8 +172,10 @@ fn depth_one_beats_serial_on_a_remote_dominated_workload() {
     let mut stores: StoreMap = BTreeMap::new();
     let profile = RemoteProfile {
         request_latency: Duration::from_millis(1),
-        aggregate_bps: f64::INFINITY,
-        per_conn_bps: 25.0e6, // 512 KiB / 25 MB/s ~= 21 ms per fetch
+        // The aggregate binds, so a fetch is one GET:
+        // 512 KiB / 25 MB/s ~= 21 ms per fetch.
+        aggregate_bps: 25.0e6,
+        per_conn_bps: f64::INFINITY,
     };
     let backing = Arc::new(MemStore::new("s3-backing"));
     stores.insert(
@@ -189,7 +191,6 @@ fn depth_one_beats_serial_on_a_remote_dominated_workload() {
     let timed = |depth: usize| {
         let cfg = RuntimeConfig {
             prefetch_depth: depth,
-            retrieval_threads: 1, // fetch time = len / per_conn_bps
             synthetic_compute_ns_per_unit: 300, // 65536 units ~= 20 ms per fold
             ..Default::default()
         };

@@ -1,9 +1,11 @@
 //! End-to-end smoke tests of the threaded runtime on a toy sum application,
 //! and of one cluster's shared master against a scripted head.
 
+use bytes::Bytes;
 use cb_storage::builder::{materialize, StoreMap};
 use cb_storage::layout::{ChunkId, ChunkMeta, LocationId, Placement};
 use cb_storage::organizer::organize_even;
+use cb_storage::s3sim::{RemoteProfile, RemoteStore, REMOTE_STREAMS};
 use cb_storage::store::{MemStore, ObjectStore};
 use cloudburst_core::api::{GRApp, ReductionObject};
 use cloudburst_core::config::RuntimeConfig;
@@ -13,10 +15,11 @@ use cloudburst_core::runtime::{
     run, run_cluster, ClusterOutcome, HeadPort, Resolution, RuntimeError,
 };
 use cloudburst_core::sched::pool::Grant;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
 const LOCAL: LocationId = LocationId(0);
@@ -247,7 +250,7 @@ fn invalid_config_rejected_before_running() {
     let (layout, placement, stores) = setup(2, 0.5);
     let deployment = two_cluster_deployment(&stores, 1, 1);
     let cfg = RuntimeConfig {
-        retrieval_threads: 0,
+        slave_failure_threshold: 0,
         ..Default::default()
     };
     let err = run(&SumApp, &(), &layout, &placement, &deployment, &cfg).unwrap_err();
@@ -351,6 +354,107 @@ fn synthetic_compute_slows_processing() {
     assert!(
         slow_p > fast_p * 2.0,
         "synthetic compute should dominate: fast={fast_p} slow={slow_p}"
+    );
+}
+
+/// Counts the GETs through one fabric path and the threads that issue
+/// them; forwards the path's stream count.
+struct Counting {
+    inner: Arc<dyn ObjectStore>,
+    gets: AtomicUsize,
+    threads: Mutex<HashSet<ThreadId>>,
+}
+
+impl ObjectStore for Counting {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn put(&self, key: &str, data: Bytes) -> io::Result<()> {
+        self.inner.put(key, data)
+    }
+    fn get_range(&self, key: &str, offset: u64, len: u64) -> io::Result<Bytes> {
+        self.gets.fetch_add(1, Ordering::SeqCst);
+        self.threads.lock().unwrap().insert(thread::current().id());
+        self.inner.get_range(key, offset, len)
+    }
+    fn size_of(&self, key: &str) -> io::Result<u64> {
+        self.inner.size_of(key)
+    }
+    fn list(&self) -> Vec<String> {
+        self.inner.list()
+    }
+    fn delete(&self, key: &str) -> io::Result<bool> {
+        self.inner.delete(key)
+    }
+    fn streams(&self) -> usize {
+        self.inner.streams()
+    }
+}
+
+/// One single-core cluster at `site` reads every chunk, all homed in the
+/// cloud, through `path(backing)` behind a [`Counting`] store. Chunks are
+/// 128 KiB. Returns the chunk count and the counter.
+fn fan_out(
+    site: LocationId,
+    path: impl FnOnce(Arc<dyn ObjectStore>) -> Arc<dyn ObjectStore>,
+) -> (usize, Arc<Counting>) {
+    let layout = organize_even(2, 1 << 18, 1 << 17, 8).unwrap();
+    let placement = Placement::all_at(2, CLOUD);
+    let backing: Arc<dyn ObjectStore> = Arc::new(MemStore::new("cloud-store"));
+    let stores: StoreMap = BTreeMap::from([(CLOUD, Arc::clone(&backing))]);
+    materialize(&layout, &placement, &stores, fill).unwrap();
+    let counting = Arc::new(Counting {
+        inner: path(backing),
+        gets: AtomicUsize::new(0),
+        threads: Mutex::new(HashSet::new()),
+    });
+    let mut fabric = DataFabric::new();
+    fabric.set_path(site, CLOUD, Arc::clone(&counting) as _);
+    let deployment = Deployment::new(vec![ClusterSpec::new("only", site, 1)], fabric);
+    let out = run(
+        &SumApp,
+        &(),
+        &layout,
+        &placement,
+        &deployment,
+        &RuntimeConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(out.result.0, expected_sum(&layout));
+    let stolen = if site == CLOUD { 0 } else { layout.n_jobs() };
+    assert_eq!(out.report.clusters[0].jobs_stolen, stolen as u64);
+    (layout.n_jobs(), counting)
+}
+
+#[test]
+fn a_cluster_reads_its_own_capped_site_over_remote_streams() {
+    let (chunks, path) = fan_out(CLOUD, |backing| {
+        let capped = RemoteProfile {
+            request_latency: Duration::ZERO,
+            aggregate_bps: f64::INFINITY,
+            per_conn_bps: 1.0e9,
+        };
+        Arc::new(RemoteStore::new("s3-intra-cloud", backing, capped))
+    });
+    assert_eq!(
+        path.gets.load(Ordering::SeqCst),
+        REMOTE_STREAMS * chunks,
+        "a capped path is read over {REMOTE_STREAMS} GETs per chunk"
+    );
+}
+
+#[test]
+fn stealing_over_an_uncapped_path_reads_each_chunk_with_one_get() {
+    let (chunks, path) = fan_out(LOCAL, |backing| backing);
+    assert_eq!(
+        path.gets.load(Ordering::SeqCst),
+        chunks,
+        "one GET per chunk"
+    );
+    assert_eq!(
+        path.threads.lock().unwrap().len(),
+        1,
+        "every GET ran on the slave's fetcher thread"
     );
 }
 

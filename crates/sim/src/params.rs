@@ -4,8 +4,9 @@
 //!
 //! * **transfer** — every chunk fetch is a flow on one bottleneck link
 //!   (fair-shared with everything else on that link, capped at
-//!   `per_conn_bps × retrieval_threads` — the multi-threaded retrieval
-//!   model), after a fixed per-request latency;
+//!   `per_conn_bps × streams` — the multi-threaded retrieval model, which
+//!   the real runtime reads from `ObjectStore::streams`), after a fixed
+//!   per-request latency;
 //! * **compute** — `units × ns_per_unit × jitter` per job, per slave core;
 //! * **reduction** — local combination and the final global reduction move
 //!   `robj_bytes` at `merge_bps`, and remote clusters ship their reduction
@@ -62,8 +63,9 @@ pub struct PathSpec {
     /// Bytes/sec one connection can stream on this path.
     pub per_conn_bps: f64,
     /// Parallel connections one chunk fetch opens on this path — 1 for the
-    /// paper's continuous local reads, `retrieval_threads` for remote
-    /// retrieval ("multiple retrieval threads").
+    /// paper's continuous local reads, more on S3 and WAN paths whose
+    /// connections are capped ("multiple retrieval threads"); the real
+    /// runtime reads it from `ObjectStore::streams`.
     pub streams: usize,
 }
 

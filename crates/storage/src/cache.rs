@@ -196,6 +196,10 @@ impl ObjectStore for CachedStore {
         self.invalidate_all();
         self.inner.delete(key)
     }
+
+    fn streams(&self) -> usize {
+        self.inner.streams()
+    }
 }
 
 #[cfg(test)]
@@ -288,6 +292,22 @@ mod tests {
         assert_eq!(remote.bytes_served(), 4096);
         assert_eq!(c.hits(), 10);
         assert_eq!(c.misses(), 1);
+    }
+
+    #[test]
+    fn streams_are_the_inner_stores() {
+        let capped = RemoteStore::new(
+            "capped",
+            backing(),
+            RemoteProfile {
+                request_latency: Duration::ZERO,
+                aggregate_bps: 100.0e6,
+                per_conn_bps: 10.0e6,
+            },
+        );
+        let c = CachedStore::new(Arc::new(capped), 1 << 20);
+        assert_eq!(c.streams(), crate::s3sim::REMOTE_STREAMS);
+        assert_eq!(CachedStore::new(backing(), 1 << 20).streams(), 1);
     }
 
     #[test]

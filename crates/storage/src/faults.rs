@@ -183,6 +183,10 @@ impl ObjectStore for FlakyStore {
     fn delete(&self, key: &str) -> io::Result<bool> {
         self.inner.delete(key)
     }
+
+    fn streams(&self) -> usize {
+        self.inner.streams()
+    }
 }
 
 #[cfg(test)]
@@ -306,6 +310,18 @@ mod tests {
     fn metadata_ops_pass_through() {
         let s = FlakyStore::new(backing(), FaultMode::FirstNPerKey { n: 99 }, 1);
         assert_eq!(s.size_of("k").unwrap(), 10);
+        assert_eq!(s.streams(), 1);
+        let capped = crate::s3sim::RemoteStore::new(
+            "capped",
+            backing(),
+            crate::s3sim::RemoteProfile {
+                request_latency: Duration::ZERO,
+                aggregate_bps: 100.0e6,
+                per_conn_bps: 10.0e6,
+            },
+        );
+        let flaky = FlakyStore::new(Arc::new(capped), FaultMode::FirstNPerKey { n: 0 }, 1);
+        assert_eq!(flaky.streams(), crate::s3sim::REMOTE_STREAMS);
         assert_eq!(s.list(), vec!["k".to_string()]);
         assert!(s.name().starts_with("flaky("));
     }

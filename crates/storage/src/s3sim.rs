@@ -45,6 +45,11 @@ impl RemoteProfile {
     }
 }
 
+/// Parallel GETs per read on a path whose connections are capped below its
+/// aggregate rate: the paper's "multiple retrieval threads", and the DES's
+/// `s3_streams` / `wan_streams`.
+pub const REMOTE_STREAMS: usize = 4;
+
 /// An [`ObjectStore`] decorator imposing a [`RemoteProfile`] in wall-clock
 /// time. Writes (`put`) are deliberately *not* throttled: dataset
 /// materialization is test scaffolding, not part of the measured system.
@@ -134,6 +139,15 @@ impl ObjectStore for RemoteStore {
     fn delete(&self, key: &str) -> io::Result<bool> {
         self.inner.delete(key)
     }
+
+    /// Split a read only where one connection cannot fill the path.
+    fn streams(&self) -> usize {
+        if self.profile.per_conn_bps < self.profile.aggregate_bps {
+            REMOTE_STREAMS
+        } else {
+            1
+        }
+    }
 }
 
 #[cfg(test)]
@@ -209,6 +223,24 @@ mod tests {
         );
         assert_eq!(s.bytes_served(), 0, "no body streamed, no bytes billed");
         assert_eq!(s.requests_served(), 1, "the request itself still counts");
+    }
+
+    #[test]
+    fn only_a_per_connection_cap_splits_reads() {
+        let capped = |per_conn_bps, aggregate_bps| {
+            store_with(RemoteProfile {
+                request_latency: Duration::ZERO,
+                aggregate_bps,
+                per_conn_bps,
+            })
+            .streams()
+        };
+        assert_eq!(store_with(RemoteProfile::unlimited()).streams(), 1);
+        assert_eq!(capped(10.0e6, 100.0e6), REMOTE_STREAMS);
+        assert_eq!(capped(10.0e6, f64::INFINITY), REMOTE_STREAMS);
+        assert_eq!(capped(100.0e6, 100.0e6), 1);
+        assert_eq!(capped(f64::INFINITY, 25.0e6), 1);
+        assert_eq!(REMOTE_STREAMS, 4);
     }
 
     #[test]

@@ -36,6 +36,14 @@ pub trait ObjectStore: Send + Sync {
 
     /// Remove an object; `Ok(false)` if it did not exist.
     fn delete(&self, key: &str) -> io::Result<bool>;
+
+    /// How many parallel ranged GETs one read through this store is split
+    /// into. More than one pays only where a single connection cannot
+    /// stream at the path's full rate, as on S3; local stores read over
+    /// one. Decorators forward their inner store's answer.
+    fn streams(&self) -> usize {
+        1
+    }
 }
 
 fn not_found(key: &str) -> io::Error {
@@ -256,6 +264,15 @@ mod tests {
         let s = DiskStore::open("disk", &dir).unwrap();
         exercise(&s);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn local_stores_read_over_one_stream() {
+        let dir = std::env::temp_dir().join(format!("cbstore-streams-{}", std::process::id()));
+        let disk = DiskStore::open("disk", &dir).unwrap();
+        assert_eq!(MemStore::new("mem").streams(), 1);
+        assert_eq!(disk.streams(), 1);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
