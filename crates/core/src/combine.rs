@@ -467,54 +467,6 @@ impl ReductionObject for Moments {
     }
 }
 
-/// Set union over a dense `u64` id space, as a bitmap. Useful for distinct
-/// counting and membership reductions with a bounded universe.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitSetUnion {
-    words: Vec<u64>,
-}
-
-impl BitSetUnion {
-    /// A set over ids `0..universe`.
-    pub fn new(universe: usize) -> Self {
-        BitSetUnion {
-            words: vec![0; universe.div_ceil(64)],
-        }
-    }
-
-    pub fn insert(&mut self, id: usize) {
-        self.words[id / 64] |= 1u64 << (id % 64);
-    }
-
-    pub fn contains(&self, id: usize) -> bool {
-        self.words
-            .get(id / 64)
-            .map(|w| w & (1u64 << (id % 64)) != 0)
-            .unwrap_or(false)
-    }
-
-    /// Number of distinct ids present.
-    pub fn count(&self) -> u64 {
-        self.words.iter().map(|w| w.count_ones() as u64).sum()
-    }
-}
-
-impl ReductionObject for BitSetUnion {
-    fn merge(&mut self, other: Self) {
-        assert_eq!(
-            self.words.len(),
-            other.words.len(),
-            "merging BitSetUnion of different universes"
-        );
-        for (a, b) in self.words.iter_mut().zip(other.words) {
-            *a |= b;
-        }
-    }
-    fn size_bytes(&self) -> usize {
-        self.words.len() * 8
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -712,29 +664,5 @@ mod tests {
         // Empty-side identities.
         a.merge(Moments::new());
         assert_eq!(a.count(), 200);
-    }
-
-    #[test]
-    fn bitset_union() {
-        let mut a = BitSetUnion::new(200);
-        let mut b = BitSetUnion::new(200);
-        a.insert(0);
-        a.insert(63);
-        a.insert(64);
-        b.insert(64);
-        b.insert(199);
-        a.merge(b);
-        assert!(a.contains(0) && a.contains(63) && a.contains(64) && a.contains(199));
-        assert!(!a.contains(1));
-        assert!(!a.contains(5000), "out of universe is just absent");
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.size_bytes(), 32);
-    }
-
-    #[test]
-    #[should_panic(expected = "different universes")]
-    fn bitset_universe_mismatch_panics() {
-        let mut a = BitSetUnion::new(64);
-        a.merge(BitSetUnion::new(128));
     }
 }

@@ -1100,17 +1100,6 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// Cache hit ratio in [0, 1]; 0 when the cache saw no traffic.
-    pub fn cache_hit_ratio(&self) -> f64 {
-        let h = self.counter("cache_hit");
-        let m = self.counter("cache_miss");
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
-    }
-
     /// Render counters and histogram summaries as an aligned text table.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -1695,7 +1684,8 @@ mod tests {
         assert_eq!(m.counter("fetch_end"), 1);
         assert_eq!(m.counter("bytes_remote"), 100);
         assert_eq!(m.histogram("fetch_latency").unwrap().count(), 1);
-        assert!((m.cache_hit_ratio() - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(m.counter("cache_hit"), 2);
+        assert_eq!(m.counter("cache_miss"), 1);
         let table = m.render();
         assert!(table.contains("cache_hit"));
         assert!(table.contains("fetch_latency"));

@@ -8,4 +8,4 @@ pub mod master;
 pub mod pool;
 
 pub use master::{MasterJob, MasterPool};
-pub use pool::{Grant, JobPool, LocationCounters, PoolConfig};
+pub use pool::{Grant, JobPool, PoolConfig};

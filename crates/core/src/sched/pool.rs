@@ -78,20 +78,6 @@ impl Grant {
     }
 }
 
-/// Per-location assignment counters (feeds the paper's Table I).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LocationCounters {
-    /// Jobs granted whose data was homed at the grantee's own site.
-    pub granted_local: u64,
-    /// Jobs granted whose data was homed elsewhere ("stolen").
-    pub granted_stolen: u64,
-    /// Jobs reported complete by this location.
-    pub completed: u64,
-    /// Jobs this location returned unfinished ([`JobPool::fail`] /
-    /// [`JobPool::reclaim`]).
-    pub failed: u64,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum JobState {
     Pending,
@@ -151,7 +137,6 @@ pub struct JobPool {
     /// Total re-enqueue events ([`fail`](JobPool::fail) and
     /// [`reclaim`](JobPool::reclaim)), feeding the run's recovery stats.
     n_reenqueued: u64,
-    counters: BTreeMap<LocationId, LocationCounters>,
     /// Round-robin cursor per location for the non-consecutive ablation.
     rr_cursor: BTreeMap<LocationId, usize>,
     /// Observability sink (disabled by default; see [`JobPool::with_sink`]).
@@ -189,7 +174,6 @@ impl JobPool {
             n_dead: 0,
             failures: vec![0; n],
             n_reenqueued: 0,
-            counters: BTreeMap::new(),
             rr_cursor: BTreeMap::new(),
             sink: SinkHandle::disabled(),
             cluster_of: BTreeMap::new(),
@@ -265,11 +249,6 @@ impl JobPool {
         self.n_outstanding > 0 && self.state.contains(&JobState::Assigned(loc))
     }
 
-    /// Per-location counters (Table I inputs).
-    pub fn counters(&self, loc: LocationId) -> LocationCounters {
-        self.counters.get(&loc).copied().unwrap_or_default()
-    }
-
     /// Handle a job request from the master at `loc`.
     ///
     /// Returns an empty grant when nothing can be given to this cluster
@@ -280,8 +259,6 @@ impl JobPool {
         // 1. Local jobs first.
         if let Some(file) = self.pick_local_file(loc) {
             let jobs = self.take_from(file, self.cfg.local_batch, loc);
-            let entry = self.counters.entry(loc).or_default();
-            entry.granted_local += jobs.len() as u64;
             if self.sink.is_enabled() {
                 let cluster = self.cluster_id(loc);
                 for j in &jobs {
@@ -304,8 +281,6 @@ impl JobPool {
         if self.cfg.allow_stealing {
             if let Some(file) = self.pick_remote_file() {
                 let jobs = self.take_from(file, self.cfg.remote_batch, loc);
-                let entry = self.counters.entry(loc).or_default();
-                entry.granted_stolen += jobs.len() as u64;
                 if self.sink.is_enabled() {
                     let cluster = self.cluster_id(loc);
                     for j in &jobs {
@@ -332,7 +307,6 @@ impl JobPool {
     pub fn complete(&mut self, loc: LocationId, job: ChunkId) -> Result<(), String> {
         let idx = self.end_lease(loc, job, "completed")?;
         self.state[idx] = JobState::Done(loc);
-        self.counters.entry(loc).or_default().completed += 1;
         Ok(())
     }
 
@@ -388,7 +362,6 @@ impl JobPool {
         verb: &str,
     ) -> Result<(), String> {
         let idx = self.end_lease(loc, job, verb)?;
-        self.counters.entry(loc).or_default().failed += 1;
         if charge_budget {
             self.failures[idx] += 1;
             if self.failures[idx] > self.cfg.max_job_failures {
@@ -453,9 +426,6 @@ impl JobPool {
         let done = self.jobs_in(JobState::Done(loc));
         for &job in &done {
             self.requeue(loc, job, false);
-            // The completion is un-banked: the counter no longer reflects a
-            // result the run will ever see.
-            self.counters.entry(loc).or_default().completed -= 1;
         }
         reclaimed + done.len()
     }
@@ -607,20 +577,20 @@ mod tests {
         });
         // Grants are per-file, so draining all 16 jobs takes four requests:
         // two local (files 0 and 1), then two stolen (files 2 and 3).
-        let mut granted = Vec::new();
+        let (mut granted, mut stolen) = (Vec::new(), 0);
         for expect_stolen in [false, false, true, true] {
             let g = p.request(LOCAL);
             assert_eq!(g.stolen, expect_stolen);
             assert_eq!(g.jobs.len(), 4);
+            stolen += if g.stolen { g.jobs.len() } else { 0 };
             granted.extend(g.jobs);
         }
+        assert_eq!(granted.len() - stolen, 8);
+        assert_eq!(stolen, 8);
         for j in &granted {
             p.complete(LOCAL, *j).unwrap();
         }
-        let c = p.counters(LOCAL);
-        assert_eq!(c.granted_local, 8);
-        assert_eq!(c.granted_stolen, 8);
-        assert_eq!(c.completed, 16);
+        assert_eq!(p.outstanding(), 0);
         assert!(p.all_done());
     }
 
@@ -661,7 +631,7 @@ mod tests {
         p.complete(LOCAL, g.jobs[0]).unwrap();
         let err = p.complete(LOCAL, g.jobs[0]).unwrap_err();
         assert!(err.contains("state"), "{err}");
-        assert_eq!(p.counters(LOCAL).completed, 1);
+        assert_eq!(p.outstanding(), g.jobs.len() - 1, "completed once");
     }
 
     #[test]
@@ -680,7 +650,6 @@ mod tests {
         let g2 = p.request(LOCAL);
         assert_eq!(g2.jobs.iter().map(|c| c.0).collect::<Vec<_>>(), [1, 3]);
         assert_eq!(p.reenqueued(), 1);
-        assert_eq!(p.counters(LOCAL).failed, 1);
     }
 
     #[test]
@@ -832,7 +801,6 @@ mod tests {
         assert_eq!(returned, 4);
         assert_eq!(p.pending(), 16);
         assert_eq!(p.outstanding(), 0);
-        assert_eq!(p.counters(LOCAL).completed, 0, "completions un-banked");
         assert_eq!(p.reenqueued(), 4);
         assert!(!p.all_done());
     }
@@ -857,6 +825,7 @@ mod tests {
         let returned = p.forfeit(LOCAL);
         assert_eq!(returned, 16);
         // The surviving cluster re-runs everything; the pool converges.
+        let mut completed = 0;
         loop {
             let g = p.request(CLOUD);
             if g.is_empty() {
@@ -864,10 +833,11 @@ mod tests {
             }
             for j in g.jobs {
                 p.complete(CLOUD, j).unwrap();
+                completed += 1;
             }
         }
         assert!(p.all_done());
-        assert_eq!(p.counters(CLOUD).completed, 16);
+        assert_eq!(completed, 16);
     }
 
     #[test]
@@ -893,13 +863,13 @@ mod tests {
         assert!(p.complete(LOCAL, ChunkId(u32::MAX)).is_err());
         let err = p.complete(LOCAL, ChunkId(15)).unwrap_err();
         assert!(err.contains("Pending"), "pending, not assigned: {err}");
-        assert_eq!(p.counters(CLOUD).completed, 0);
-        assert_eq!(p.counters(CLOUD).failed, 0);
+        assert_eq!(p.reenqueued(), 0);
+        assert_eq!(p.pending(), 16 - g.jobs.len());
         assert_eq!(p.outstanding(), g.jobs.len());
         // The real holder still resolves normally — exactly once.
         assert!(p.complete(LOCAL, job).is_ok());
         assert!(p.complete(LOCAL, job).is_err(), "double resolve rejected");
-        assert_eq!(p.counters(LOCAL).completed, 1);
+        assert_eq!(p.outstanding(), g.jobs.len() - 1);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! [`serve_head`] accepts the expected complement of workers (handshake:
 //! version, app tag, fingerprint, distinct cluster/location) and then hands
-//! the connected peers to [`run_head`], which is transport-agnostic — the
-//! integration tests drive it with loopback endpoints, the CLI with TCP.
+//! the connected peers to [`run_head`].
 //!
 //! The job pool, the per-cluster result slots, the global reduction and
 //! the report are `cloudburst_core::Head`'s, exactly as in the in-process
@@ -233,25 +232,11 @@ pub fn accept_workers(
     })
 }
 
-/// Validate one dialer's `Hello`; answer `Welcome` or `Reject`. Public so
-/// loopback harnesses can handshake channel-backed peers the same way the
-/// accept loop handshakes sockets.
-pub fn handshake_one(
-    tx: LinkTx,
-    mut rx: LinkRx,
-    accepted: &[HeadPeer],
-    net: &NetConfig,
-    fingerprint: u64,
-    app_tag: &str,
-) -> Result<HeadPeer, String> {
-    // Handshake traffic is deliberately not counted into net stats/events:
-    // the report's net counters cover the post-handshake protocol, so the
-    // recorded trace and the RunReport reconcile exactly.
-    let hello = read_hello(&mut rx, net)?;
-    admit_hello(tx, rx, hello, accepted, net, fingerprint, app_tag)
-}
-
 /// A dialer's first frame, waited for up to `io_timeout`.
+///
+/// Handshake traffic is deliberately not counted into net stats/events:
+/// the report's net counters cover the post-handshake protocol, so the
+/// recorded trace and the RunReport reconcile exactly.
 fn read_hello(rx: &mut LinkRx, net: &NetConfig) -> Result<Message, String> {
     match rx.recv(net.io_timeout) {
         Ok(Some((msg, _bytes))) => Ok(msg),
@@ -338,8 +323,7 @@ fn admit_hello(
 }
 
 /// Drive handshaken peers through the job-pool protocol and perform the
-/// global reduction. Transport-agnostic: peers may sit on TCP sockets or
-/// loopback channels.
+/// global reduction.
 pub fn run_head<R: ReductionObject + RobjCodec>(
     mut peers: Vec<HeadPeer>,
     layout: &DatasetLayout,

@@ -10,8 +10,8 @@
 //! * [`robj`] — canonical byte encodings for shipped reduction objects
 //!   ([`robj::RobjCodec`]), exact and arrival-order independent so a
 //!   distributed run reproduces the single-process result *byte for byte*;
-//! * [`transport`] — framed links over TCP or in-process channels
-//!   (loopback), with deadlines and capped+jittered reconnect;
+//! * [`transport`] — framed links over TCP, with deadlines and
+//!   capped+jittered reconnect;
 //! * [`head`] — the head process: accepts workers and drives the shared
 //!   head core ([`cloudburst_core::Head`]: job pool, result slots, global
 //!   reduction, report) from frames received off the wire; detects peer
@@ -30,13 +30,11 @@ pub mod transport;
 pub mod wire;
 pub mod worker;
 
-pub use head::{handshake_one, run_head, serve_head, HeadPeer, PeerSpec};
+pub use head::{run_head, serve_head, HeadPeer, PeerSpec};
 pub use robj::RobjCodec;
-pub use transport::{
-    connect_with_backoff, loopback_pair, split_tcp, Endpoint, LinkRx, LinkTx, NetConfig,
-};
+pub use transport::{connect_with_backoff, split_tcp, LinkRx, LinkTx, NetConfig};
 pub use wire::{Message, WireError, MAX_FRAME_BYTES, PROTOCOL_VERSION};
-pub use worker::{run_worker, run_worker_on_links, NetError, WorkerSpec};
+pub use worker::{run_worker, NetError, WorkerSpec};
 
 use cb_storage::layout::{DatasetLayout, Placement};
 

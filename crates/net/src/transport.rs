@@ -1,26 +1,21 @@
-//! Framed links: one abstraction, two transports.
+//! Framed links over TCP.
 //!
-//! A *link* is a unidirectional framed message stream — [`LinkTx`] sends
-//! [`Message`]s, [`LinkRx`] receives them — with two implementations:
-//!
-//! * **Tcp** — a real socket (split into try-cloned halves, `TCP_NODELAY`,
-//!   read/write deadlines). Frames are reassembled across arbitrary read
-//!   boundaries, so short reads and coalesced writes are handled.
-//! * **Chan** — an in-process channel carrying *encoded frame bytes*, so
-//!   loopback traffic exercises the exact same codec path as TCP; only the
-//!   copy differs. [`loopback_pair`] builds a duplex pair of endpoints.
+//! A *link* is a unidirectional framed message stream over one half of a
+//! connected socket: [`LinkTx`] sends [`Message`]s, [`LinkRx`] receives
+//! them. [`split_tcp`] splits a socket into try-cloned halves
+//! (`TCP_NODELAY`, write deadline). Frames are reassembled across
+//! arbitrary read boundaries, so short reads and coalesced writes are
+//! handled.
 //!
 //! Every receive ends on an event: a complete frame, EOF, a link error or
-//! the caller's deadline. Nothing polls. A reader blocked on a TCP link is
-//! woken by [`LinkTx::close`] on the other half of the same socket; a
-//! channel link ends when its peer's endpoint drops.
+//! the caller's deadline. Nothing polls. A reader blocked on a link is
+//! woken by [`LinkTx::close`] on the other half of the same socket.
 //!
-//! Both report the frame size they moved, so callers can emit
+//! Both halves report the frame size they moved, so callers can emit
 //! `NetSent`/`NetRecv` observability events with true byte counts.
 
 use crate::wire::{decode_framed, Message, MAX_FRAME_BYTES};
 use cb_storage::retrieve::backoff_schedule;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -66,23 +61,14 @@ impl Default for NetConfig {
 }
 
 /// Sending half of a link.
-pub enum LinkTx {
-    Tcp(TcpStream),
-    Chan(Sender<Vec<u8>>),
-}
+pub struct LinkTx(TcpStream);
 
 /// Receiving half of a link.
-pub enum LinkRx {
-    Tcp {
-        stream: TcpStream,
-        /// Bytes read but not yet consumed as a complete frame — carries
-        /// partial frames across reads (and across timeouts).
-        buf: Vec<u8>,
-    },
-    Chan {
-        rx: Receiver<Vec<u8>>,
-        buf: Vec<u8>,
-    },
+pub struct LinkRx {
+    stream: TcpStream,
+    /// Bytes read but not yet consumed as a complete frame — carries
+    /// partial frames across reads (and across timeouts).
+    buf: Vec<u8>,
 }
 
 impl LinkTx {
@@ -95,23 +81,14 @@ impl LinkTx {
         let frame = msg
             .encode_frame()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        let n = frame.len();
-        match self {
-            LinkTx::Tcp(stream) => stream.write_all(&frame)?,
-            LinkTx::Chan(tx) => tx
-                .send(frame)
-                .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer hung up"))?,
-        }
-        Ok(n)
+        self.0.write_all(&frame)?;
+        Ok(frame.len())
     }
 
-    /// Shut a TCP link down in both directions. A reader blocked on the
-    /// socket's other half wakes with EOF. A channel link closes when its
-    /// endpoint drops, so this is a no-op for it.
+    /// Shut the socket down in both directions. A reader blocked on its
+    /// other half wakes with EOF.
     pub fn close(&self) {
-        if let LinkTx::Tcp(stream) = self {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
+        let _ = self.0.shutdown(Shutdown::Both);
     }
 }
 
@@ -140,13 +117,9 @@ impl LinkRx {
     fn recv_by(&mut self, deadline: Option<Instant>) -> io::Result<Option<(Message, usize)>> {
         loop {
             // A frame may already be complete in the buffer.
-            let buf = match self {
-                LinkRx::Tcp { buf, .. } => buf,
-                LinkRx::Chan { buf, .. } => buf,
-            };
-            match decode_framed(buf) {
+            match decode_framed(&self.buf) {
                 Ok(Some((msg, used))) => {
-                    buf.drain(..used);
+                    self.buf.drain(..used);
                     return Ok(Some((msg, used)));
                 }
                 Ok(None) => {}
@@ -157,82 +130,36 @@ impl LinkRx {
             if left.is_some_and(|left| left.is_zero()) {
                 return Ok(None);
             }
-            match self {
-                LinkRx::Tcp { stream, buf } => {
-                    stream.set_read_timeout(left.map(|l| l.max(Duration::from_millis(1))))?;
-                    let mut chunk = [0u8; 16 * 1024];
-                    match stream.read(&mut chunk) {
-                        Ok(0) => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::UnexpectedEof,
-                                "peer closed connection",
-                            ))
-                        }
-                        Ok(n) => {
-                            if buf.len() + n > MAX_FRAME_BYTES + 4 {
-                                return Err(io::Error::new(
-                                    io::ErrorKind::InvalidData,
-                                    "frame reassembly buffer overflow",
-                                ));
-                            }
-                            buf.extend_from_slice(&chunk[..n]);
-                        }
-                        Err(e)
-                            if e.kind() == io::ErrorKind::WouldBlock
-                                || e.kind() == io::ErrorKind::TimedOut =>
-                        {
-                            return Ok(None)
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(e) => return Err(e),
-                    }
+            let read_timeout = left.map(|l| l.max(Duration::from_millis(1)));
+            self.stream.set_read_timeout(read_timeout)?;
+            let mut chunk = [0u8; 16 * 1024];
+            match self.stream.read(&mut chunk) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "peer closed connection",
+                    ))
                 }
-                LinkRx::Chan { rx, buf } => {
-                    let frame = left.map_or_else(
-                        || rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-                        |left| rx.recv_timeout(left),
-                    );
-                    match frame {
-                        Ok(frame) => buf.extend_from_slice(&frame),
-                        Err(RecvTimeoutError::Timeout) => return Ok(None),
-                        Err(RecvTimeoutError::Disconnected) => {
-                            let eof = io::ErrorKind::UnexpectedEof;
-                            return Err(io::Error::new(eof, "peer hung up"));
-                        }
+                Ok(n) => {
+                    if self.buf.len() + n > MAX_FRAME_BYTES + 4 {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            "frame reassembly buffer overflow",
+                        ));
                     }
+                    self.buf.extend_from_slice(&chunk[..n]);
                 }
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    return Ok(None)
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
         }
     }
-}
-
-/// One duplex endpoint of an in-process link.
-pub struct Endpoint {
-    pub tx: LinkTx,
-    pub rx: LinkRx,
-}
-
-/// Build a connected pair of in-process duplex endpoints. Traffic crosses
-/// the same encode/decode path as TCP.
-pub fn loopback_pair() -> (Endpoint, Endpoint) {
-    let (a_tx, b_rx) = unbounded::<Vec<u8>>();
-    let (b_tx, a_rx) = unbounded::<Vec<u8>>();
-    (
-        Endpoint {
-            tx: LinkTx::Chan(a_tx),
-            rx: LinkRx::Chan {
-                rx: a_rx,
-                buf: Vec::new(),
-            },
-        },
-        Endpoint {
-            tx: LinkTx::Chan(b_tx),
-            rx: LinkRx::Chan {
-                rx: b_rx,
-                buf: Vec::new(),
-            },
-        },
-    )
 }
 
 /// Split a connected socket into framed halves (`TCP_NODELAY`, write
@@ -241,13 +168,11 @@ pub fn split_tcp(stream: TcpStream, cfg: &NetConfig) -> io::Result<(LinkTx, Link
     stream.set_nodelay(true)?;
     stream.set_write_timeout(Some(cfg.io_timeout))?;
     let read_half = stream.try_clone()?;
-    Ok((
-        LinkTx::Tcp(stream),
-        LinkRx::Tcp {
-            stream: read_half,
-            buf: Vec::new(),
-        },
-    ))
+    let rx = LinkRx {
+        stream: read_half,
+        buf: Vec::new(),
+    };
+    Ok((LinkTx(stream), rx))
 }
 
 /// Dial the head, retrying with the same capped + jittered exponential
@@ -277,40 +202,73 @@ mod tests {
     use cb_storage::layout::ChunkId;
     use cloudburst_core::Resolution;
 
+    /// A connected 127.0.0.1 socket, split into framed halves at both ends.
+    fn socket_pair() -> ((LinkTx, LinkRx), (LinkTx, LinkRx)) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let dialed = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let cfg = NetConfig::default();
+        (
+            split_tcp(dialed, &cfg).unwrap(),
+            split_tcp(accepted, &cfg).unwrap(),
+        )
+    }
+
     #[test]
     fn loopback_round_trips_messages() {
-        let (mut a, mut b) = loopback_pair();
+        let ((mut a_tx, _a_rx), (_b_tx, mut b_rx)) = socket_pair();
         let msg = Message::Resolve(Resolution::Completed(ChunkId(17)));
-        let sent = a.tx.send(&msg).unwrap();
-        let (got, recvd) = b.rx.recv(Duration::from_secs(1)).unwrap().unwrap();
+        let sent = a_tx.send(&msg).unwrap();
+        let (got, recvd) = b_rx.recv(Duration::from_secs(1)).unwrap().unwrap();
         assert_eq!(got, msg);
         assert_eq!(sent, recvd);
     }
 
     #[test]
     fn oversized_frame_rejected_at_send_not_at_peer() {
-        let (mut a, _b) = loopback_pair();
+        let ((mut a_tx, _a_rx), _b) = socket_pair();
         let msg = Message::RobjShip {
             robj: vec![0u8; MAX_FRAME_BYTES],
             report: cloudburst_core::ClusterAccount::default(),
         };
-        let err = a.tx.send(&msg).unwrap_err();
+        let err = a_tx.send(&msg).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains("exceeds cap"), "{err}");
     }
 
     #[test]
     fn loopback_timeout_returns_none() {
-        let (_a, mut b) = loopback_pair();
-        assert!(b.rx.recv(Duration::from_millis(10)).unwrap().is_none());
+        let (_a, (_b_tx, mut b_rx)) = socket_pair();
+        assert!(b_rx.recv(Duration::from_millis(10)).unwrap().is_none());
     }
 
     #[test]
     fn loopback_eof_on_peer_drop() {
-        let (a, mut b) = loopback_pair();
+        let (a, (_b_tx, mut b_rx)) = socket_pair();
         drop(a);
-        let err = b.rx.recv(Duration::from_millis(50)).unwrap_err();
+        let err = b_rx.recv(Duration::from_millis(50)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// `run_head` joins no reader: at the end of a run it closes each
+    /// link's sending half, and that must wake the reader blocked on the
+    /// same socket even while the peer stays connected and silent.
+    #[test]
+    fn close_wakes_a_reader_blocked_on_the_same_socket() {
+        let ((a_tx, mut a_rx), _silent_peer) = socket_pair();
+        let (woke, woken) = std::sync::mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            let _ = woke.send(a_rx.next().map(|_| ()).map_err(|e| e.kind()));
+        });
+        // Give the reader time to block; a close before it reads ends it
+        // with the same EOF, so the assertion holds in either order.
+        std::thread::sleep(Duration::from_millis(50));
+        a_tx.close();
+        let ended = woken
+            .recv_timeout(Duration::from_secs(1))
+            .expect("the blocked reader woke within 1 s");
+        assert_eq!(ended, Err(io::ErrorKind::UnexpectedEof));
+        reader.join().unwrap();
     }
 
     #[test]

@@ -184,7 +184,8 @@ impl HeadPort for NetHeadPort {
     }
 }
 
-/// Dial `addr` (capped + jittered reconnect), then run on the socket.
+/// Validate `cfg`, dial `addr` (capped + jittered reconnect), handshake,
+/// then run the cluster and ship its result.
 #[allow(clippy::too_many_arguments)]
 pub fn run_worker<A: GRApp>(
     app: &A,
@@ -201,35 +202,10 @@ pub fn run_worker<A: GRApp>(
 where
     A::RObj: RobjCodec,
 {
+    cfg.validate().map_err(NetError::Protocol)?;
     let seed = (spec.cluster as u64) << 16 | cluster.location.0 as u64;
     let stream = connect_with_backoff(addr, net, seed)?;
-    let (tx, rx) = split_tcp(stream, net)?;
-    run_worker_on_links(
-        app, params, layout, placement, fabric, cluster, spec, cfg, net, tx, rx,
-    )
-}
-
-/// Handshake and run the cluster over an already-established link —
-/// transport-agnostic, so loopback tests exercise the identical worker
-/// machinery over in-process channels.
-#[allow(clippy::too_many_arguments)]
-pub fn run_worker_on_links<A: GRApp>(
-    app: &A,
-    params: &A::Params,
-    layout: &DatasetLayout,
-    placement: &Placement,
-    fabric: &DataFabric,
-    cluster: &ClusterSpec,
-    spec: &WorkerSpec,
-    cfg: &RuntimeConfig,
-    net: &NetConfig,
-    mut tx: LinkTx,
-    mut rx: LinkRx,
-) -> Result<WorkerOutcome<A::RObj>, NetError>
-where
-    A::RObj: RobjCodec,
-{
-    cfg.validate().map_err(NetError::Protocol)?;
+    let (mut tx, mut rx) = split_tcp(stream, net)?;
 
     // --- Handshake. ---
     tx.send(&Message::Hello {

@@ -1,4 +1,4 @@
-//! Distributed-runtime integration: TCP and loopback runs must reproduce
+//! Distributed-runtime integration: runs over localhost TCP must reproduce
 //! the in-process runtime's result *byte for byte*; silent workers must be
 //! detected by heartbeat and their work recovered; bad handshakes must be
 //! rejected with a reason; a chunk whose bytes disagree with its index
@@ -9,8 +9,8 @@ use cb_apps::scenario::{build_hybrid, HybridEnv, HybridOpts};
 use cb_apps::wordcount::WordCountApp;
 use cb_net::wire::{Message, PROTOCOL_VERSION};
 use cb_net::{
-    connect_with_backoff, fingerprint, handshake_one, loopback_pair, run_head, run_worker,
-    run_worker_on_links, serve_head, split_tcp, NetConfig, RobjCodec, WorkerSpec,
+    connect_with_backoff, fingerprint, run_worker, serve_head, split_tcp, LinkRx, LinkTx,
+    NetConfig, RobjCodec, WorkerSpec,
 };
 use cb_storage::layout::{ChunkId, ChunkMeta};
 use cloudburst_core::api::{DecodeError, GRApp};
@@ -99,43 +99,11 @@ fn run_over_tcp(
     })
 }
 
-/// One pass over the full wire protocol on in-process channel links
-/// (same codec, no sockets).
-fn run_over_loopback(
-    env: &HybridEnv,
-    cfg: &RuntimeConfig,
-) -> Result<RunOutcome<KeyedSum>, RuntimeError> {
-    let net = NetConfig::default();
-    let fp = fingerprint(&env.layout, &env.placement, APP);
-    let (layout, placement, fabric) = (&env.layout, &env.placement, &env.deployment.fabric);
-    std::thread::scope(|scope| {
-        let mut peers = Vec::new();
-        for (ci, cluster) in env.deployment.clusters.iter().enumerate() {
-            let (head_end, worker_end) = loopback_pair();
-            let net = &net;
-            scope.spawn(move || {
-                let wspec = worker_spec(ci, cluster, fp);
-                run_worker_on_links(
-                    &WordCountApp,
-                    &(),
-                    layout,
-                    placement,
-                    fabric,
-                    cluster,
-                    &wspec,
-                    cfg,
-                    net,
-                    worker_end.tx,
-                    worker_end.rx,
-                )
-                .expect("worker over loopback");
-            });
-            let peer = handshake_one(head_end.tx, head_end.rx, &peers, net, fp, APP)
-                .expect("loopback handshake");
-            peers.push(peer);
-        }
-        run_head::<KeyedSum>(peers, layout, placement, cfg, &net)
-    })
+/// A scripted head's end of one worker's connection: the next dialer
+/// accepted on `listener`.
+fn accept_one(listener: &TcpListener) -> (LinkTx, LinkRx) {
+    let (stream, _) = listener.accept().unwrap();
+    split_tcp(stream, &NetConfig::default()).unwrap()
 }
 
 /// Three OS-thread "processes" over real localhost TCP produce the same
@@ -270,7 +238,8 @@ fn stale_grant_is_skipped_not_consumed() {
     let cfg = RuntimeConfig::default();
     let net = NetConfig::default();
     let fp = fingerprint(&env.layout, &env.placement, APP);
-    let (head_end, worker_end) = loopback_pair();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
     let grant = |seq: u64, jobs: Vec<u32>, exhausted: bool| Message::JobGrant {
         seq,
         jobs,
@@ -283,7 +252,7 @@ fn stale_grant_is_skipped_not_consumed() {
         // stale seq-1 grant before the real one, and every later request
         // with "exhausted".
         let head = scope.spawn(move || {
-            let (mut tx, mut rx) = (head_end.tx, head_end.rx);
+            let (mut tx, mut rx) = accept_one(&listener);
             let (hello, _) = rx.recv(Duration::from_secs(5)).unwrap().expect("hello");
             assert!(matches!(hello, Message::Hello { .. }));
             tx.send(&Message::Welcome {
@@ -319,7 +288,7 @@ fn stale_grant_is_skipped_not_consumed() {
             app_tag: APP.into(),
             fingerprint: fp,
         };
-        let outcome = run_worker_on_links(
+        let outcome = run_worker(
             &WordCountApp,
             &(),
             &env.layout,
@@ -329,8 +298,7 @@ fn stale_grant_is_skipped_not_consumed() {
             &wspec,
             &cfg,
             &net,
-            worker_end.tx,
-            worker_end.rx,
+            addr,
         )
         .expect("worker run");
         (head.join().unwrap(), outcome)
@@ -364,70 +332,72 @@ fn a_held_request_is_answered_by_a_fail_back_or_at_the_hold_bound() {
     };
     let hold = net.io_timeout / 2;
     let fp = fingerprint(&env.layout, &env.placement, APP);
-    let (mut ends, mut peers) = (Vec::new(), Vec::new());
-    for (ci, name) in ["a", "b"].into_iter().enumerate() {
-        let (head_end, mut worker_end) = loopback_pair();
-        let hello = Message::Hello {
-            version: PROTOCOL_VERSION,
-            cluster: ci as u32,
-            location: ci as u16,
-            cores: 1,
-            name: name.into(),
-            app: APP.into(),
-            fingerprint: fp,
-        };
-        worker_end.tx.send(&hello).unwrap();
-        let peer = handshake_one(head_end.tx, head_end.rx, &peers, &net, fp, APP).unwrap();
-        peers.push(peer);
-        let (welcome, _) = worker_end.rx.recv(Duration::from_secs(5)).unwrap().unwrap();
-        assert!(
-            matches!(welcome, Message::Welcome { .. }),
-            "got {welcome:?}"
-        );
-        ends.push(worker_end);
-    }
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
     let (layout, placement) = (&env.layout, &env.placement);
     std::thread::scope(|scope| {
         let (cfg, net) = (&cfg, &net);
-        let head = scope.spawn(move || run_head::<KeyedSum>(peers, layout, placement, cfg, net));
+        let head = scope.spawn(move || {
+            serve_head::<KeyedSum>(&listener, 2, layout, placement, cfg, net, fp, APP)
+        });
+        let mut ends = Vec::new();
+        for (ci, name) in ["a", "b"].into_iter().enumerate() {
+            let stream = connect_with_backoff(addr, net, ci as u64).unwrap();
+            let (mut tx, mut rx) = split_tcp(stream, net).unwrap();
+            let hello = Message::Hello {
+                version: PROTOCOL_VERSION,
+                cluster: ci as u32,
+                location: ci as u16,
+                cores: 1,
+                name: name.into(),
+                app: APP.into(),
+                fingerprint: fp,
+            };
+            tx.send(&hello).unwrap();
+            let (welcome, _) = rx.recv(Duration::from_secs(5)).unwrap().unwrap();
+            assert!(
+                matches!(welcome, Message::Welcome { .. }),
+                "got {welcome:?}"
+            );
+            ends.push((tx, rx));
+        }
         let [a, b] = &mut ends[..] else {
             unreachable!()
         };
-        let answer =
-            |end: &mut cb_net::Endpoint, within: Duration| match end.rx.recv(within).unwrap() {
-                Some((
-                    Message::JobGrant {
-                        seq,
-                        jobs,
-                        exhausted,
-                        ..
-                    },
-                    _,
-                )) => Some((seq, jobs, exhausted)),
-                Some((other, _)) => panic!("expected JobGrant, got {other:?}"),
-                None => None,
-            };
-        a.tx.send(&Message::JobRequest { seq: 1 }).unwrap();
-        let (_, held_by_a, _) = answer(a, Duration::from_secs(5)).expect("A's grant");
+        let answer = |rx: &mut LinkRx, within: Duration| match rx.recv(within).unwrap() {
+            Some((
+                Message::JobGrant {
+                    seq,
+                    jobs,
+                    exhausted,
+                    ..
+                },
+                _,
+            )) => Some((seq, jobs, exhausted)),
+            Some((other, _)) => panic!("expected JobGrant, got {other:?}"),
+            None => None,
+        };
+        a.0.send(&Message::JobRequest { seq: 1 }).unwrap();
+        let (_, held_by_a, _) = answer(&mut a.1, Duration::from_secs(5)).expect("A's grant");
         assert_eq!(held_by_a.len(), env.layout.n_jobs(), "A holds every job");
 
-        b.tx.send(&Message::JobRequest { seq: 1 }).unwrap();
-        assert_eq!(answer(b, hold / 4), None, "B's request is held");
+        b.0.send(&Message::JobRequest { seq: 1 }).unwrap();
+        assert_eq!(answer(&mut b.1, hold / 4), None, "B's request is held");
         let failed = ChunkId(held_by_a[0]);
-        a.tx.send(&Message::Resolve(Resolution::Failed(failed)))
+        a.0.send(&Message::Resolve(Resolution::Failed(failed)))
             .unwrap();
-        let got = answer(b, Duration::from_secs(5)).expect("B's held request answered");
+        let got = answer(&mut b.1, Duration::from_secs(5)).expect("B's held request answered");
         assert_eq!(
             got,
             (1, vec![failed.0], false),
             "B gets the failed-back job"
         );
 
-        b.tx.send(&Message::Resolve(Resolution::Completed(failed)))
+        b.0.send(&Message::Resolve(Resolution::Completed(failed)))
             .unwrap();
         let t = Instant::now();
-        b.tx.send(&Message::JobRequest { seq: 2 }).unwrap();
-        let got = answer(b, net.io_timeout).expect("answered within io_timeout");
+        b.0.send(&Message::JobRequest { seq: 2 }).unwrap();
+        let got = answer(&mut b.1, net.io_timeout).expect("answered within io_timeout");
         let waited = t.elapsed();
         assert_eq!(got, (2, vec![], false), "answered empty, not exhausted");
         assert!(
@@ -517,9 +487,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// The in-process runtime is the loopback special case: running the
-    /// full wire protocol over in-process channel links (same codec, no
-    /// sockets) reproduces `runtime::run` byte for byte across random
-    /// workload shapes, splits, and core counts.
+    /// full wire protocol over TCP on the loopback interface reproduces
+    /// `runtime::run` byte for byte across random workload shapes, splits,
+    /// and core counts.
     fn loopback_wire_matches_in_process_runtime(
         vocab in 50u64..300,
         n_files in 2usize..5,
@@ -542,7 +512,7 @@ proptest! {
         let cfg = RuntimeConfig::default();
         let expected = single_process_bytes(&env, &cfg);
 
-        let out = run_over_loopback(&env, &cfg).expect("head over loopback");
+        let out = run_over_tcp(&env, &cfg).expect("head over tcp");
         prop_assert_eq!(out.result.encode_robj(), expected);
     }
 }
@@ -610,12 +580,6 @@ fn bad_chunk_fails_the_run_in_process() {
 }
 
 #[test]
-fn bad_chunk_fails_the_run_over_loopback() {
-    let env = env_with_bad_chunk();
-    assert_failed_on_bad_chunk(&env, run_over_loopback(&env, &bad_chunk_cfg()));
-}
-
-#[test]
 fn bad_chunk_fails_the_run_over_tcp() {
     let env = env_with_bad_chunk();
     assert_failed_on_bad_chunk(&env, run_over_tcp(&env, &bad_chunk_cfg()));
@@ -656,10 +620,11 @@ impl GRApp for PanicsOnBad {
     }
 }
 
-/// The wordcount env at 2+2 over loopback with a `PanicsOnBad` app, on a
-/// watchdog thread so that a hang fails the test. A worker whose app
-/// panics dies with its thread, and its link drops with it. Returns the
-/// head's result as robj bytes beside the single-process bytes.
+/// The wordcount env at 2+2 over TCP on the loopback interface with a
+/// `PanicsOnBad` app, on a watchdog thread so that a hang fails the test.
+/// A worker whose app panics dies with its thread, and its socket closes
+/// with it. Returns the head's result as robj bytes beside the
+/// single-process bytes.
 fn run_panicking_over_loopback(once: bool) -> (Result<Vec<u8>, RuntimeError>, Vec<u8>) {
     let (done, result) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
@@ -678,16 +643,15 @@ fn run_panicking_over_loopback(once: bool) -> (Result<Vec<u8>, RuntimeError>, Ve
         };
         let fp = fingerprint(&env.layout, &env.placement, APP);
         let (layout, placement, fabric) = (&env.layout, &env.placement, &env.deployment.fabric);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
         let out = std::thread::scope(|scope| {
-            let mut peers = Vec::new();
             for (ci, cluster) in env.deployment.clusters.iter().enumerate() {
-                let (head_end, worker_end) = loopback_pair();
                 let (app, cfg, net) = (&app, &cfg, &net);
                 scope.spawn(move || {
                     let wspec = worker_spec(ci, cluster, fp);
-                    let (tx, rx) = (worker_end.tx, worker_end.rx);
                     let _ = catch_unwind(AssertUnwindSafe(|| {
-                        run_worker_on_links(
+                        run_worker(
                             app,
                             &(),
                             layout,
@@ -697,16 +661,13 @@ fn run_panicking_over_loopback(once: bool) -> (Result<Vec<u8>, RuntimeError>, Ve
                             &wspec,
                             cfg,
                             net,
-                            tx,
-                            rx,
+                            addr,
                         )
                     }));
                 });
-                let peer = handshake_one(head_end.tx, head_end.rx, &peers, net, fp, APP)
-                    .expect("loopback handshake");
-                peers.push(peer);
             }
-            run_head::<KeyedSum>(peers, layout, placement, &cfg, &net)
+            let n = env.deployment.clusters.len();
+            serve_head::<KeyedSum>(&listener, n, layout, placement, &cfg, &net, fp, APP)
         });
         let out = out.map(|o| o.result.encode_robj());
         let _ = done.send((out, single_process_bytes(&env, &cfg)));
@@ -1012,13 +973,14 @@ fn missed_grant_poisons_link_and_withholds_robj() {
         ..NetConfig::default()
     };
     let fp = fingerprint(&env.layout, &env.placement, APP);
-    let (head_end, worker_end) = loopback_pair();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
 
     std::thread::scope(|scope| {
         // A head that welcomes the worker and then never answers its job
         // requests — the worst kind of stall, invisible to the socket.
         let deaf_head = scope.spawn(move || {
-            let (mut tx, mut rx) = (head_end.tx, head_end.rx);
+            let (mut tx, mut rx) = accept_one(&listener);
             let (hello, _) = rx.recv(Duration::from_secs(5)).unwrap().expect("hello");
             assert!(matches!(hello, Message::Hello { .. }));
             tx.send(&Message::Welcome {
@@ -1054,7 +1016,7 @@ fn missed_grant_poisons_link_and_withholds_robj() {
             app_tag: APP.into(),
             fingerprint: fp,
         };
-        let err = run_worker_on_links(
+        let err = run_worker(
             &WordCountApp,
             &(),
             &env.layout,
@@ -1064,8 +1026,7 @@ fn missed_grant_poisons_link_and_withholds_robj() {
             &wspec,
             &cfg,
             &net,
-            worker_end.tx,
-            worker_end.rx,
+            addr,
         )
         .expect_err("a worker whose grant never arrives must fail, not ship");
         assert!(

@@ -50,12 +50,6 @@ impl<'a, E> Ctx<'a, E> {
         );
         self.queue.push(at, event);
     }
-
-    /// Schedule `event` to fire immediately after the current handler
-    /// returns (same timestamp, later sequence number).
-    pub fn schedule_now(&mut self, event: E) {
-        self.queue.push(self.now, event);
-    }
 }
 
 /// The simulation driver.
@@ -148,19 +142,6 @@ impl<W: World> Engine<W> {
         self.steps - before
     }
 
-    /// Run until the queue drains or the clock passes `deadline`, whichever
-    /// comes first. Events scheduled exactly at `deadline` still fire.
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let before = self.steps;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-        }
-        self.steps - before
-    }
-
     /// Run with a hard event-count budget; returns `true` if the queue
     /// drained within the budget. Useful as a livelock guard in tests.
     pub fn run_bounded(&mut self, max_events: u64) -> bool {
@@ -218,19 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_respects_deadline() {
-        let mut eng = Engine::new(Countdown { fired: vec![] });
-        eng.schedule(SimTime::ZERO, Ev::Tick(100));
-        eng.run_until(SimTime::from_secs(5));
-        // Events at t=0..=5 fired (six of them); clock parked at 5.
-        assert_eq!(eng.world().fired.len(), 6);
-        assert_eq!(eng.now(), SimTime::from_secs(5));
-        // Resuming picks up where it stopped.
-        eng.run();
-        assert_eq!(eng.world().fired.len(), 101);
-    }
-
-    #[test]
     fn run_bounded_detects_drain() {
         let mut eng = Engine::new(Countdown { fired: vec![] });
         eng.schedule(SimTime::ZERO, Ev::Tick(10));
@@ -271,7 +239,7 @@ mod tests {
                 match ev {
                     E3::A => {
                         self.order.push(b'a');
-                        ctx.schedule_now(E3::B);
+                        ctx.schedule_after(SimDur::ZERO, E3::B);
                     }
                     E3::B => self.order.push(b'b'),
                 }

@@ -87,11 +87,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_count(&self) -> u64 {
-        self.next_seq
-    }
 }
 
 #[cfg(test)]
@@ -141,9 +136,7 @@ mod tests {
         q.push(SimTime::ZERO + SimDur::from_secs(1), 1u32);
         q.push(SimTime::ZERO, 2u32);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.scheduled_count(), 2);
         q.pop();
         assert_eq!(q.len(), 1);
-        assert_eq!(q.scheduled_count(), 2);
     }
 }

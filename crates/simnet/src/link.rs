@@ -138,17 +138,6 @@ impl FairShareLink {
         id
     }
 
-    /// Abort an in-flight flow. Returns `true` if it existed.
-    pub fn cancel(&mut self, now: SimTime, id: FlowId) -> bool {
-        self.advance(now);
-        let existed = self.flows.remove(&id).is_some();
-        if existed {
-            self.recompute_rates();
-            self.generation += 1;
-        }
-        existed
-    }
-
     /// The absolute instant at which the next flow (if any) will finish,
     /// assuming no further arrivals.
     pub fn next_completion(&self) -> Option<SimTime> {
@@ -340,18 +329,9 @@ mod tests {
         let id = l.start_flow(t(0.0), 10, 0);
         assert!(l.generation() > g0);
         let g1 = l.generation();
-        l.cancel(t(0.1), id);
+        let done = l.poll_completed(t(1.0));
+        assert_eq!(done, vec![Completion { flow: id, tag: 0 }]);
         assert!(l.generation() > g1);
-    }
-
-    #[test]
-    fn cancel_removes_flow() {
-        let mut l = FairShareLink::with_capacity(10.0);
-        let id = l.start_flow(t(0.0), 100, 0);
-        assert!(l.cancel(t(0.0), id));
-        assert!(!l.cancel(t(0.0), id));
-        assert_eq!(l.active_flows(), 0);
-        assert_eq!(l.next_completion(), None);
     }
 
     #[test]

@@ -54,11 +54,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDur {
         SimDur(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference: `None` if `earlier > self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDur> {
-        self.0.checked_sub(earlier.0).map(SimDur)
-    }
 }
 
 impl SimDur {
@@ -252,8 +247,6 @@ mod tests {
         let b = SimTime::from_secs(8);
         assert_eq!(b.saturating_since(a), SimDur::from_secs(3));
         assert_eq!(a.saturating_since(b), SimDur::ZERO);
-        assert_eq!(a.checked_since(b), None);
-        assert_eq!(b.checked_since(a), Some(SimDur::from_secs(3)));
     }
 
     #[test]

@@ -6,16 +6,13 @@
 //! tests and examples reproduce that: each GET fails with probability `p`
 //! (seeded, so runs are reproducible), deterministically for the first
 //! `n` attempts on each key, or by *stalling* (a hung connection that
-//! eventually answers — the case a per-GET deadline exists for). Faults can
-//! be scoped to a key set, e.g. [`keys_homed_at`] to degrade one data
-//! location while the rest of the fabric stays healthy.
+//! eventually answers — the case a per-GET deadline exists for).
 
-use crate::layout::{DatasetLayout, LocationId, Placement};
 use crate::store::ObjectStore;
 use bytes::Bytes;
 use cb_simnet::DetRng;
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,29 +32,12 @@ pub enum FaultMode {
     Stall { delay: Duration },
 }
 
-/// The keys of all files homed at `loc` under `placement` — the scope to
-/// hand [`FlakyStore::with_scope`] for location-targeted fault injection.
-pub fn keys_homed_at(
-    layout: &DatasetLayout,
-    placement: &Placement,
-    loc: LocationId,
-) -> BTreeSet<String> {
-    layout
-        .files
-        .iter()
-        .filter(|f| placement.home(f.id) == loc)
-        .map(|f| f.name.clone())
-        .collect()
-}
-
 /// An [`ObjectStore`] decorator that injects transient GET failures.
 /// Writes and metadata operations are never failed (they are test
 /// scaffolding).
 pub struct FlakyStore {
     inner: Arc<dyn ObjectStore>,
     mode: FaultMode,
-    /// When set, only GETs for these keys are eligible for faults.
-    scope: Option<BTreeSet<String>>,
     rng: Mutex<DetRng>,
     per_key_attempts: Mutex<HashMap<String, u32>>,
     injected: AtomicU64,
@@ -74,7 +54,6 @@ impl FlakyStore {
             name: format!("flaky({})", inner.name()),
             inner,
             mode,
-            scope: None,
             rng: Mutex::new(DetRng::new(seed)),
             per_key_attempts: Mutex::new(HashMap::new()),
             injected: AtomicU64::new(0),
@@ -90,13 +69,6 @@ impl FlakyStore {
         self
     }
 
-    /// Restrict fault injection to `keys` (see [`keys_homed_at`]); GETs for
-    /// other keys always pass through untouched.
-    pub fn with_scope(mut self, keys: BTreeSet<String>) -> Self {
-        self.scope = Some(keys);
-        self
-    }
-
     /// Number of failures injected so far (stalls count too).
     pub fn injected_failures(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)
@@ -105,11 +77,6 @@ impl FlakyStore {
     /// `Some(delay)` if this GET should stall, `None` to fail hard, or
     /// pass-through. Encoded as a tri-state to keep one decision point.
     fn decide(&self, key: &str) -> FaultDecision {
-        if let Some(scope) = &self.scope {
-            if !scope.contains(key) {
-                return FaultDecision::Pass;
-            }
-        }
         match self.mode {
             FaultMode::Random { probability } => {
                 if self.rng.lock().chance(probability) {
@@ -251,43 +218,6 @@ mod tests {
             "GET must hang for the configured delay"
         );
         assert_eq!(s.injected_failures(), 1);
-    }
-
-    #[test]
-    fn scope_limits_faults_to_targeted_keys() {
-        let b = backing();
-        b.put("remote", Bytes::from_static(b"abc")).unwrap();
-        let s = FlakyStore::new(b, FaultMode::FirstNPerKey { n: 100 }, 0)
-            .with_scope(["remote".to_string()].into_iter().collect());
-        assert!(s.get_range("k", 0, 1).is_ok(), "unscoped key never faulted");
-        assert!(s.get_range("remote", 0, 1).is_err(), "scoped key faulted");
-        assert_eq!(s.injected_failures(), 1);
-    }
-
-    #[test]
-    fn keys_homed_at_selects_by_placement() {
-        use crate::layout::{DatasetLayout, FileId, FileMeta, Placement};
-        let layout = DatasetLayout {
-            files: (0..4)
-                .map(|i| FileMeta {
-                    id: FileId(i),
-                    name: format!("f{i}"),
-                    size: 1,
-                })
-                .collect(),
-            chunks: vec![],
-        };
-        let p = Placement::from_homes(vec![
-            LocationId(0),
-            LocationId(1),
-            LocationId(0),
-            LocationId(1),
-        ]);
-        let keys = keys_homed_at(&layout, &p, LocationId(1));
-        assert_eq!(
-            keys.into_iter().collect::<Vec<_>>(),
-            vec!["f1".to_string(), "f3".to_string()]
-        );
     }
 
     #[test]

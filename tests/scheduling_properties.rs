@@ -13,14 +13,15 @@ const C: LocationId = LocationId(1);
 
 /// Drive a JobPool with an arbitrary interleaving of requests/completions
 /// from two clusters; every job must be granted exactly once and completed
-/// exactly once, regardless of schedule.
+/// exactly once, regardless of schedule. Returns the jobs granted and the
+/// completions made, as tallied by the two clusters.
 fn drive_pool(
     n_files: usize,
     chunks_per_file: u64,
     frac_local: f64,
     cfg: PoolConfig,
     schedule: &[bool], // true = local acts, false = cloud acts
-) -> (usize, JobPool) {
+) -> (usize, usize, JobPool) {
     let layout = organize_even(n_files, chunks_per_file * 64, 64, 8).unwrap();
     let placement = Placement::split_fraction(n_files, frac_local, L, C);
     let total = layout.n_jobs();
@@ -28,7 +29,7 @@ fn drive_pool(
 
     let mut queues: [Vec<ChunkId>; 2] = [Vec::new(), Vec::new()];
     let mut seen = std::collections::BTreeSet::new();
-    let mut step = 0usize;
+    let (mut step, mut completed) = (0usize, 0usize);
     // Alternate per the schedule (cycled) until everything completes.
     while !pool.all_done() {
         let actor = schedule[step % schedule.len()];
@@ -41,6 +42,7 @@ fn drive_pool(
         // Complete one held job, if any; otherwise request more.
         if let Some(job) = q.pop() {
             pool.complete(loc, job).expect("granted to loc");
+            completed += 1;
         } else {
             let grant = pool.request(loc);
             for j in grant.jobs {
@@ -55,12 +57,13 @@ fn drive_pool(
             for (i, loc) in [(0usize, L), (1usize, C)] {
                 while let Some(j) = queues[i].pop() {
                     pool.complete(loc, j).expect("granted to loc");
+                    completed += 1;
                 }
             }
             break;
         }
     }
-    (seen.len(), pool)
+    (seen.len(), completed, pool)
 }
 
 proptest! {
@@ -84,17 +87,11 @@ proptest! {
             ..PoolConfig::default()
         };
         let total = n_files * chunks_per_file as usize;
-        let (granted, pool) = drive_pool(n_files, chunks_per_file, frac, cfg, &schedule);
+        let (granted, completed, pool) =
+            drive_pool(n_files, chunks_per_file, frac, cfg, &schedule);
         prop_assert_eq!(granted, total);
+        prop_assert_eq!(completed, total);
         prop_assert!(pool.all_done());
-        let counters = [pool.counters(L), pool.counters(C)];
-        let completed: u64 = counters.iter().map(|c| c.completed).sum();
-        prop_assert_eq!(completed, total as u64);
-        let granted_total: u64 = counters
-            .iter()
-            .map(|c| c.granted_local + c.granted_stolen)
-            .sum();
-        prop_assert_eq!(granted_total, total as u64);
     }
 
     /// The non-consecutive ablation preserves exactly-once too.
@@ -109,7 +106,7 @@ proptest! {
             ..PoolConfig::default()
         };
         let total = n_files * chunks_per_file as usize;
-        let (granted, pool) = drive_pool(n_files, chunks_per_file, 0.5, cfg, &schedule);
+        let (granted, _, pool) = drive_pool(n_files, chunks_per_file, 0.5, cfg, &schedule);
         prop_assert_eq!(granted, total);
         prop_assert!(pool.all_done());
     }
@@ -132,8 +129,9 @@ proptest! {
             .map(|f| layout.chunks_of_file(f).count() as u64)
             .sum();
         let mut pool = JobPool::new(&layout, &placement, cfg);
-        // Each cluster drains everything it can get.
-        for loc in [L, C] {
+        // Each cluster drains everything it can get; no grant is stolen.
+        let mut completed = [0u64; 2];
+        for (i, loc) in [L, C].into_iter().enumerate() {
             loop {
                 let g = pool.request(loc);
                 if g.is_empty() {
@@ -142,14 +140,12 @@ proptest! {
                 prop_assert!(!g.stolen);
                 for j in g.jobs {
                     pool.complete(loc, j).expect("granted to loc");
+                    completed[i] += 1;
                 }
             }
         }
         prop_assert!(pool.all_done());
-        prop_assert_eq!(pool.counters(L).completed, local_jobs);
-        prop_assert_eq!(pool.counters(C).completed, layout.n_jobs() as u64 - local_jobs);
-        prop_assert_eq!(pool.counters(L).granted_stolen, 0);
-        prop_assert_eq!(pool.counters(C).granted_stolen, 0);
+        prop_assert_eq!(completed, [local_jobs, layout.n_jobs() as u64 - local_jobs]);
     }
 
     /// VecSum merge is commutative and associative.
