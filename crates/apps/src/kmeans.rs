@@ -7,6 +7,21 @@
 //! driver ([`next_centroids`]) recomputes centroids
 //! between passes; iteration happens by re-running the framework with new
 //! [`Centroids`] params.
+//!
+//! The nearest-centroid search is the fold's hot loop. Beside the
+//! row-major centroids, [`Centroids::new`] builds a transposed copy once
+//! per pass: tiles of eight centroids, each one `[f64; 8]` row per
+//! dimension holding that coordinate of its eight centroids, with the last
+//! tile padded with NaN. [`Centroids::nearest`] walks a point's
+//! coordinates once per tile, converts each to `f64` once, and updates
+//! eight independent distance sums, which the compiler keeps in vector
+//! registers. The result is bit-identical to one scalar loop per
+//! centroid: each lane does that loop's arithmetic — start at `0.0`,
+//! `diff = x - y`, `d += diff * diff`, dimensions in order, every multiply
+//! and add rounded on its own — and the eight sums are then compared in
+//! centroid order with a strict `<` against the best so far. So the lowest
+//! index wins a tie, a point with a NaN coordinate (every sum NaN) goes to
+//! centroid 0, and a NaN pad lane never wins.
 
 use crate::points;
 use crate::{expect_records, records};
@@ -15,19 +30,43 @@ use cloudburst_core::api::{DecodeError, GRApp};
 use cloudburst_core::combine::VecSum;
 use std::borrow::Borrow;
 
+/// Centroids per tile of [`Centroids`]' transposed copy.
+const LANES: usize = 8;
+
 /// Broadcast parameters of one k-means pass: the current centroids,
-/// flattened row-major (`k * dim`).
-#[derive(Debug, Clone, PartialEq)]
+/// flattened row-major (`k * dim`), and the tiled copy
+/// [`nearest`](Centroids::nearest) reads (see the module docs). The fields
+/// are private so the two cannot disagree.
+#[derive(Debug, Clone)]
 pub struct Centroids {
-    pub dim: usize,
-    pub flat: Vec<f64>,
+    dim: usize,
+    flat: Vec<f64>,
+    /// `ceil(k / LANES) * dim` rows: row `t * dim + j` holds coordinate `j`
+    /// of centroids `t * LANES ..`, NaN past the last centroid.
+    tiles: Vec<[f64; LANES]>,
 }
 
 impl Centroids {
     pub fn new(dim: usize, flat: Vec<f64>) -> Self {
         assert!(dim > 0);
         assert_eq!(flat.len() % dim, 0, "ragged centroid array");
-        Centroids { dim, flat }
+        let k = flat.len() / dim;
+        let mut tiles = vec![[f64::NAN; LANES]; k.div_ceil(LANES) * dim];
+        for (c, cent) in flat.chunks_exact(dim).enumerate() {
+            for (j, &y) in cent.iter().enumerate() {
+                tiles[c / LANES * dim + j][c % LANES] = y;
+            }
+        }
+        Centroids { dim, flat, tiles }
+    }
+
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// The centroids, flattened row-major (`k * dim`).
+    pub fn flat(&self) -> &[f64] {
+        &self.flat
     }
 
     pub fn k(&self) -> usize {
@@ -39,7 +78,9 @@ impl Centroids {
     }
 
     /// Index of the centroid nearest to `p` (a slice or a record's
-    /// [`points::coords`]).
+    /// [`points::coords`]); the lowest index wins a tie, and a point with a
+    /// NaN coordinate goes to centroid 0. `p` is walked once per tile of
+    /// eight centroids.
     pub fn nearest<P>(&self, p: P) -> usize
     where
         P: IntoIterator + Clone,
@@ -47,19 +88,31 @@ impl Centroids {
     {
         let mut best = 0;
         let mut best_d = f64::INFINITY;
-        for c in 0..self.k() {
-            let cent = self.centroid(c);
-            let mut d = 0.0;
-            for (x, y) in p.clone().into_iter().zip(cent) {
-                let diff = *x.borrow() as f64 - y;
-                d += diff * diff;
+        for (t, tile) in self.tiles.chunks_exact(self.dim).enumerate() {
+            let mut d = [0.0; LANES];
+            for (x, ys) in p.clone().into_iter().zip(tile) {
+                let x = *x.borrow() as f64;
+                for (dl, y) in d.iter_mut().zip(ys) {
+                    let diff = x - y;
+                    *dl += diff * diff;
+                }
             }
-            if d < best_d {
-                best_d = d;
-                best = c;
+            for (l, &dl) in d.iter().enumerate() {
+                if dl < best_d {
+                    best_d = dl;
+                    best = t * LANES + l;
+                }
             }
         }
         best
+    }
+}
+
+/// Equal when the centroids are: the tiles follow from them, and their NaN
+/// padding would make every tiled pair unequal.
+impl PartialEq for Centroids {
+    fn eq(&self, other: &Self) -> bool {
+        self.dim == other.dim && self.flat == other.flat
     }
 }
 
@@ -110,7 +163,7 @@ impl GRApp for KMeansApp {
 
     fn init(&self, params: &Centroids) -> VecSum {
         assert_eq!(params.k(), self.k, "params have wrong k");
-        assert_eq!(params.dim, self.dim, "params have wrong dim");
+        assert_eq!(params.dim(), self.dim, "params have wrong dim");
         VecSum::zeros(self.robj_len())
     }
 

@@ -66,7 +66,7 @@ impl MapReduce for KMeansMR {
     }
 
     fn reduce(&self, key: &u32, values: Vec<(Vec<f64>, u64)>) -> (u32, Vec<f64>) {
-        let (sums, count) = merge_partials(self.centroids.dim, values);
+        let (sums, count) = merge_partials(self.centroids.dim(), values);
         let centroid = if count > 0 {
             sums.iter().map(|s| s / count as f64).collect()
         } else {
@@ -76,7 +76,7 @@ impl MapReduce for KMeansMR {
     }
 
     fn combine(&self, _key: &u32, values: Vec<(Vec<f64>, u64)>) -> Vec<(Vec<f64>, u64)> {
-        vec![merge_partials(self.centroids.dim, values)]
+        vec![merge_partials(self.centroids.dim(), values)]
     }
 }
 

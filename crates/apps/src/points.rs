@@ -8,7 +8,9 @@
 //! The point apps fold a record in place through [`coords`], and the
 //! per-point arithmetic ([`dist2`] here, `Centroids::nearest`,
 //! `BoxQuery::contains`) takes any coordinate iterator, so one function
-//! serves both a record and a decoded `Vec<f32>`.
+//! serves both a record and a decoded `Vec<f32>`. `Centroids::nearest`
+//! clones its iterator and walks it once per tile of eight centroids, not
+//! once per centroid.
 
 use std::borrow::Borrow;
 

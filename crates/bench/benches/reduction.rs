@@ -1,66 +1,95 @@
 //! Reduction benchmarks: local-reduce rates of the three evaluation
-//! applications and merge throughput of the combiner library — the costs
-//! the simulator's `ns_per_unit` / `merge_bps` parameters abstract.
+//! applications, timed on the route the runtime runs (`GRApp::fold_chunk`
+//! over a chunk's bytes), and merge throughput of the combiner library —
+//! the costs the simulator's `ns_per_unit` / `merge_bps` parameters
+//! abstract.
 
 use cb_apps::gen::{GraphSpec, PointMode, PointsSpec};
 use cb_apps::kmeans::{Centroids, KMeansApp};
 use cb_apps::knn::{KnnApp, KnnQuery};
 use cb_apps::pagerank::{PageRankApp, RankParams};
 use cb_simnet::DetRng;
-use cloudburst_core::api::{reduce_units, GRApp, ReductionObject};
+use cb_storage::layout::ChunkMeta;
+use cloudburst_core::api::{GRApp, ReductionObject};
 use cloudburst_core::combine::{KeyedSum, TopK, VecSum};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use std::sync::Arc;
 
-fn bench_local_reduce(c: &mut Criterion) {
-    let mut g = c.benchmark_group("local_reduce_per_unit");
+/// Every row folds one chunk of this many units.
+const UNITS: usize = 20_000;
 
-    // knn: 20k 4-d points against a k=1000 TopK.
+/// One chunk of `UNITS` points and its bytes.
+fn point_chunk(dim: usize, mode: PointMode) -> (ChunkMeta, Vec<u8>) {
     let spec = PointsSpec {
         n_files: 1,
-        points_per_file: 20_000,
-        points_per_chunk: 20_000,
-        dim: 4,
+        points_per_file: UNITS,
+        points_per_chunk: UNITS,
+        dim,
         seed: 1,
-        mode: PointMode::Uniform,
+        mode,
     };
-    let layout = spec.layout();
+    let meta = spec.layout().chunks[0];
+    let mut buf = vec![0u8; meta.len as usize];
+    (spec.fill())(&meta, &mut buf);
+    (meta, buf)
+}
+
+/// A fresh robj with one chunk folded in, as a slave folds a fetched
+/// chunk.
+fn fold<A: GRApp>(app: &A, params: &A::Params, meta: &ChunkMeta, bytes: &[u8]) -> A::RObj {
+    let mut robj = app.init(params);
+    let units = app.fold_chunk(params, &mut robj, meta, bytes);
+    assert_eq!(
+        units,
+        Ok(meta.units),
+        "bench chunk disagrees with its index entry"
+    );
+    robj
+}
+
+fn bench_local_reduce(c: &mut Criterion) {
+    let mut g = c.benchmark_group("local_reduce_per_unit");
+    g.throughput(Throughput::Elements(UNITS as u64));
+
+    // knn: 4-d points against a k=1000 TopK.
+    let (meta, buf) = point_chunk(4, PointMode::Uniform);
     let knn = KnnApp::new(4, 1000);
     let query = KnnQuery {
         query: vec![0.5; 4],
     };
-    let mut buf = vec![0u8; layout.chunks[0].len as usize];
-    (spec.fill())(&layout.chunks[0], &mut buf);
-    let units = knn.decode_chunk(&layout.chunks[0], &buf);
-    g.throughput(Throughput::Elements(units.len() as u64));
     g.bench_function("knn_k1000", |b| {
-        b.iter(|| {
-            let mut robj = knn.init(&query);
-            reduce_units(&knn, &query, &mut robj, &units);
-            black_box(robj.len())
-        })
+        b.iter(|| black_box(fold(&knn, &query, &meta, &buf).len()))
     });
 
-    // kmeans: same points against k=100 centroids.
-    let km = KMeansApp::new(4, 100);
-    let mut rng = DetRng::new(2);
-    let centroids = Centroids::new(4, (0..400).map(|_| rng.uniform() * 10.0).collect());
-    let km_units = km.decode_chunk(&layout.chunks[0], &buf);
-    g.bench_function("kmeans_k100", |b| {
-        b.iter(|| {
-            let mut robj = km.init(&centroids);
-            reduce_units(&km, &centroids, &mut robj, &km_units);
-            black_box(robj.values()[0])
-        })
-    });
+    // kmeans: the same points against k=100 centroids; 8-d blobs against
+    // perfbench kmeans-fold's 16 centroids and the paper's k=1000.
+    let blobs = point_chunk(
+        8,
+        PointMode::Blobs {
+            centers: 16,
+            spread: 0.5,
+        },
+    );
+    for (name, dim, k, (meta, buf)) in [
+        ("kmeans_k100", 4, 100, (meta, buf)),
+        ("kmeans_d8_k16", 8, 16, blobs.clone()),
+        ("kmeans_d8_k1000", 8, 1000, blobs),
+    ] {
+        let km = KMeansApp::new(dim, k);
+        let mut rng = DetRng::new(2);
+        let centroids = Centroids::new(dim, (0..k * dim).map(|_| rng.uniform() * 10.0).collect());
+        g.bench_function(name, |b| {
+            b.iter(|| black_box(fold(&km, &centroids, &meta, &buf).values()[0]))
+        });
+    }
 
     // pagerank: 20k edges against a 100k-page rank vector.
     let gspec = GraphSpec {
         n_pages: 100_000,
         n_files: 1,
-        edges_per_file: 20_000,
-        edges_per_chunk: 20_000,
+        edges_per_file: UNITS,
+        edges_per_chunk: UNITS,
         seed: 3,
     };
     let glayout = gspec.layout();
@@ -73,15 +102,11 @@ fn bench_local_reduce(c: &mut Criterion) {
         }
         d
     }));
-    let mut gbuf = vec![0u8; glayout.chunks[0].len as usize];
-    (gspec.fill())(&glayout.chunks[0], &mut gbuf);
-    let edges = pr.decode_chunk(&glayout.chunks[0], &gbuf);
+    let gmeta = glayout.chunks[0];
+    let mut gbuf = vec![0u8; gmeta.len as usize];
+    (gspec.fill())(&gmeta, &mut gbuf);
     g.bench_function("pagerank_100k_pages", |b| {
-        b.iter(|| {
-            let mut robj = pr.init(&params);
-            reduce_units(&pr, &params, &mut robj, &edges);
-            black_box(robj.values()[0])
-        })
+        b.iter(|| black_box(fold(&pr, &params, &gmeta, &gbuf).values()[0]))
     });
     g.finish();
 }

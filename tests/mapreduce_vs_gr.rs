@@ -88,7 +88,7 @@ proptest! {
             app.local_reduce(&init, &mut robj, p);
         }
         let gr_next = next_centroids(&app, &robj, &init);
-        for (a, b) in gr_next.flat.iter().zip(&expect.flat) {
+        for (a, b) in gr_next.flat().iter().zip(expect.flat()) {
             prop_assert!((a - b).abs() < 1e-9, "GR {a} vs ref {b}");
         }
 
