@@ -7,8 +7,30 @@
 //! object is a dense [`VecSum`] over all pages — deliberately proportional
 //! to the graph, reproducing the paper's robj-transfer bottleneck. The
 //! driver applies damping and dangling-mass redistribution between passes.
+//!
+//! # Shares
+//!
+//! The quotient depends on the source page alone, so [`RankParams::new`]
+//! divides once per page, not once per edge: `shares[p] = ranks[p] /
+//! out_degree[p] as f64`, the per-pass value the paper's head broadcasts.
+//! An edge then costs one load and one add, `robj[dst] += shares[src]`,
+//! instead of two loads from src-indexed arrays, a conversion and a
+//! division. Every page is divided, degree 0 included (its share is
+//! infinite or NaN, and no edge of a consistent graph reads it), so each
+//! edge adds the very `f64` that the per-edge division gives — IEEE
+//! division is correctly rounded, so the same operands give the same bits
+//! — and every robj is bit-identical to [`pagerank_reference_pass`]'s,
+//! which keeps dividing per edge as the oracle. Building the params costs
+//! one division per page and one more `f64` per page (16 MB at 2M pages),
+//! paid once per PageRank pass by an iterating driver.
+//!
+//! # Bad edges
+//!
+//! An edge naming a page at or past `n_pages` is a [`DecodeError::OutOfRange`]
+//! from [`PageRankApp::fold_chunk`], found by one scan of the chunk before
+//! any edge is folded, so the job fails and the robj is untouched.
 
-use crate::{expect_records, fold_values};
+use crate::{expect_records, records};
 use cb_storage::layout::ChunkMeta;
 use cloudburst_core::api::{DecodeError, GRApp};
 use cloudburst_core::combine::VecSum;
@@ -22,27 +44,62 @@ pub fn edge(rec: &[u8]) -> (u32, u32) {
     )
 }
 
-/// Broadcast parameters of one PageRank pass.
+/// Broadcast parameters of one PageRank pass: every page's rank and
+/// out-degree, and the share of its rank it sends along each out-link.
+/// The fields are private so the shares always match the ranks.
 #[derive(Debug, Clone)]
 pub struct RankParams {
-    /// Current rank of every page (sums to 1).
-    pub ranks: Arc<Vec<f64>>,
-    /// Out-degree of every page.
-    pub out_degree: Arc<Vec<u32>>,
+    ranks: Arc<Vec<f64>>,
+    out_degree: Arc<Vec<u32>>,
+    /// `ranks[p] / out_degree[p] as f64`: what one edge from `p` adds.
+    shares: Arc<Vec<f64>>,
 }
 
 impl RankParams {
-    pub fn n_pages(&self) -> usize {
-        self.ranks.len()
+    /// Params for ranks `ranks` (summing to 1) over pages of out-degree
+    /// `out_degree`; divides every page's rank into its share.
+    pub fn new(ranks: Arc<Vec<f64>>, out_degree: Arc<Vec<u32>>) -> Self {
+        assert_eq!(
+            ranks.len(),
+            out_degree.len(),
+            "one rank and one out-degree per page"
+        );
+        let shares = ranks
+            .iter()
+            .zip(out_degree.iter())
+            .map(|(&r, &d)| r / d as f64)
+            .collect();
+        RankParams {
+            ranks,
+            out_degree,
+            shares: Arc::new(shares),
+        }
     }
 
     /// Uniform initial ranks.
     pub fn uniform(out_degree: Arc<Vec<u32>>) -> Self {
         let n = out_degree.len();
-        RankParams {
-            ranks: Arc::new(vec![1.0 / n as f64; n]),
-            out_degree,
-        }
+        Self::new(Arc::new(vec![1.0 / n as f64; n]), out_degree)
+    }
+
+    pub fn n_pages(&self) -> usize {
+        self.ranks.len()
+    }
+
+    /// Current rank of every page.
+    pub fn ranks(&self) -> &[f64] {
+        &self.ranks
+    }
+
+    /// Out-degree of every page, shared so the next pass's params can
+    /// reuse it.
+    pub fn out_degree(&self) -> &Arc<Vec<u32>> {
+        &self.out_degree
+    }
+
+    /// What one edge from each page adds to its target's accumulator.
+    pub fn shares(&self) -> &[f64] {
+        &self.shares
     }
 }
 
@@ -76,9 +133,7 @@ impl GRApp for PageRankApp {
 
     fn local_reduce(&self, params: &RankParams, robj: &mut VecSum, unit: &(u32, u32)) {
         let (src, dst) = *unit;
-        let deg = params.out_degree[src as usize];
-        debug_assert!(deg > 0, "edge from page with recorded out-degree 0");
-        robj.add_at(dst as usize, params.ranks[src as usize] / deg as f64);
+        robj.add_at(dst as usize, params.shares[src as usize]);
     }
 
     fn fold_chunk(
@@ -88,8 +143,39 @@ impl GRApp for PageRankApp {
         meta: &ChunkMeta,
         bytes: &[u8],
     ) -> Result<u64, DecodeError> {
-        fold_values(self, params, robj, meta, bytes, 8, edge)
+        let recs = records(meta, bytes, 8)?;
+        check_pages(bytes, self.n_pages)?;
+        let shares = params.shares();
+        for rec in recs {
+            let (src, dst) = edge(rec);
+            robj.add_at(dst as usize, shares[src as usize]);
+        }
+        Ok(meta.units)
     }
+}
+
+/// Every page named in `bytes`, a whole number of edge records, is below
+/// `n_pages`; else the first bad record. The scan has no early exit, so
+/// it compiles to packed compares, and runs before any edge is folded.
+fn check_pages(bytes: &[u8], n_pages: u32) -> Result<(), DecodeError> {
+    let page = |w: &[u8]| u32::from_le_bytes(w.try_into().expect("4-byte page"));
+    let bad = bytes
+        .chunks_exact(4)
+        .fold(false, |bad, w| bad | (page(w) >= n_pages));
+    if !bad {
+        return Ok(());
+    }
+    let (at, value) = bytes
+        .chunks_exact(4)
+        .map(page)
+        .enumerate()
+        .find(|&(_, p)| p >= n_pages)
+        .expect("the scan saw a bad page");
+    Err(DecodeError::OutOfRange {
+        record: at as u64 / 2,
+        value: value.into(),
+        limit: n_pages.into(),
+    })
 }
 
 /// Damping factor used throughout (the standard 0.85).
@@ -214,10 +300,7 @@ mod tests {
         let mut params = RankParams::uniform(degrees(4, &edges));
         for _ in 0..30 {
             let ranks = pagerank_reference_pass(&edges, &params);
-            params = RankParams {
-                ranks: Arc::new(ranks),
-                out_degree: Arc::clone(&params.out_degree),
-            };
+            params = RankParams::new(Arc::new(ranks), Arc::clone(params.out_degree()));
         }
         let r = &params.ranks;
         assert!(r[0] > r[2] && r[0] > r[3], "hub should dominate: {r:?}");
@@ -242,10 +325,7 @@ mod tests {
         for _ in 0..60 {
             let ranks = pagerank_reference_pass(&edges, &params);
             deltas.push(rank_delta(&ranks, &params.ranks));
-            params = RankParams {
-                ranks: Arc::new(ranks),
-                out_degree: Arc::clone(&params.out_degree),
-            };
+            params = RankParams::new(Arc::new(ranks), Arc::clone(params.out_degree()));
         }
         assert!(
             deltas.last().unwrap() < &deltas[0],

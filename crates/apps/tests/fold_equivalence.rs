@@ -270,7 +270,7 @@ proptest! {
         });
         let degree = (0..n_pages).map(|_| 1 + page(&mut rng)).collect();
         let ranks = (0..n_pages).map(|_| rng.uniform()).collect();
-        let params = RankParams { ranks: Arc::new(ranks), out_degree: Arc::new(degree) };
+        let params = RankParams::new(Arc::new(ranks), Arc::new(degree));
         check(&PageRankApp::new(n_pages), &params, &data, 8, extra, skew);
     }
 }

@@ -108,6 +108,55 @@ fn bench_local_reduce(c: &mut Criterion) {
     g.bench_function("pagerank_100k_pages", |b| {
         b.iter(|| black_box(fold(&pr, &params, &gmeta, &gbuf).values()[0]))
     });
+
+    // pagerank at perfbench's 2M pages: the 16 MB robj and the 16 MB
+    // per-page array each edge reads are past a 2 MiB L2, where the 100k
+    // row's 0.8 MB fit. One robj takes chunk after chunk, as a slave's
+    // does, cycling through 16 chunks.
+    let big = GraphSpec {
+        n_pages: 2_000_000,
+        n_files: 1,
+        edges_per_file: 16 * UNITS,
+        edges_per_chunk: UNITS,
+        seed: 4,
+    };
+    let big_layout = big.layout();
+    let big_pr = PageRankApp::new(big.n_pages);
+    let big_params = RankParams::uniform(Arc::new(big.out_degrees(&big_layout)));
+    let big_chunks: Vec<(ChunkMeta, Vec<u8>)> = big_layout
+        .chunks
+        .iter()
+        .map(|meta| {
+            let mut buf = vec![0u8; meta.len as usize];
+            (big.fill())(meta, &mut buf);
+            (*meta, buf)
+        })
+        .collect();
+    let mut robj = big_pr.init(&big_params);
+    let mut next = big_chunks.iter().cycle();
+    g.sample_size(3 * big_chunks.len());
+    g.bench_function("pagerank_2m_pages", |b| {
+        b.iter(|| {
+            let (meta, buf) = next.next().expect("a cycle never ends");
+            let units = big_pr.fold_chunk(&big_params, &mut robj, meta, buf);
+            assert_eq!(units, Ok(meta.units));
+            black_box(robj.values()[0])
+        })
+    });
+    g.finish();
+
+    // The per-pass cost of a pagerank pass's params at 2M pages: an
+    // iterating driver builds them once per pass.
+    let mut g = c.benchmark_group("pagerank_params");
+    g.throughput(Throughput::Elements(big.n_pages as u64));
+    let ranks = Arc::new(vec![1.0 / big.n_pages as f64; big.n_pages as usize]);
+    let out_degree = Arc::clone(big_params.out_degree());
+    g.bench_function("new_2m_pages", |b| {
+        b.iter(|| {
+            let p = RankParams::new(Arc::clone(&ranks), Arc::clone(&out_degree));
+            black_box(p.shares()[0])
+        })
+    });
     g.finish();
 }
 

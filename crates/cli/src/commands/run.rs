@@ -256,19 +256,16 @@ pub fn run(args: &Args) -> Result<String, CmdError> {
                 let out = run_gr(&app, &params, &layout, &placement, &deployment, &cfg)
                     .map_err(|e| CmdError::Other(e.to_string()))?;
                 let ranks = next_ranks(&out.result, &params);
-                let delta = rank_delta(&ranks, &params.ranks);
+                let delta = rank_delta(&ranks, params.ranks());
                 let _ = writeln!(s, "  pass {pass}: delta {delta:.3e}");
-                params = RankParams {
-                    ranks: Arc::new(ranks),
-                    out_degree: Arc::clone(&params.out_degree),
-                };
+                params = RankParams::new(Arc::new(ranks), Arc::clone(params.out_degree()));
                 last_report = Some(out.report);
                 if delta < 1e-8 {
                     let _ = writeln!(s, "  converged");
                     break;
                 }
             }
-            let mut top: Vec<(usize, f64)> = params.ranks.iter().copied().enumerate().collect();
+            let mut top: Vec<(usize, f64)> = params.ranks().iter().copied().enumerate().collect();
             top.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
             for (page, rank) in top.into_iter().take(5) {
                 let _ = writeln!(s, "  page {page:>8}  rank {rank:.6}");

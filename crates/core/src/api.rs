@@ -104,14 +104,18 @@ pub trait GRApp: Send + Sync + 'static {
 }
 
 /// Why a chunk's bytes cannot be folded: they disagree with the chunk's
-/// index entry. The organizer never writes such a chunk, so this is a
-/// wrong unit size or a stale index, not a transient fault.
+/// index entry, or a record holds a value the app cannot take. The
+/// organizer never writes such a chunk, so this is a wrong unit size, a
+/// stale index or data for other params, not a transient fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
     /// `len` bytes are not a whole number of `unit_bytes`-byte records.
     Ragged { len: u64, unit_bytes: u64 },
     /// The chunk holds `found` records; its index entry says `expected`.
     UnitCount { expected: u64, found: u64 },
+    /// Record `record` (counted from 0 in the chunk) holds `value`, which
+    /// must be below `limit` (e.g. an edge to a page past the graph).
+    OutOfRange { record: u64, value: u64, limit: u64 },
 }
 
 impl fmt::Display for DecodeError {
@@ -124,6 +128,14 @@ impl fmt::Display for DecodeError {
             DecodeError::UnitCount { expected, found } => write!(
                 f,
                 "unit count mismatch: the index says {expected}, the chunk holds {found}"
+            ),
+            DecodeError::OutOfRange {
+                record,
+                value,
+                limit,
+            } => write!(
+                f,
+                "record {record} holds {value}, out of range: must be below {limit}"
             ),
         }
     }

@@ -325,10 +325,23 @@ fn get_report(r: &mut WireReader<'_>) -> Result<ClusterAccount, WireError> {
     })
 }
 
+/// Exact encoded size of [`put_report`]'s output.
+fn report_len(r: &ClusterAccount) -> usize {
+    let error = r.error.as_ref().map_or(0, |e| 4 + e.len());
+    4 + 64 * r.slaves.len() + 5 * 8 + 1 + error
+}
+
 impl Message {
     /// Encode the payload (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
+        self.put(&mut w);
+        w.into_payload()
+    }
+
+    /// Append the payload to `w`: the one body behind [`Message::encode`]
+    /// and [`Message::encode_frame`].
+    fn put(&self, w: &mut WireWriter) {
         match self {
             Message::Hello {
                 version,
@@ -397,14 +410,17 @@ impl Message {
                 w.put_u64(*seq);
             }
             Message::RobjShip { robj, report } => {
+                // One allocation of the final size: a pagerank robj is
+                // 16 MB, and regrowing a buffer that size faults in fresh
+                // pages on every doubling.
+                w.buf.reserve(1 + 4 + robj.len() + report_len(report));
                 w.put_u8(TAG_ROBJ_SHIP);
                 w.put_bytes(robj);
-                put_report(&mut w, report);
+                put_report(w, report);
             }
             Message::ShipAck => w.put_u8(TAG_SHIP_ACK),
             Message::Goodbye => w.put_u8(TAG_GOODBYE),
         }
-        w.into_payload()
     }
 
     /// Decode a payload (no length prefix). Rejects trailing bytes.
@@ -479,14 +495,19 @@ impl Message {
     /// frame anyway, so the sender must get a clear error (e.g. "robj too
     /// large to ship") instead of a confusing peer loss. The cap also
     /// guards the `u32` length prefix (`MAX_FRAME_BYTES` < `u32::MAX`).
+    ///
+    /// The payload is written behind 4 placeholder bytes in the same buffer
+    /// and the prefix patched in after, so a frame is never copied.
     pub fn encode_frame(&self) -> Result<Vec<u8>, WireError> {
-        let payload = self.encode();
-        if payload.len() > MAX_FRAME_BYTES {
-            return Err(WireError::FrameTooLarge(payload.len()));
+        let mut w = WireWriter::new();
+        w.put_u32(0);
+        self.put(&mut w);
+        let mut frame = w.into_payload();
+        let len = frame.len() - 4;
+        if len > MAX_FRAME_BYTES {
+            return Err(WireError::FrameTooLarge(len));
         }
-        let mut frame = Vec::with_capacity(4 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
         Ok(frame)
     }
 }
@@ -551,6 +572,25 @@ mod tests {
         match m.encode_frame() {
             Err(WireError::FrameTooLarge(n)) => assert!(n > MAX_FRAME_BYTES),
             other => panic!("expected FrameTooLarge, got {:?}", other.map(|f| f.len())),
+        }
+    }
+
+    /// A `RobjShip` frame is reserved at its final size, so encoding a
+    /// large robj never regrows the buffer. (`crates/net/tests/codec.rs`
+    /// checks every variant's frame against its payload.)
+    #[test]
+    fn robj_ship_frame_is_sized_exactly() {
+        let report = ClusterAccount {
+            slaves: vec![SlaveStats::default(); 2],
+            error: Some("chunk 3 of f: bad".into()),
+            ..ClusterAccount::default()
+        };
+        for (robj, report) in [
+            (vec![7u8; 100_000], report),
+            (Vec::new(), ClusterAccount::default()),
+        ] {
+            let frame = Message::RobjShip { robj, report }.encode_frame().unwrap();
+            assert_eq!(frame.capacity(), frame.len());
         }
     }
 

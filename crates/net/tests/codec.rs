@@ -49,7 +49,8 @@ fn arb_report(
     }
 }
 
-/// Frame-level round trip shared by every case below.
+/// Frame-level round trip shared by every case below, which between them
+/// cover every `Message` variant.
 fn round_trip(msg: Message) {
     let frame = msg.encode_frame().expect("within frame cap");
     let (back, used) = decode_framed(&frame)
@@ -57,8 +58,12 @@ fn round_trip(msg: Message) {
         .expect("complete frame");
     assert_eq!(back, msg);
     assert_eq!(used, frame.len(), "frame fully consumed");
+    // The frame is the payload behind its `u32` LE length.
+    let payload = msg.encode();
+    assert_eq!(frame[..4], (payload.len() as u32).to_le_bytes());
+    assert_eq!(frame[4..], payload[..]);
     // And the payload decoder rejects trailing garbage.
-    let mut padded = msg.encode();
+    let mut padded = payload;
     padded.push(0);
     assert_eq!(Message::decode(&padded), Err(WireError::Trailing(1)));
 }

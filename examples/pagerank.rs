@@ -62,17 +62,14 @@ fn main() {
         )
         .expect("run");
         let ranks = next_ranks(&out.result, &params);
-        let delta = rank_delta(&ranks, &params.ranks);
+        let delta = rank_delta(&ranks, params.ranks());
         println!(
             "{pass:>4}  {delta:<12.6e}  {:>7.3}  {:>13.3}  {:>8.2}",
             out.report.total_s,
             out.report.global_reduction_s,
             out.report.robj_bytes as f64 / 1e6,
         );
-        params = RankParams {
-            ranks: Arc::new(ranks),
-            out_degree: Arc::clone(&params.out_degree),
-        };
+        params = RankParams::new(Arc::new(ranks), Arc::clone(params.out_degree()));
         if delta < 1e-6 {
             println!("converged after {pass} passes");
             break;
@@ -82,12 +79,13 @@ fn main() {
     // Top pages. (The generator skews *out*-degree, not in-degree, so
     // ranks are fairly flat — the interesting output of this example is the
     // cost table above, not the ranking itself.)
-    let mut indexed: Vec<(usize, f64)> = params.ranks.iter().copied().enumerate().collect();
+    let mut indexed: Vec<(usize, f64)> = params.ranks().iter().copied().enumerate().collect();
     indexed.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
     println!("\ntop 10 pages by rank:");
     for (page, rank) in indexed.iter().take(10) {
         println!("  page {page:>6}  rank {rank:.6}");
     }
-    let mass: f64 = params.ranks.iter().sum();
+    let mass: f64 = params.ranks().iter().sum();
     println!("total rank mass: {mass:.9} (must be 1)");
+    assert!((mass - 1.0).abs() <= 1e-9, "rank mass {mass} is not 1");
 }

@@ -153,14 +153,8 @@ fn pagerank_multipass_matches_reference() {
         assert!(delta < 1e-9, "pass {pass}: distributed diverged by {delta}");
         let total: f64 = dist_ranks.iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "pass {pass}: mass {total}");
-        dist_params = RankParams {
-            ranks: Arc::new(dist_ranks),
-            out_degree: Arc::clone(&out_degree),
-        };
-        ref_params = RankParams {
-            ranks: Arc::new(ref_ranks),
-            out_degree: Arc::clone(&out_degree),
-        };
+        dist_params = RankParams::new(Arc::new(dist_ranks), Arc::clone(&out_degree));
+        ref_params = RankParams::new(Arc::new(ref_ranks), Arc::clone(&out_degree));
     }
 }
 
