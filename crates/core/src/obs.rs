@@ -20,7 +20,9 @@
 //!
 //! * [`EventKind`] / [`EventRecord`] — the event taxonomy (timestamps are
 //!   monotonic nanoseconds since run start; simulated runs use virtual
-//!   nanoseconds, making the two directly comparable).
+//!   nanoseconds, making the two directly comparable). One table, the
+//!   `event_kinds!` invocation below, is the one place a kind is added: its
+//!   row gives the variant, the `ev` name and the JSONL payload fields.
 //! * [`EventSink`] + [`SinkHandle`] — the emission interface. A disabled
 //!   handle (the default) costs one branch per call site.
 //! * [`Clock`] + [`RecordingSink`] — the sink buffers events in memory,
@@ -77,113 +79,117 @@ pub const GANTT_LEGEND: &str = "█ process, ▒ fetch, ░ stall, ◆ robj, · 
 // Event taxonomy
 // ---------------------------------------------------------------------------
 
-/// What happened. Payload integers are the *same* measured values that
-/// feed [`RunReport`], so aggregates derived
-/// from events match the report exactly (see [`TraceSummary::reconcile`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
+/// Declares the event taxonomy from one table. A row reads
+/// `Kind "ev_name" { field: u64, flag: bool }` (no braces: no payload)
+/// and yields the [`EventKind`] variant, its [`EventKind::name`], and its
+/// arms of the JSONL codec, which writes and reads the payload fields in
+/// declaration order.
+macro_rules! event_kinds {
+    ($(
+        $(#[$doc:meta])*
+        $kind:ident $name:literal $({ $($field:ident: $ty:ty),* $(,)? })?
+    ),* $(,)?) => {
+        /// What happened. Payload integers are the *same* measured values that
+        /// feed [`RunReport`], so aggregates derived
+        /// from events match the report exactly (see [`TraceSummary::reconcile`]).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum EventKind {
+            $( $(#[$doc])* $kind $({ $($field: $ty),* })?, )*
+        }
+
+        impl EventKind {
+            /// Stable snake_case name used in the JSONL `ev` field.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( EventKind::$kind { .. } => $name, )*
+                }
+            }
+
+            /// Append the payload fields, in declaration order.
+            fn write_fields(self, pairs: &mut Vec<(String, Value)>) {
+                match self {
+                    $( EventKind::$kind { $($($field,)*)? } => {
+                        $($( pairs.push((stringify!($field).into(), $field.value())); )*)?
+                    } )*
+                }
+            }
+
+            /// The kind named `ev`, its payload read from `v`.
+            fn read_fields(ev: &str, v: &Value) -> Result<EventKind, String> {
+                Ok(match ev {
+                    $( $name => EventKind::$kind {
+                        $($($field: <$ty as Field>::get(v, stringify!($field))?,)*)?
+                    }, )*
+                    other => return Err(format!("unknown event kind `{other}`")),
+                })
+            }
+        }
+    };
+}
+
+event_kinds! {
     /// The head granted a job lease (cluster/slave = the grantee's master).
-    JobAssigned { chunk: u64, stolen: bool },
+    JobAssigned "job_assigned" { chunk: u64, stolen: bool },
     /// A remote-file grant: the grantee will read a chunk homed elsewhere.
-    Steal { chunk: u64 },
+    Steal "steal" { chunk: u64 },
     /// A lease went back to the pool. `charged` means the job's failure
     /// budget was debited (a real failure); uncharged releases are
     /// never-attempted prefetch leases returned at retirement.
-    LeaseReleased { chunk: u64, charged: bool },
+    LeaseReleased "lease_released" { chunk: u64, charged: bool },
     /// A slave's fetcher began retrieving a chunk.
-    FetchStart { chunk: u64 },
+    FetchStart "fetch_start" { chunk: u64 },
     /// Retrieval finished: `bytes` delivered, `remote` = crossed the
     /// cluster boundary, `ns` = retrieval duration.
-    FetchEnd {
-        chunk: u64,
-        bytes: u64,
-        remote: bool,
-        ns: u64,
-    },
+    FetchEnd "fetch_end" { chunk: u64, bytes: u64, remote: bool, ns: u64 },
     /// Retrieval failed terminally (all retries exhausted / deadline hit);
     /// `ns` is the time the fetcher spent before giving up (it still counts
     /// toward the cluster's retrieval time, exactly as in the report).
-    FetchFailed { chunk: u64, ns: u64 },
+    FetchFailed "fetch_failed" { chunk: u64, ns: u64 },
     /// Retrieval completed but the retiring slave never folded the chunk;
     /// its lease goes back uncharged. Terminal for fetch pairing, counted
     /// in no aggregate.
-    FetchDiscarded { chunk: u64 },
+    FetchDiscarded "fetch_discarded" { chunk: u64 },
     /// The fold thread waited `ns` for the fetch pipeline to deliver
     /// (the per-cluster `fetch_stall_s` is the per-core mean of these).
-    Stall { ns: u64 },
+    Stall "stall" { ns: u64 },
     /// Local reduction over a chunk began. A `ProcessStart` with no
     /// `ProcessEnd` is a chunk the app rejected before folding any of it
     /// (`DecodeError`); its lease goes back charged.
-    ProcessStart { chunk: u64 },
+    ProcessStart "process_start" { chunk: u64 },
     /// Local reduction finished: `units` folded in `ns`. `stolen` tags
     /// jobs that were granted off another cluster's files.
-    ProcessEnd {
-        chunk: u64,
-        units: u64,
-        ns: u64,
-        stolen: bool,
-    },
+    ProcessEnd "process_end" { chunk: u64, units: u64, ns: u64, stolen: bool },
     /// A ranged GET is being retried (`attempt` starts at 1).
-    Retry { attempt: u64 },
+    Retry "retry" { attempt: u64 },
     /// A slave stopped pulling work; `killed` distinguishes scheduled
     /// fail-stops from failure-threshold retirements.
-    SlaveRetired { killed: bool },
+    SlaveRetired "slave_retired" { killed: bool },
     /// A cluster's reduction object reached the head: `bytes` shipped,
     /// `ns` spent on the (WAN) transfer.
-    RobjMerge { bytes: u64, ns: u64 },
+    RobjMerge "robj_merge" { bytes: u64, ns: u64 },
     /// Iterative-run chunk cache served `bytes` from memory.
-    CacheHit { bytes: u64 },
+    CacheHit "cache_hit" { bytes: u64 },
     /// Iterative-run chunk cache went to the backing store for `bytes`.
-    CacheMiss { bytes: u64 },
+    CacheMiss "cache_miss" { bytes: u64 },
     /// The storage fault-injection layer forced a failure.
-    FaultInjected,
+    FaultInjected "fault_injected",
     /// An iterative run crossed into pass `pass` (0-based).
-    PassBoundary { pass: u64 },
+    PassBoundary "pass_boundary" { pass: u64 },
     /// A master asked the head for more work with `queue_len` jobs left.
-    MasterRefill { queue_len: u64 },
+    MasterRefill "master_refill" { queue_len: u64 },
     /// A control-plane frame of `bytes` was written to a network peer
     /// (distributed runs only; `cluster` identifies the peer on the head
     /// side, the emitting cluster on the worker side).
-    NetSent { bytes: u64 },
+    NetSent "net_sent" { bytes: u64 },
     /// A control-plane frame of `bytes` was read from a network peer.
-    NetRecv { bytes: u64 },
+    NetRecv "net_recv" { bytes: u64 },
     /// A worker completed the handshake and joined the run with `cores`
     /// slave cores.
-    PeerJoined { cores: u64 },
+    PeerJoined "peer_joined" { cores: u64 },
     /// A worker was declared lost (socket error or missed heartbeats);
     /// `jobs` of its work — leases *and* unshipped completions — were
     /// returned to the pool.
-    PeerLost { jobs: u64 },
-}
-
-impl EventKind {
-    /// Stable snake_case name used in the JSONL `ev` field.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::JobAssigned { .. } => "job_assigned",
-            EventKind::Steal { .. } => "steal",
-            EventKind::LeaseReleased { .. } => "lease_released",
-            EventKind::FetchStart { .. } => "fetch_start",
-            EventKind::FetchEnd { .. } => "fetch_end",
-            EventKind::FetchFailed { .. } => "fetch_failed",
-            EventKind::FetchDiscarded { .. } => "fetch_discarded",
-            EventKind::Stall { .. } => "stall",
-            EventKind::ProcessStart { .. } => "process_start",
-            EventKind::ProcessEnd { .. } => "process_end",
-            EventKind::Retry { .. } => "retry",
-            EventKind::SlaveRetired { .. } => "slave_retired",
-            EventKind::RobjMerge { .. } => "robj_merge",
-            EventKind::CacheHit { .. } => "cache_hit",
-            EventKind::CacheMiss { .. } => "cache_miss",
-            EventKind::FaultInjected => "fault_injected",
-            EventKind::PassBoundary { .. } => "pass_boundary",
-            EventKind::MasterRefill { .. } => "master_refill",
-            EventKind::NetSent { .. } => "net_sent",
-            EventKind::NetRecv { .. } => "net_recv",
-            EventKind::PeerJoined { .. } => "peer_joined",
-            EventKind::PeerLost { .. } => "peer_lost",
-        }
-    }
+    PeerLost "peer_lost" { jobs: u64 },
 }
 
 /// One timestamped event. `cluster`/`slave` are omitted where the event
@@ -335,200 +341,75 @@ impl EventSink for RecordingSink {
 // JSONL encode / decode
 // ---------------------------------------------------------------------------
 
-fn u(n: u64) -> Value {
-    Value::Number(Number::U64(n))
+/// A payload field type of the JSONL codec.
+trait Field: Sized {
+    fn value(self) -> Value;
+    /// Read `key` from the object `v`.
+    fn get(v: &Value, key: &str) -> Result<Self, String>;
+}
+
+impl Field for u64 {
+    fn value(self) -> Value {
+        Value::Number(Number::U64(self))
+    }
+
+    fn get(v: &Value, key: &str) -> Result<u64, String> {
+        let field = v.get(key).ok_or_else(|| format!("missing `{key}`"))?;
+        match field.as_number().map_err(|e| e.to_string())? {
+            Number::U64(n) => Ok(*n),
+            Number::I64(n) if *n >= 0 => Ok(*n as u64),
+            _ => Err(format!("`{key}` is not a non-negative integer")),
+        }
+    }
+}
+
+impl Field for bool {
+    fn value(self) -> Value {
+        Value::Bool(self)
+    }
+
+    fn get(v: &Value, key: &str) -> Result<bool, String> {
+        match v.get(key) {
+            Some(Value::Bool(b)) => Ok(*b),
+            Some(other) => Err(format!("`{key}` should be bool, got {}", other.kind())),
+            None => Err(format!("missing `{key}`")),
+        }
+    }
 }
 
 impl EventRecord {
     /// The event as a JSON object (one JSONL line, sans newline).
     pub fn to_value(&self) -> Value {
-        let mut pairs: Vec<(String, Value)> = vec![("t_ns".into(), u(self.t_ns))];
+        let mut pairs: Vec<(String, Value)> = vec![("t_ns".into(), self.t_ns.value())];
         if let Some(c) = self.cluster {
-            pairs.push(("cluster".into(), u(c as u64)));
+            pairs.push(("cluster".into(), (c as u64).value()));
         }
         if let Some(s) = self.slave {
-            pairs.push(("slave".into(), u(s as u64)));
+            pairs.push(("slave".into(), (s as u64).value()));
         }
         pairs.push(("ev".into(), Value::String(self.kind.name().into())));
-        match self.kind {
-            EventKind::JobAssigned { chunk, stolen } => {
-                pairs.push(("chunk".into(), u(chunk)));
-                pairs.push(("stolen".into(), Value::Bool(stolen)));
-            }
-            EventKind::Steal { chunk }
-            | EventKind::FetchStart { chunk }
-            | EventKind::FetchDiscarded { chunk }
-            | EventKind::ProcessStart { chunk } => {
-                pairs.push(("chunk".into(), u(chunk)));
-            }
-            EventKind::FetchFailed { chunk, ns } => {
-                pairs.push(("chunk".into(), u(chunk)));
-                pairs.push(("ns".into(), u(ns)));
-            }
-            EventKind::LeaseReleased { chunk, charged } => {
-                pairs.push(("chunk".into(), u(chunk)));
-                pairs.push(("charged".into(), Value::Bool(charged)));
-            }
-            EventKind::FetchEnd {
-                chunk,
-                bytes,
-                remote,
-                ns,
-            } => {
-                pairs.push(("chunk".into(), u(chunk)));
-                pairs.push(("bytes".into(), u(bytes)));
-                pairs.push(("remote".into(), Value::Bool(remote)));
-                pairs.push(("ns".into(), u(ns)));
-            }
-            EventKind::Stall { ns } => pairs.push(("ns".into(), u(ns))),
-            EventKind::ProcessEnd {
-                chunk,
-                units,
-                ns,
-                stolen,
-            } => {
-                pairs.push(("chunk".into(), u(chunk)));
-                pairs.push(("units".into(), u(units)));
-                pairs.push(("ns".into(), u(ns)));
-                pairs.push(("stolen".into(), Value::Bool(stolen)));
-            }
-            EventKind::Retry { attempt } => pairs.push(("attempt".into(), u(attempt))),
-            EventKind::SlaveRetired { killed } => {
-                pairs.push(("killed".into(), Value::Bool(killed)));
-            }
-            EventKind::RobjMerge { bytes, ns } => {
-                pairs.push(("bytes".into(), u(bytes)));
-                pairs.push(("ns".into(), u(ns)));
-            }
-            EventKind::CacheHit { bytes } | EventKind::CacheMiss { bytes } => {
-                pairs.push(("bytes".into(), u(bytes)));
-            }
-            EventKind::FaultInjected => {}
-            EventKind::PassBoundary { pass } => pairs.push(("pass".into(), u(pass))),
-            EventKind::MasterRefill { queue_len } => {
-                pairs.push(("queue_len".into(), u(queue_len)));
-            }
-            EventKind::NetSent { bytes } | EventKind::NetRecv { bytes } => {
-                pairs.push(("bytes".into(), u(bytes)));
-            }
-            EventKind::PeerJoined { cores } => pairs.push(("cores".into(), u(cores))),
-            EventKind::PeerLost { jobs } => pairs.push(("jobs".into(), u(jobs))),
-        }
+        self.kind.write_fields(&mut pairs);
         Value::Object(pairs)
     }
 
     /// Parse one JSONL line's object back into an event.
     pub fn from_value(v: &Value) -> Result<EventRecord, String> {
-        fn get_u64(v: &Value, key: &str) -> Result<u64, String> {
-            let field = v.get(key).ok_or_else(|| format!("missing `{key}`"))?;
-            match field.as_number().map_err(|e| e.to_string())? {
-                Number::U64(n) => Ok(*n),
-                Number::I64(n) if *n >= 0 => Ok(*n as u64),
-                _ => Err(format!("`{key}` is not a non-negative integer")),
-            }
-        }
-        fn get_bool(v: &Value, key: &str) -> Result<bool, String> {
-            match v.get(key) {
-                Some(Value::Bool(b)) => Ok(*b),
-                Some(other) => Err(format!("`{key}` should be bool, got {}", other.kind())),
-                None => Err(format!("missing `{key}`")),
-            }
-        }
-        let t_ns = get_u64(v, "t_ns")?;
-        let cluster = match v.get("cluster") {
-            Some(_) => Some(get_u64(v, "cluster")?),
-            None => None,
+        let scope = |key| match v.get(key) {
+            Some(_) => u64::get(v, key).map(|n| Some(n as u32)),
+            None => Ok(None),
         };
-        let slave = match v.get("slave") {
-            Some(_) => Some(get_u64(v, "slave")?),
-            None => None,
-        };
+        let t_ns = u64::get(v, "t_ns")?;
+        let cluster = scope("cluster")?;
+        let slave = scope("slave")?;
         let ev = match v.get("ev") {
             Some(Value::String(s)) => s.as_str(),
             _ => return Err("missing or non-string `ev`".into()),
         };
-        let kind = match ev {
-            "job_assigned" => EventKind::JobAssigned {
-                chunk: get_u64(v, "chunk")?,
-                stolen: get_bool(v, "stolen")?,
-            },
-            "steal" => EventKind::Steal {
-                chunk: get_u64(v, "chunk")?,
-            },
-            "lease_released" => EventKind::LeaseReleased {
-                chunk: get_u64(v, "chunk")?,
-                charged: get_bool(v, "charged")?,
-            },
-            "fetch_start" => EventKind::FetchStart {
-                chunk: get_u64(v, "chunk")?,
-            },
-            "fetch_end" => EventKind::FetchEnd {
-                chunk: get_u64(v, "chunk")?,
-                bytes: get_u64(v, "bytes")?,
-                remote: get_bool(v, "remote")?,
-                ns: get_u64(v, "ns")?,
-            },
-            "fetch_failed" => EventKind::FetchFailed {
-                chunk: get_u64(v, "chunk")?,
-                ns: get_u64(v, "ns")?,
-            },
-            "fetch_discarded" => EventKind::FetchDiscarded {
-                chunk: get_u64(v, "chunk")?,
-            },
-            "stall" => EventKind::Stall {
-                ns: get_u64(v, "ns")?,
-            },
-            "process_start" => EventKind::ProcessStart {
-                chunk: get_u64(v, "chunk")?,
-            },
-            "process_end" => EventKind::ProcessEnd {
-                chunk: get_u64(v, "chunk")?,
-                units: get_u64(v, "units")?,
-                ns: get_u64(v, "ns")?,
-                stolen: get_bool(v, "stolen")?,
-            },
-            "retry" => EventKind::Retry {
-                attempt: get_u64(v, "attempt")?,
-            },
-            "slave_retired" => EventKind::SlaveRetired {
-                killed: get_bool(v, "killed")?,
-            },
-            "robj_merge" => EventKind::RobjMerge {
-                bytes: get_u64(v, "bytes")?,
-                ns: get_u64(v, "ns")?,
-            },
-            "cache_hit" => EventKind::CacheHit {
-                bytes: get_u64(v, "bytes")?,
-            },
-            "cache_miss" => EventKind::CacheMiss {
-                bytes: get_u64(v, "bytes")?,
-            },
-            "fault_injected" => EventKind::FaultInjected,
-            "pass_boundary" => EventKind::PassBoundary {
-                pass: get_u64(v, "pass")?,
-            },
-            "master_refill" => EventKind::MasterRefill {
-                queue_len: get_u64(v, "queue_len")?,
-            },
-            "net_sent" => EventKind::NetSent {
-                bytes: get_u64(v, "bytes")?,
-            },
-            "net_recv" => EventKind::NetRecv {
-                bytes: get_u64(v, "bytes")?,
-            },
-            "peer_joined" => EventKind::PeerJoined {
-                cores: get_u64(v, "cores")?,
-            },
-            "peer_lost" => EventKind::PeerLost {
-                jobs: get_u64(v, "jobs")?,
-            },
-            other => return Err(format!("unknown event kind `{other}`")),
-        };
         Ok(EventRecord {
             t_ns,
-            cluster: cluster.map(|c| c as u32),
-            slave: slave.map(|s| s as u32),
-            kind,
+            cluster,
+            slave,
+            kind: EventKind::read_fields(ev, v)?,
         })
     }
 }
@@ -539,7 +420,7 @@ pub fn encode_jsonl(events: &[EventRecord]) -> String {
     let mut out = String::new();
     let header = Value::Object(vec![
         ("schema".into(), Value::String(SCHEMA_NAME.into())),
-        ("v".into(), u(SCHEMA_VERSION)),
+        ("v".into(), SCHEMA_VERSION.value()),
     ]);
     out.push_str(&header.render_compact());
     out.push('\n');
@@ -598,26 +479,9 @@ pub fn check_invariants(events: &[EventRecord]) -> Result<(), String> {
         let key = (e.cluster, e.slave);
         match e.kind {
             EventKind::FetchStart { chunk } => open.entry(key).or_default().push(chunk),
-            EventKind::FetchEnd { chunk, ns, .. } => {
-                let inflight = open.entry(key).or_default();
-                match inflight.iter().rposition(|&c| c == chunk) {
-                    Some(i) => {
-                        inflight.remove(i);
-                    }
-                    None => {
-                        return Err(format!(
-                            "fetch_end for chunk {chunk} on {key:?} without fetch_start"
-                        ))
-                    }
-                }
-                if ns > e.t_ns {
-                    return Err(format!(
-                        "fetch_end duration {ns}ns precedes run start (t_ns={})",
-                        e.t_ns
-                    ));
-                }
-            }
-            EventKind::FetchFailed { chunk, .. } | EventKind::FetchDiscarded { chunk } => {
+            EventKind::FetchEnd { chunk, .. }
+            | EventKind::FetchFailed { chunk, .. }
+            | EventKind::FetchDiscarded { chunk } => {
                 let inflight = open.entry(key).or_default();
                 match inflight.iter().rposition(|&c| c == chunk) {
                     Some(i) => {
@@ -628,6 +492,14 @@ pub fn check_invariants(events: &[EventRecord]) -> Result<(), String> {
                             "{} for chunk {chunk} on {key:?} without fetch_start",
                             e.kind.name()
                         ))
+                    }
+                }
+                if let EventKind::FetchEnd { ns, .. } = e.kind {
+                    if ns > e.t_ns {
+                        return Err(format!(
+                            "fetch_end duration {ns}ns precedes run start (t_ns={})",
+                            e.t_ns
+                        ));
                     }
                 }
             }
@@ -1188,9 +1060,9 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn jsonl_round_trips_every_kind() {
-        let events: Vec<EventRecord> = all_kinds()
+    /// One record per kind, with and without `cluster` / `slave`.
+    fn every_kind_events() -> Vec<EventRecord> {
+        all_kinds()
             .into_iter()
             .enumerate()
             .map(|(i, k)| EventRecord {
@@ -1199,11 +1071,93 @@ mod tests {
                 slave: if i % 2 == 0 { None } else { Some(1) },
                 kind: k,
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn jsonl_round_trips_every_kind() {
+        let events = every_kind_events();
         let text = encode_jsonl(&events);
         assert!(text.starts_with("{\"schema\":\"cloudburst-trace\",\"v\":1}"));
         let back = decode_jsonl(&text).unwrap();
         assert_eq!(back, events);
+    }
+
+    /// The exact trace bytes, field order included: a renamed or
+    /// reordered field would still round-trip, but breaks every reader of
+    /// traces already written.
+    #[test]
+    fn jsonl_bytes_are_pinned_for_every_kind() {
+        let want = r#"{"schema":"cloudburst-trace","v":1}
+{"t_ns":1000000,"ev":"job_assigned","chunk":3,"stolen":true}
+{"t_ns":1000001,"cluster":1,"slave":1,"ev":"steal","chunk":3}
+{"t_ns":1000002,"cluster":2,"ev":"lease_released","chunk":4,"charged":false}
+{"t_ns":1000003,"slave":1,"ev":"fetch_start","chunk":5}
+{"t_ns":1000004,"cluster":4,"ev":"fetch_end","chunk":5,"bytes":1048576,"remote":true,"ns":12345}
+{"t_ns":1000005,"cluster":5,"slave":1,"ev":"fetch_failed","chunk":6,"ns":42}
+{"t_ns":1000006,"ev":"fetch_discarded","chunk":8}
+{"t_ns":1000007,"cluster":7,"slave":1,"ev":"stall","ns":99}
+{"t_ns":1000008,"cluster":8,"ev":"process_start","chunk":5}
+{"t_ns":1000009,"slave":1,"ev":"process_end","chunk":5,"units":4096,"ns":777,"stolen":false}
+{"t_ns":1000010,"cluster":10,"ev":"retry","attempt":2}
+{"t_ns":1000011,"cluster":11,"slave":1,"ev":"slave_retired","killed":true}
+{"t_ns":1000012,"ev":"robj_merge","bytes":64,"ns":1000}
+{"t_ns":1000013,"cluster":13,"slave":1,"ev":"cache_hit","bytes":512}
+{"t_ns":1000014,"cluster":14,"ev":"cache_miss","bytes":512}
+{"t_ns":1000015,"slave":1,"ev":"fault_injected"}
+{"t_ns":1000016,"cluster":16,"ev":"pass_boundary","pass":1}
+{"t_ns":1000017,"cluster":17,"slave":1,"ev":"master_refill","queue_len":2}
+{"t_ns":1000018,"ev":"net_sent","bytes":48}
+{"t_ns":1000019,"cluster":19,"slave":1,"ev":"net_recv","bytes":37}
+{"t_ns":1000020,"cluster":20,"ev":"peer_joined","cores":4}
+{"t_ns":1000021,"slave":1,"ev":"peer_lost","jobs":7}
+"#;
+        assert_eq!(encode_jsonl(&every_kind_events()), want);
+    }
+
+    /// `docs/OBSERVABILITY.md`'s taxonomy table names every kind, each with
+    /// the payload keys `to_value` writes after `ev` (`—`: no payload).
+    #[test]
+    fn docs_taxonomy_table_matches_the_codec() {
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        let section = doc.split("## Event taxonomy").nth(1).expect("taxonomy");
+        let ticked = |cell: &str| -> Vec<String> {
+            cell.split('`')
+                .skip(1)
+                .step_by(2)
+                .map(str::to_owned)
+                .collect()
+        };
+        let mut documented = BTreeMap::new();
+        let rows = section.lines().skip_while(|l| !l.starts_with("|---"));
+        for row in rows.skip(1).take_while(|l| l.starts_with('|')) {
+            let cells: Vec<&str> = row.split('|').collect();
+            let payload = ticked(cells[2]);
+            if payload.is_empty() {
+                assert_eq!(cells[2].trim(), "—", "{row}");
+            }
+            for ev in ticked(cells[1]) {
+                assert!(documented.insert(ev, payload.clone()).is_none(), "{row}");
+            }
+        }
+        let coded: BTreeMap<String, Vec<String>> = all_kinds()
+            .into_iter()
+            .map(|kind| {
+                let rec = EventRecord {
+                    t_ns: 0,
+                    cluster: None,
+                    slave: None,
+                    kind,
+                };
+                let Value::Object(pairs) = rec.to_value() else {
+                    panic!("an event encodes as an object")
+                };
+                let keys = pairs.into_iter().map(|(k, _)| k);
+                let payload = keys.skip_while(|k| k != "ev").skip(1).collect();
+                (kind.name().to_owned(), payload)
+            })
+            .collect();
+        assert_eq!(documented, coded);
     }
 
     #[test]
@@ -1218,6 +1172,21 @@ mod tests {
         let err = decode_jsonl(&bad_event).unwrap_err();
         assert!(err.contains("line 2"), "{err}");
         assert!(err.contains("no_such_event"), "{err}");
+        for (event, want) in [
+            (r#"{"t_ns":1}"#, "missing or non-string `ev`"),
+            (r#"{"t_ns":1,"ev":"steal"}"#, "missing `chunk`"),
+            (
+                r#"{"t_ns":1,"ev":"steal","chunk":-1}"#,
+                "`chunk` is not a non-negative integer",
+            ),
+            (
+                r#"{"t_ns":1,"ev":"slave_retired","killed":1}"#,
+                "`killed` should be bool, got number",
+            ),
+        ] {
+            let text = format!("{{\"schema\":\"cloudburst-trace\",\"v\":1}}\n{event}\n");
+            assert_eq!(decode_jsonl(&text), Err(format!("line 2: {want}")));
+        }
     }
 
     #[test]

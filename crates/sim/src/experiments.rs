@@ -6,6 +6,7 @@
 
 use crate::calib::{self, App, NetConstants};
 use crate::model::{simulate, simulate_observed};
+use cloudburst_core::combine::Moments;
 use cloudburst_core::obs::Timeline;
 use cloudburst_core::report::RunReport;
 use serde::Serialize;
@@ -616,17 +617,21 @@ pub fn seed_sensitivity(app: App, net: &NetConstants, n_seeds: u64) -> Vec<SeedS
     calib::fig3_envs(app)
         .iter()
         .map(|env| {
-            let mut stats = cb_simnet::Summary::new();
+            let mut stats = Moments::new();
+            let (mut min_s, mut max_s) = (f64::INFINITY, f64::NEG_INFINITY);
             for seed in 0..n_seeds {
                 let params = calib::build_params(app, env, net, DEFAULT_SEED + seed);
-                stats.record(simulate(params).expect("seed run").total_s);
+                let total_s = simulate(params).expect("seed run").total_s;
+                stats.observe(total_s);
+                min_s = min_s.min(total_s);
+                max_s = max_s.max(total_s);
             }
             SeedSpreadRow {
                 env: env.name.clone(),
-                min_s: stats.min(),
+                min_s,
                 mean_s: stats.mean(),
-                max_s: stats.max(),
-                cv_pct: 100.0 * stats.std_dev() / stats.mean(),
+                max_s,
+                cv_pct: 100.0 * stats.variance().sqrt() / stats.mean(),
             }
         })
         .collect()

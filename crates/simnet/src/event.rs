@@ -75,11 +75,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
-    /// Timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     pub fn len(&self) -> usize {
         self.heap.len()
     }
@@ -121,12 +116,9 @@ mod tests {
     #[test]
     fn peek_matches_pop() {
         let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
         q.push(SimTime::from_secs(9), ());
         q.push(SimTime::from_secs(4), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(4)));
-        q.pop();
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(9)));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(4), ())));
     }
 
     #[test]

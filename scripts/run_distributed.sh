@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Launch a real 3-process cloud-bursting run on localhost — one head and two
 # workers over TCP — and verify the distributed answer is byte-identical to
-# the single-process runtime on the same dataset and split.
+# the single-process runtime on the same dataset and split, then check the
+# head's event trace decodes through `cloudburst inspect trace`.
 #
 # Usage: scripts/run_distributed.sh [port]
 set -euo pipefail
@@ -31,7 +32,7 @@ echo "== single-process baseline"
 echo "== head on $ADDR + 2 workers"
 "$CB" head --listen "$ADDR" --app wordcount --index "$WORKDIR/corpus.grix" \
   --workers 2 --frac-local 0.5 --robj-out "$WORKDIR/dist.robj" \
-  > "$WORKDIR/head.log" 2>&1 &
+  --trace-out "$WORKDIR/head.jsonl" > "$WORKDIR/head.log" 2>&1 &
 HEAD_PID=$!
 
 for cluster in 0 1; do
@@ -49,3 +50,12 @@ cat "$WORKDIR/head.log"
 
 cmp "$WORKDIR/single.robj" "$WORKDIR/dist.robj"
 echo "OK: distributed result is byte-identical to the single-process run"
+
+# The head's trace holds the network kinds; it must decode and validate.
+echo "== head trace"
+"$CB" inspect trace "$WORKDIR/head.jsonl" > "$WORKDIR/inspect.log"
+head -n 1 "$WORKDIR/inspect.log"
+grep -q ': VALID ' "$WORKDIR/inspect.log"
+grep -q '"ev":"net_sent"' "$WORKDIR/head.jsonl"
+grep -q '"ev":"peer_joined"' "$WORKDIR/head.jsonl"
+echo "OK: the head's trace is VALID and carries net_sent and peer_joined events"
