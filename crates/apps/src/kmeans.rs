@@ -8,20 +8,42 @@
 //! between passes; iteration happens by re-running the framework with new
 //! [`Centroids`] params.
 //!
-//! The nearest-centroid search is the fold's hot loop. Beside the
-//! row-major centroids, [`Centroids::new`] builds a transposed copy once
-//! per pass: tiles of eight centroids, each one `[f64; 8]` row per
-//! dimension holding that coordinate of its eight centroids, with the last
-//! tile padded with NaN. [`Centroids::nearest`] walks a point's
-//! coordinates once per tile, converts each to `f64` once, and updates
-//! eight independent distance sums, which the compiler keeps in vector
-//! registers. The result is bit-identical to one scalar loop per
-//! centroid: each lane does that loop's arithmetic — start at `0.0`,
+//! The nearest-centroid search is the fold's hot loop. Both of its kernels
+//! are bit-identical to one scalar loop per centroid: start at `0.0`,
 //! `diff = x - y`, `d += diff * diff`, dimensions in order, every multiply
-//! and add rounded on its own — and the eight sums are then compared in
-//! centroid order with a strict `<` against the best so far. So the lowest
-//! index wins a tie, a point with a NaN coordinate (every sum NaN) goes to
-//! centroid 0, and a NaN pad lane never wins.
+//! and add rounded on its own, and the sums compared in centroid order
+//! with a strict `<` against the best so far. So the lowest index wins a
+//! tie, and a point with a NaN coordinate (every sum NaN) goes to
+//! centroid 0.
+//!
+//! * **Point lanes**, in [`KMeansApp::fold_chunk`]. A chunk is folded in
+//!   blocks of eight records. Each block is transposed once into a stack
+//!   buffer of `[f64; 8]` rows, one row per dimension, each coordinate
+//!   converted to `f64` once. The row-major centroids are then walked in
+//!   order, and each lane runs the scalar loop for its own point, keeping
+//!   its best centroid with a branch-free select on the same strict `<`.
+//!   Each lane *is* the scalar loop, and the block's points are then added
+//!   to the robj in record order, so the robj is bit-identical to a scalar
+//!   fold. The last `n % 8` records, and points wider than
+//!   [`BLOCK_MAX_DIM`], go through [`Centroids::nearest`] one at a time.
+//! * **Centroid lanes**, in [`Centroids::nearest`], for one point at a
+//!   time (`local_reduce`, the MapReduce adapters and
+//!   [`kmeans_reference_pass`]). Beside the row-major centroids,
+//!   [`Centroids::new`] builds a transposed copy once per pass: tiles of
+//!   eight centroids, each one `[f64; 8]` row per dimension holding that
+//!   coordinate of its eight centroids, with the last tile padded with
+//!   NaN. `nearest` walks the point once per tile and updates eight
+//!   independent sums, which it then compares in centroid order; a NaN pad
+//!   lane never wins.
+//!
+//! The block loop is one `#[inline(always)]` body compiled twice
+//! ([`BlockBody`]): at the build's target (SSE2 on plain `x86_64`, two
+//! lanes per register), and inside a `#[target_feature(enable = "avx2")]`
+//! function (four). `fold_chunk` picks the AVX2 body once per chunk when
+//! `is_x86_feature_detected!("avx2")` finds it on the running CPU. Code
+//! compiled for AVX2 is undefined behaviour on a CPU without it, so the
+//! call is `unsafe`: it is the crate's one `unsafe` block, and the check
+//! that guards it sits in the same function.
 
 use crate::points;
 use crate::{expect_records, records};
@@ -29,9 +51,55 @@ use cb_storage::layout::ChunkMeta;
 use cloudburst_core::api::{DecodeError, GRApp};
 use cloudburst_core::combine::VecSum;
 use std::borrow::Borrow;
+use std::slice::ChunksExact;
 
-/// Centroids per tile of [`Centroids`]' transposed copy.
+/// Centroids per tile of [`Centroids`]' transposed copy, and points per
+/// block of [`KMeansApp::fold_chunk`].
 const LANES: usize = 8;
+
+/// The widest point `fold_chunk`'s block kernel takes: its stack buffer
+/// holds this many `[f64; 8]` rows (2 KiB). Wider points go through
+/// [`Centroids::nearest`] one at a time.
+pub const BLOCK_MAX_DIM: usize = 32;
+
+/// The block kernel's stack buffer, one `[f64; 8]` row per dimension. A
+/// row fills one 64-byte cache line, so no vector load of it is split
+/// across two lines, wherever the stack happens to sit.
+#[repr(align(64))]
+struct Rows([[f64; LANES]; BLOCK_MAX_DIM]);
+
+/// A compilation of `fold_chunk`'s block kernel (see the module docs).
+/// [`fold_chunk`](GRApp::fold_chunk) runs [`BlockBody::fastest`];
+/// [`KMeansApp::fold_chunk_on`] runs a chosen one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BlockBody {
+    /// Compiled for the build's target.
+    Portable,
+    /// Compiled with AVX2 enabled; runs only on a CPU that has it.
+    Avx2,
+}
+
+impl BlockBody {
+    /// Whether the running CPU can run this body.
+    pub fn runs_here(self) -> bool {
+        match self {
+            BlockBody::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            BlockBody::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(not(target_arch = "x86_64"))]
+            BlockBody::Avx2 => false,
+        }
+    }
+
+    /// The fastest body the running CPU can run.
+    pub fn fastest() -> BlockBody {
+        if BlockBody::Avx2.runs_here() {
+            BlockBody::Avx2
+        } else {
+            BlockBody::Portable
+        }
+    }
+}
 
 /// Broadcast parameters of one k-means pass: the current centroids,
 /// flattened row-major (`k * dim`), and the tiled copy
@@ -148,6 +216,112 @@ impl KMeansApp {
         }
         robj.add_at(base + self.dim, 1.0);
     }
+
+    /// [`fold_chunk`](GRApp::fold_chunk) on a chosen compilation of the
+    /// block kernel. Panics if the running CPU cannot run `body`
+    /// ([`BlockBody::runs_here`]).
+    pub fn fold_chunk_on(
+        &self,
+        body: BlockBody,
+        params: &Centroids,
+        robj: &mut VecSum,
+        meta: &ChunkMeta,
+        bytes: &[u8],
+    ) -> Result<u64, DecodeError> {
+        let unit_bytes = points::unit_bytes(self.dim);
+        let recs = records(meta, bytes, unit_bytes)?;
+        if self.dim > BLOCK_MAX_DIM {
+            for rec in recs {
+                self.assign(params, robj, points::coords(rec));
+            }
+            return Ok(meta.units);
+        }
+        let blocks = bytes.chunks_exact(LANES * unit_bytes as usize);
+        let tail = blocks.remainder();
+        self.fold_blocks(body, params.flat(), robj, blocks);
+        for rec in tail.chunks_exact(unit_bytes as usize) {
+            self.assign(params, robj, points::coords(rec));
+        }
+        Ok(meta.units)
+    }
+
+    /// Run [`fold_block_body`](Self::fold_block_body) compiled as `body`.
+    #[allow(unsafe_code)]
+    fn fold_blocks(
+        &self,
+        body: BlockBody,
+        flat: &[f64],
+        robj: &mut VecSum,
+        blocks: ChunksExact<'_, u8>,
+    ) {
+        assert!(
+            body.runs_here(),
+            "{body:?} block body asked for on a CPU that cannot run it"
+        );
+        match body {
+            #[cfg(target_arch = "x86_64")]
+            BlockBody::Avx2 => {
+                /// The block body compiled with AVX2 enabled.
+                ///
+                /// # Safety
+                ///
+                /// The running CPU must have AVX2.
+                #[target_feature(enable = "avx2")]
+                unsafe fn avx2(
+                    app: &KMeansApp,
+                    flat: &[f64],
+                    robj: &mut VecSum,
+                    blocks: ChunksExact<'_, u8>,
+                ) {
+                    app.fold_block_body(flat, robj, blocks)
+                }
+                // SAFETY: `avx2` needs only AVX2 beyond the build's target,
+                // and the assert above found it on the running CPU.
+                unsafe { avx2(self, flat, robj, blocks) }
+            }
+            _ => self.fold_block_body(flat, robj, blocks),
+        }
+    }
+
+    /// Fold `blocks` of eight records each against the row-major
+    /// centroids `flat`, the points in the lanes (see the module docs).
+    #[inline(always)]
+    fn fold_block_body(&self, flat: &[f64], robj: &mut VecSum, blocks: ChunksExact<'_, u8>) {
+        let dim = self.dim;
+        let mut rows = Rows([[0.0; LANES]; BLOCK_MAX_DIM]);
+        let rows = &mut rows.0[..dim];
+        let cents = flat.chunks_exact(dim);
+        for block in blocks {
+            for (l, rec) in block.chunks_exact(block.len() / LANES).enumerate() {
+                for (row, x) in rows.iter_mut().zip(points::coords(rec)) {
+                    row[l] = x as f64;
+                }
+            }
+            let mut best = [0usize; LANES];
+            let mut best_d = [f64::INFINITY; LANES];
+            for (c, cent) in cents.clone().enumerate() {
+                let mut d = [0.0; LANES];
+                for (row, &y) in rows.iter().zip(cent) {
+                    for (dl, &x) in d.iter_mut().zip(row) {
+                        let diff = x - y;
+                        *dl += diff * diff;
+                    }
+                }
+                for l in 0..LANES {
+                    let nearer = d[l] < best_d[l];
+                    best_d[l] = if nearer { d[l] } else { best_d[l] };
+                    best[l] = if nearer { c } else { best[l] };
+                }
+            }
+            for (l, &c) in best.iter().enumerate() {
+                let base = c * (dim + 1);
+                for (j, row) in rows.iter().enumerate() {
+                    robj.add_at(base + j, row[l]);
+                }
+                robj.add_at(base + dim, 1.0);
+            }
+        }
+    }
 }
 
 impl GRApp for KMeansApp {
@@ -178,10 +352,7 @@ impl GRApp for KMeansApp {
         meta: &ChunkMeta,
         bytes: &[u8],
     ) -> Result<u64, DecodeError> {
-        for rec in records(meta, bytes, points::unit_bytes(self.dim))? {
-            self.assign(params, robj, points::coords(rec));
-        }
-        Ok(meta.units)
+        self.fold_chunk_on(BlockBody::fastest(), params, robj, meta, bytes)
     }
 }
 

@@ -64,7 +64,7 @@ impl GRApp for KnnApp {
     }
 
     fn init(&self, _params: &KnnQuery) -> TopK {
-        TopK::new(self.k)
+        TopK::with_capacity(self.k)
     }
 
     fn local_reduce(&self, params: &KnnQuery, robj: &mut TopK, unit: &IdPoint) {
@@ -106,7 +106,7 @@ pub struct TopKSet {
 impl TopKSet {
     pub fn new(queries: usize, k: usize) -> Self {
         TopKSet {
-            heaps: (0..queries).map(|_| TopK::new(k)).collect(),
+            heaps: (0..queries).map(|_| TopK::with_capacity(k)).collect(),
         }
     }
 

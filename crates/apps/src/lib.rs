@@ -27,6 +27,12 @@
 //!   Gaussian blobs, power-law web graphs, skewed word streams).
 //! * [`scenario`] — one-call construction of the paper's hybrid
 //!   local+cloud environments at laptop scale.
+//!
+//! The crate denies `unsafe` code with one exception: the call into
+//! k-means' AVX2 compilation of its block kernel ([`kmeans`]). Running
+//! code compiled for AVX2 on a CPU without it is undefined behaviour, so
+//! the call is `unsafe`; it sits behind a run-time check of the CPU, and
+//! the kernel it runs is safe code, the same body the portable build runs.
 
 #![deny(unsafe_code)]
 

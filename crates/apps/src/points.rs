@@ -10,7 +10,8 @@
 //! `BoxQuery::contains`) takes any coordinate iterator, so one function
 //! serves both a record and a decoded `Vec<f32>`. `Centroids::nearest`
 //! clones its iterator and walks it once per tile of eight centroids, not
-//! once per centroid.
+//! once per centroid. k-means' `fold_chunk` reads each record's [`coords`]
+//! once, into a block of eight points transposed on the stack.
 
 use std::borrow::Borrow;
 

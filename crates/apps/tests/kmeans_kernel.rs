@@ -1,11 +1,12 @@
-//! The tiled nearest-centroid kernel against the scalar kernel it
-//! replaced, which lives on here as the oracle: one `d += diff * diff`
-//! chain per centroid, dimensions in order, compared in centroid order
-//! with a strict `<`. `Centroids::nearest` must pick the same centroid for
-//! every point — ties and NaN included — and `KMeansApp::fold_chunk` must
-//! leave the same robj bit for bit.
+//! The nearest-centroid kernels against the scalar kernel they replaced,
+//! which lives on here as the oracle: one `d += diff * diff` chain per
+//! centroid, dimensions in order, compared in centroid order with a strict
+//! `<`. `Centroids::nearest` (centroid lanes) must pick the same centroid
+//! for every point — ties and NaN included — and `KMeansApp::fold_chunk`
+//! (point lanes, eight records per block) must leave the same robj bit for
+//! bit, in every compilation of its block body that this CPU can run.
 
-use cb_apps::kmeans::{Centroids, KMeansApp};
+use cb_apps::kmeans::{BlockBody, Centroids, KMeansApp, BLOCK_MAX_DIM};
 use cb_apps::points;
 use cb_simnet::DetRng;
 use cb_storage::layout::{ChunkId, ChunkMeta, FileId};
@@ -113,12 +114,9 @@ fn ties_go_to_the_lowest_index() {
     assert_eq!(same.nearest([0.0, 5.0]), 0);
 }
 
-/// Each distance rounds after every multiply and every add, as the scalar
-/// kernel's did: a fused multiply-add could break a tie that the scalar
-/// kernel resolves to the lower index. Centroid 1 is as far from the
-/// origin as centroid 0 when rounded twice, and nearer when fused.
-#[test]
-fn distances_are_not_fused() {
+/// Two 2-d centroids: centroid 1 is as far from the origin as centroid 0
+/// when rounded twice, and nearer when fused.
+fn fused_tie() -> Vec<f64> {
     let mut rng = DetRng::new(1);
     let (a, b) = (0..10_000)
         .find_map(|_| {
@@ -129,7 +127,15 @@ fn distances_are_not_fused() {
             (b * b == d && fused < d).then_some((a, b))
         })
         .expect("a pair whose fused distance is nearer");
-    let flat = vec![b, 0.0, a[0], a[1]];
+    vec![b, 0.0, a[0], a[1]]
+}
+
+/// Each distance rounds after every multiply and every add, as the scalar
+/// kernel's did: a fused multiply-add could break a tie that the scalar
+/// kernel resolves to the lower index.
+#[test]
+fn distances_are_not_fused() {
+    let flat = fused_tie();
     assert_eq!(scalar_nearest(&flat, 2, &[0.0, 0.0]), 0);
     assert_eq!(Centroids::new(2, flat).nearest([0.0, 0.0]), 0);
 }
@@ -199,6 +205,136 @@ proptest! {
                 let want: Vec<u64> =
                     scalar_fold(&flat, dim, &pts).iter().map(|v| v.to_bits()).collect();
                 prop_assert!(got == want, "k {} dim {}: robj differs from the scalar fold", k, dim);
+            }
+        }
+    }
+}
+
+/// Both sides of the block kernel's stack bound: the widest point it folds
+/// in blocks of eight, and the narrowest that goes one point at a time.
+const BLOCK_DIMS: [usize; 5] = [1, 3, 8, BLOCK_MAX_DIM, BLOCK_MAX_DIM + 1];
+
+/// Every compilation of the block body that this CPU can run.
+fn bodies() -> Vec<BlockBody> {
+    [BlockBody::Portable, BlockBody::Avx2]
+        .into_iter()
+        .filter(|b| b.runs_here())
+        .collect()
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The robj of `pts` folded by `fold_chunk_on(body)`, as bit patterns.
+fn block_fold(body: BlockBody, flat: &[f64], dim: usize, pts: &[f32]) -> Vec<u64> {
+    let (meta, bytes) = chunk(pts, dim);
+    let app = KMeansApp::new(dim, flat.len() / dim);
+    let params = Centroids::new(dim, flat.to_vec());
+    let mut robj = app.init(&params);
+    assert_eq!(
+        app.fold_chunk_on(body, &params, &mut robj, &meta, &bytes),
+        Ok(meta.units)
+    );
+    bits(robj.values())
+}
+
+/// A CPU with AVX2 runs both bodies here, so one host checks both.
+#[test]
+fn every_body_the_cpu_has_is_checked() {
+    let bodies = bodies();
+    assert_eq!(bodies[0], BlockBody::Portable);
+    #[cfg(target_arch = "x86_64")]
+    assert_eq!(
+        bodies.contains(&BlockBody::Avx2),
+        std::arch::is_x86_feature_detected!("avx2")
+    );
+    assert_eq!(Some(&BlockBody::fastest()), bodies.last());
+}
+
+/// Each of `ties_go_to_the_lowest_index`'s tied points, in every lane of
+/// three blocks and in a tail of three: no lane may pick the higher index.
+#[test]
+fn ties_across_lanes_and_blocks_go_to_the_lowest_index() {
+    let mut flat: Vec<f64> = (0..20).map(f64::from).collect();
+    flat[3] = 2.0;
+    flat[12] = 11.0;
+    let pts: Vec<f32> = [2.5, 7.5, 11.5, 2.0, 11.0]
+        .into_iter()
+        .cycle()
+        .take(27)
+        .collect();
+    let want = scalar_fold(&flat, 1, &pts);
+    for c in [3, 8, 12] {
+        assert_eq!(want[c * 2 + 1], 0.0, "centroid {c} won a tie");
+    }
+    for body in bodies() {
+        assert_eq!(block_fold(body, &flat, 1, &pts), bits(&want), "{body:?}");
+    }
+}
+
+/// `distances_are_not_fused` for the block kernel: the origin in every
+/// lane of a block and in a tail of one goes to centroid 0.
+#[test]
+fn block_distances_are_not_fused() {
+    let flat = fused_tie();
+    let pts = [0.0; 2 * 9];
+    let want = scalar_fold(&flat, 2, &pts);
+    assert_eq!(want[2], 9.0);
+    for body in bodies() {
+        assert_eq!(block_fold(body, &flat, 2, &pts), bits(&want), "{body:?}");
+    }
+}
+
+/// A NaN coordinate in each lane position of a block sends that point,
+/// and only that point, to centroid 0.
+#[test]
+fn a_nan_in_any_lane_goes_to_centroid_zero() {
+    let mut rng = DetRng::new(5);
+    for dim in BLOCK_DIMS {
+        let flat = centroids(&mut rng, 16, dim, false);
+        for lane in 0..8 {
+            // Two blocks and a tail of three; the NaN is in the second block.
+            let mut pts = points(&mut rng, 19, dim, false);
+            let at = (8 + lane) * dim + lane % dim;
+            pts[at] = f32::NAN;
+            let want = scalar_fold(&flat, dim, &pts);
+            assert!(want[lane % dim].is_nan(), "dim {dim} lane {lane}");
+            for body in bodies() {
+                assert_eq!(
+                    block_fold(body, &flat, dim, &pts),
+                    bits(&want),
+                    "{body:?} dim {dim} lane {lane}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    fn every_block_body_matches_a_scalar_fold_bit_for_bit(
+        seed in any::<u64>(),
+        n in 0usize..40,
+        nan_at in 0usize..1600,
+        coarse in any::<bool>(),
+    ) {
+        let mut rng = DetRng::new(seed);
+        for k in KS {
+            for dim in BLOCK_DIMS {
+                let flat = centroids(&mut rng, k, dim, coarse);
+                let mut pts = points(&mut rng, n, dim, coarse);
+                if let Some(x) = pts.get_mut(nan_at) {
+                    *x = f32::NAN;
+                }
+                let want = bits(&scalar_fold(&flat, dim, &pts));
+                for body in bodies() {
+                    prop_assert!(
+                        block_fold(body, &flat, dim, &pts) == want,
+                        "{:?} k {} dim {} n {}: robj differs from the scalar fold", body, k, dim, n
+                    );
+                }
             }
         }
     }

@@ -269,12 +269,22 @@ impl Ord for ScoredEntry {
 }
 
 impl TopK {
+    /// An empty TopK. Its heap grows as entries are kept, so a `k` read
+    /// from the wire costs nothing up front.
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "TopK requires k >= 1");
         TopK {
             k,
-            heap: std::collections::BinaryHeap::with_capacity(k + 1),
+            heap: std::collections::BinaryHeap::new(),
         }
+    }
+
+    /// An empty TopK with room for all `k` entries, so no `offer`
+    /// allocates: for a `k` the program chose, not one read from input.
+    pub fn with_capacity(k: usize) -> Self {
+        let mut t = TopK::new(k);
+        t.heap.reserve_exact(k);
+        t
     }
 
     pub fn k(&self) -> usize {

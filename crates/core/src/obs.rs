@@ -395,7 +395,9 @@ impl EventRecord {
     /// Parse one JSONL line's object back into an event.
     pub fn from_value(v: &Value) -> Result<EventRecord, String> {
         let scope = |key| match v.get(key) {
-            Some(_) => u64::get(v, key).map(|n| Some(n as u32)),
+            Some(_) => u32::try_from(u64::get(v, key)?)
+                .map(Some)
+                .map_err(|_| format!("`{key}` is above {}", u32::MAX)),
             None => Ok(None),
         };
         let t_ns = u64::get(v, "t_ns")?;
@@ -1186,6 +1188,32 @@ mod tests {
         ] {
             let text = format!("{{\"schema\":\"cloudburst-trace\",\"v\":1}}\n{event}\n");
             assert_eq!(decode_jsonl(&text), Err(format!("line 2: {want}")));
+        }
+    }
+
+    /// The aliasing trace: a `fetch_start` of cluster (or slave) 2^32 and
+    /// a `fetch_end` of 0. Truncated, the two would pair up and the trace
+    /// pass `check_invariants`; the first line is an error instead, and
+    /// `u32::MAX` itself still decodes.
+    #[test]
+    fn decode_rejects_a_scope_above_u32_max() {
+        let header = r#"{"schema":"cloudburst-trace","v":1}"#;
+        for key in ["cluster", "slave"] {
+            let trace = |scope: u64| {
+                format!(
+                    "{header}\n\
+                     {{\"t_ns\":1,\"{key}\":{scope},\"ev\":\"fetch_start\",\"chunk\":5}}\n\
+                     {{\"t_ns\":2,\"{key}\":0,\"ev\":\"fetch_end\",\"chunk\":5,\
+                     \"bytes\":1,\"remote\":false,\"ns\":1}}\n"
+                )
+            };
+            assert_eq!(
+                decode_jsonl(&trace(1 << 32)),
+                Err(format!("line 2: `{key}` is above 4294967295"))
+            );
+            let max = trace(u32::MAX.into());
+            let back = decode_jsonl(&max).unwrap();
+            assert_eq!(encode_jsonl(&back), max);
         }
     }
 

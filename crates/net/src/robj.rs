@@ -136,14 +136,29 @@ impl RobjCodec for TopK {
         let mut r = WireReader::new(bytes);
         let k = r.u32()? as usize;
         if k == 0 {
-            return Err(WireError::Truncated);
+            return Err(WireError::Invalid("TopK with k = 0"));
         }
         let n = r.u32()? as usize;
+        if n > k {
+            return Err(WireError::Invalid("TopK holds more than k entries"));
+        }
+        // Canonical bytes only: exactly what `encode_robj` writes. So each
+        // entry is kept by `offer`, and the result re-encodes to the input.
         let mut out = TopK::new(k);
+        let mut prev = None;
         for _ in 0..n {
-            let score = f64::from_bits(r.u64()?);
-            let payload = r.u64()?;
-            out.offer(score, payload);
+            let entry = (r.u64()?, r.u64()?);
+            let score = f64::from_bits(entry.0);
+            if score.is_nan() {
+                return Err(WireError::Invalid("NaN TopK score"));
+            }
+            if prev >= Some(entry) {
+                return Err(WireError::Invalid(
+                    "TopK entries not strictly ascending by (score bits, payload)",
+                ));
+            }
+            prev = Some(entry);
+            out.offer(score, entry.1);
         }
         r.finish()?;
         Ok(out)
@@ -197,6 +212,70 @@ mod tests {
         let mut merged = back;
         merged.offer(0.5, 42);
         assert_eq!(merged.into_sorted(), vec![(0.5, 42), (1.0, 3), (2.0, 1)]);
+    }
+
+    /// `k = 3, n = 1` and a NaN score: an error, where `offer` would panic.
+    #[test]
+    fn topk_nan_score_rejected() {
+        let mut w = WireWriter::new();
+        w.put_u32(3);
+        w.put_u32(1);
+        w.put_f64(f64::NAN);
+        w.put_u64(7);
+        let bytes = w.into_payload();
+        assert_eq!(bytes.len(), 24);
+        assert!(matches!(
+            TopK::decode_robj(&bytes),
+            Err(WireError::Invalid(_))
+        ));
+    }
+
+    /// `k = u32::MAX, n = 0`: eight bytes must not reserve room for `k`
+    /// entries, which aborted the process.
+    #[test]
+    fn topk_huge_k_reserves_nothing() {
+        let mut w = WireWriter::new();
+        w.put_u32(u32::MAX);
+        w.put_u32(0);
+        let bytes = w.into_payload();
+        assert_eq!(bytes.len(), 8);
+        let t = TopK::decode_robj(&bytes).unwrap();
+        assert_eq!((t.k(), t.len()), (u32::MAX as usize, 0));
+        assert_eq!(t.encode_robj(), bytes);
+    }
+
+    /// A TopK listing that `encode_robj` never writes: `k = 0`, more
+    /// entries than `k`, or entries out of order or repeated.
+    #[test]
+    fn topk_non_canonical_entries_rejected() {
+        let robj = |k: u32, entries: &[(f64, u64)]| {
+            let mut w = WireWriter::new();
+            w.put_u32(k);
+            w.put_u32(entries.len() as u32);
+            for &(score, payload) in entries {
+                w.put_f64(score);
+                w.put_u64(payload);
+            }
+            w.into_payload()
+        };
+        for (k, entries) in [
+            (0, vec![]),
+            (1, vec![(1.0, 1), (2.0, 2)]),
+            (3, vec![(2.0, 1), (1.0, 2)]),
+            (3, vec![(1.0, 2), (1.0, 1)]),
+            (3, vec![(1.0, 1), (1.0, 1)]),
+        ] {
+            assert!(
+                matches!(
+                    TopK::decode_robj(&robj(k, &entries)),
+                    Err(WireError::Invalid(_))
+                ),
+                "k {k} {entries:?}"
+            );
+        }
+        let canonical = robj(3, &[(1.0, 2), (1.0, 3), (2.0, 1)]);
+        let t = TopK::decode_robj(&canonical).unwrap();
+        assert_eq!(t.encode_robj(), canonical);
     }
 
     #[test]

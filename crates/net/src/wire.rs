@@ -48,6 +48,9 @@ pub enum WireError {
     FrameTooLarge(usize),
     /// A string field holding invalid UTF-8.
     BadString,
+    /// Fields that decode but break the value's own rules, e.g. a NaN
+    /// score or entries out of their canonical order.
+    Invalid(&'static str),
 }
 
 impl std::fmt::Display for WireError {
@@ -61,6 +64,7 @@ impl std::fmt::Display for WireError {
                 write!(f, "frame of {n} bytes exceeds cap of {MAX_FRAME_BYTES}")
             }
             WireError::BadString => write!(f, "string field is not valid UTF-8"),
+            WireError::Invalid(why) => write!(f, "invalid value: {why}"),
         }
     }
 }
